@@ -19,8 +19,11 @@ from .bridge import (
     SimplicialCochain,
     boundary_of,
     chain_complex_of,
+    chain_to_vector,
+    inclusion_chain_map,
     relative_chain_complex,
     subdivision_chain_map,
+    vector_to_chain,
 )
 from .chains import (
     HomologyGroup,
@@ -35,12 +38,7 @@ from .complexes import (
     induced_subdivision,
 )
 from .errors import InternalCheckError, ValidationError
-from .products import (
-    RelativeSupportedCapResult,
-    inclusion_chain_map,
-    relative_supported_cap,
-    supported_cap,
-)
+from .products import RelativeSupportedCapResult, relative_supported_cap, supported_cap
 
 __all__ = [
     "OpenSpaceModel",
@@ -69,8 +67,7 @@ class OpenSpaceModel:
 def bm_homology(model: OpenSpaceModel, degree: int) -> HomologyGroup:
     """H of C(X)/C(Y) at one degree, read as the Borel-Moore homology of
     the open complement."""
-    rel, _ = relative_chain_complex(model.ambient, model.boundary)
-    return homology(rel, degree)
+    return homology(chain_complex_of(model.ambient, model.boundary), degree)
 
 
 # -- long exact sequence of the pair ------------------------------------
@@ -108,35 +105,28 @@ def pair_long_exact_sequence(x: SimplicialComplex, y: Subcomplex) -> ExactnessRe
         raise ValidationError("subcomplex does not belong to the given complex")
     y_complex = y.as_complex("pair-boundary")
     cy = chain_complex_of(y_complex)
-    cx = chain_complex_of(x)
     rel, proj = relative_chain_complex(x, y)
-    incl = inclusion_chain_map(y_complex, x)
+    cx = proj.source
+    incl = inclusion_chain_map(y_complex, x, cy, cx)
 
     top = x.dimension
     hy = {n: homology(cy, n) for n in range(-1, top + 2)}
     hx = {n: homology(cx, n) for n in range(-1, top + 2)}
     hrel = {n: homology(rel, n) for n in range(-1, top + 2)}
 
-    # connecting homomorphism matrices, in canonical coordinates
-    rel_basis = {
-        n: [s for s in x.simplices_of_dim(n) if s not in y] for n in range(top + 1)
-    }
+    # connecting homomorphism matrices, in canonical coordinates: lift a
+    # relative cycle to X along the projection's transpose, take its
+    # boundary in Y
     conn = {}
     for n in range(top + 1):
         src, tgt = hrel[n], hy[n - 1]
         mat = la.zeros(tgt.dim, src.dim)
         for j, g in enumerate(src.cycle_basis):
-            lift = SimplicialChain(
-                x, n,
-                {s: int(g[i]) for i, s in enumerate(rel_basis[n]) if g[i] != 0},
-            )
-            db = boundary_of(lift)
+            db = boundary_of(vector_to_chain(x, n, g, y))
             for s in db.coefficients:
                 if s not in y:
                     raise InternalCheckError("relative cycle boundary escaped the subcomplex")
-            vec = la.zeros(cy.rank(n - 1), 1)[:, 0]
-            for s, c in db.coefficients.items():
-                vec[y_complex.index_of(s)] = c
+            vec = chain_to_vector(SimplicialChain(y_complex, n - 1, db.coefficients))
             for i, c in enumerate(tgt.coords_of(vec)):
                 mat[i, j] = c
         conn[n] = mat
@@ -190,32 +180,23 @@ def subdivision_invariance_check(model: OpenSpaceModel, times: int = 1) -> Invar
 
     # compose k relative subdivision maps
     cur_x, cur_y = x, y
+    proj_cur = relative_chain_complex(x, y)[1]
     rel_map = None
     for _ in range(times):
         sd = barycentric_subdivide(cur_x)
         sdm = subdivision_chain_map(sd)
         next_x = sd.complex
         next_y = induced_subdivision(sd, cur_y)
-        rel_cur, _ = relative_chain_complex(cur_x, cur_y)
-        rel_next, proj_next = relative_chain_complex(next_x, next_y)
-        # the subdivision map sends C(Y) into C(sd Y), so it drops to the quotients
-        basis = {
-            n: [s for s in cur_x.simplices_of_dim(n) if s not in cur_y]
+        proj_next = relative_chain_complex(next_x, next_y)[1]
+        # the subdivision map sends C(Y) into C(sd Y), so it drops to the
+        # quotients: project after it, lift by the transpose before it
+        mats = {
+            n: la.matmul(la.matmul(proj_next.matrix(n), sdm.matrix(n)), proj_cur.matrix(n).T)
             for n in range(cur_x.dimension + 1)
         }
-        mats = {}
-        for n in range(cur_x.dimension + 1):
-            cols = basis[n]
-            mat = la.zeros(rel_next.rank(n), len(cols))
-            full_cols = sdm.matrix(n)
-            pn = proj_next.matrix(n)
-            for j, s in enumerate(cols):
-                col = la.matmul(pn, full_cols[:, [cur_x.index_of(s)]])
-                mat[:, [j]] = col
-            mats[n] = mat
-        step = chain_map(rel_cur, rel_next, mats, shift=0, sign=1)
+        step = chain_map(proj_cur.target, proj_next.target, mats, shift=0, sign=1)
         rel_map = step if rel_map is None else step.compose(rel_map)
-        cur_x, cur_y = next_x, next_y
+        cur_x, cur_y, proj_cur = next_x, next_y, proj_next
 
     rows = []
     passed = True
@@ -243,9 +224,7 @@ def bm_supported_cap(model: OpenSpaceModel, z: Subcomplex, u: SimplicialCochain,
     result = relative_supported_cap(
         model.ambient, model.boundary, z, u, alpha, presubdivide=presubdivide
     )
-    z_meets_y = bool(
-        subcomplex_intersect_nonempty(model.boundary, z)
-    )
+    z_meets_y = bool(model.boundary.simplices & z.simplices)
     if not z_meets_y and boundary_of(alpha).is_zero() and presubdivide == 0:
         absolute = supported_cap(model.ambient, z, u, alpha)
         if result.class_in_z is not None and absolute.class_in_z.coords != result.class_in_z.coords:
@@ -253,7 +232,3 @@ def bm_supported_cap(model: OpenSpaceModel, z: Subcomplex, u: SimplicialCochain,
                 "relative and absolute supported caps disagree away from the boundary"
             )
     return result
-
-
-def subcomplex_intersect_nonempty(a: Subcomplex, b: Subcomplex) -> bool:
-    return bool(a.simplices & b.simplices)

@@ -4,6 +4,10 @@ Boundary convention: d[v_0,...,v_m] = sum_i (-1)^i [v_0,...,^v_i,...,v_m]
 on increasing tuples.  Cochain complexes are the integer duals, so the
 coboundary out of degree p is the transpose of the boundary scaled by
 (-1)^(p+1) -- note the extra sign relative to the common convention.
+
+Absolute is relative with an empty subcomplex: C(X)/C(Y) has the basis
+of simplices outside Y in the order of X, and every complex, vector
+conversion and inclusion here takes an optional Y.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ __all__ = [
     "vector_to_cochain",
     "boundary_of",
     "coboundary_of",
+    "inclusion_chain_map",
+    "relative_inclusion_chain_map",
     "subdivision_chain_map",
     "apply_chain_map",
     "last_vertex_chain_map",
@@ -58,7 +64,12 @@ def _validated_support(complex: SimplicialComplex, degree: int, coefficients: Ma
 
 @dataclass(frozen=True)
 class SimplicialChain:
-    """Sparse integer chain in one degree of a fixed complex."""
+    """Sparse integer vector in one degree of a fixed complex.
+
+    One type serves as a chain, as a cochain (its value on each simplex)
+    and as a functional on cochains (its value on each dual basis
+    cochain); `SimplicialCochain` and `CochainFunctional` name it too.
+    """
 
     complex: SimplicialComplex
     degree: int
@@ -69,6 +80,11 @@ class SimplicialChain:
             self, "coefficients",
             _validated_support(self.complex, self.degree, self.coefficients),
         )
+
+    @property
+    def values(self) -> dict:
+        """The coefficients, under their cochain name."""
+        return self.coefficients
 
     def __call__(self, simplex) -> int:
         return self.coefficients.get(tuple(simplex), 0)
@@ -84,8 +100,7 @@ class SimplicialChain:
         return SimplicialChain(self.complex, self.degree, out)
 
     def __neg__(self):
-        return SimplicialChain(self.complex, self.degree,
-                               {s: -c for s, c in self.coefficients.items()})
+        return self.scaled(-1)
 
     def __sub__(self, other):
         return self + (-other)
@@ -94,81 +109,19 @@ class SimplicialChain:
         return SimplicialChain(self.complex, self.degree,
                                {s: c * v for s, v in self.coefficients.items()})
 
+    def evaluate(self, other: "SimplicialChain") -> int:
+        """The plain pairing sum of products of coefficients: a cochain
+        on a chain, or a functional on a cochain."""
+        _same_home(self, other)
+        theirs = other.coefficients
+        return sum(c * theirs.get(s, 0) for s, c in self.coefficients.items())
+
     def format(self) -> str:
         return _format_combination(self.complex, self.coefficients)
 
 
-@dataclass(frozen=True)
-class SimplicialCochain:
-    """Sparse integer cochain in one degree of a fixed complex."""
-
-    complex: SimplicialComplex
-    degree: int
-    values: dict
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "values",
-            _validated_support(self.complex, self.degree, self.values),
-        )
-
-    def __call__(self, simplex) -> int:
-        return self.values.get(tuple(simplex), 0)
-
-    def is_zero(self) -> bool:
-        return not self.values
-
-    def __add__(self, other):
-        _same_home(self, other)
-        out = dict(self.values)
-        for s, c in other.values.items():
-            out[s] = out.get(s, 0) + c
-        return SimplicialCochain(self.complex, self.degree, out)
-
-    def __neg__(self):
-        return SimplicialCochain(self.complex, self.degree,
-                                 {s: -c for s, c in self.values.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, c: int):
-        return SimplicialCochain(self.complex, self.degree,
-                                 {s: c * v for s, v in self.values.items()})
-
-    def evaluate(self, chain: SimplicialChain) -> int:
-        _same_home(self, chain)
-        return sum(c * self.values.get(s, 0) for s, c in chain.coefficients.items())
-
-    def vanishes_on(self, sub: Subcomplex) -> bool:
-        return all(s not in sub for s in self.values)
-
-    def format(self) -> str:
-        return _format_combination(self.complex, self.values)
-
-
-@dataclass(frozen=True)
-class CochainFunctional:
-    """An integer functional on the p-cochains of a complex (an element
-    of the dual of the cochain complex, in one degree)."""
-
-    complex: SimplicialComplex
-    cochain_degree: int
-    coefficients: dict  # simplex -> int, the value on that dual basis cochain
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coefficients",
-            _validated_support(self.complex, self.cochain_degree, self.coefficients),
-        )
-
-    def evaluate(self, u: SimplicialCochain) -> int:
-        if u.complex != self.complex or u.degree != self.cochain_degree:
-            raise ValidationError("cochain does not match the functional's domain")
-        return sum(c * u.values.get(s, 0) for s, c in self.coefficients.items())
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
+SimplicialCochain = SimplicialChain
+CochainFunctional = SimplicialChain
 
 
 def _same_home(a, b):
@@ -198,102 +151,122 @@ def _format_combination(complex: SimplicialComplex, coeffs: dict) -> str:
     return out
 
 
-# -- chain complexes of complexes --------------------------------------
+# -- chain complexes of complexes and pairs ------------------------------
 
 
-def _boundary_matrix(x: SimplicialComplex, m: int) -> np.ndarray:
-    rows = x.simplices_of_dim(m - 1)
-    cols = x.simplices_of_dim(m)
-    mat = la.zeros(len(rows), len(cols))
-    for j, s in enumerate(cols):
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1:]
-            mat[x.index_of(face), j] = (-1) ** i
-    return mat
+def _basis(x: SimplicialComplex, y: Subcomplex | None, d: int):
+    """The d-simplices of `x` outside `y`, in the order of `x`: the
+    degree-d basis of C(X)/C(Y), which is C_d(X) when `y` is None."""
+    level = x.simplices_of_dim(d)
+    if y is None:
+        return level
+    if y.parent != x:
+        raise ValidationError("subcomplex does not belong to the given complex")
+    if not y.simplices:
+        return level
+    return [s for s in level if s not in y.simplices]
 
 
-def chain_complex_of(x: SimplicialComplex) -> ChainComplexZ:
-    """Oriented simplicial chain complex, diff_degree -1, degrees 0..dim."""
-    ranks = {d: len(x.simplices_of_dim(d)) for d in range(x.dimension + 1)}
-    diffs = {m: _boundary_matrix(x, m) for m in range(1, x.dimension + 1)}
-    return chain_complex(-1, ranks, diffs)
+def chain_complex_of(x: SimplicialComplex, y: Subcomplex | None = None) -> ChainComplexZ:
+    """Oriented simplicial chain complex C(X)/C(Y) on the simplices
+    outside `y` (C(X) itself when `y` is None or empty); diff_degree -1,
+    degrees 0..dim."""
+    basis = {d: _basis(x, y, d) for d in range(x.dimension + 1)}
+    row = {s: i for level in basis.values() for i, s in enumerate(level)}
+    diffs = {}
+    for m in range(1, x.dimension + 1):
+        mat = la.zeros(len(basis[m - 1]), len(basis[m]))
+        for j, s in enumerate(basis[m]):
+            for i in range(len(s)):
+                r = row.get(s[:i] + s[i + 1:])
+                if r is not None:
+                    mat[r, j] = (-1) ** i
+        diffs[m] = mat
+    return chain_complex(-1, {d: len(level) for d, level in basis.items()}, diffs)
 
 
 def relative_chain_complex(x: SimplicialComplex, y: Subcomplex):
-    """C(X)/C(Y) on the basis of simplices outside `y`, plus the
-    quotient chain map from C(X)."""
-    if y.parent != x:
-        raise ValidationError("subcomplex does not belong to the given complex")
-    kept = {}
-    for d in range(x.dimension + 1):
-        kept[d] = [s for s in x.simplices_of_dim(d) if s not in y]
-    ranks = {d: len(ss) for d, ss in kept.items() if ss}
-    pos = {d: {s: i for i, s in enumerate(ss)} for d, ss in kept.items()}
-    diffs = {}
-    for m in range(1, x.dimension + 1):
-        mat = la.zeros(len(kept.get(m - 1, ())), len(kept.get(m, ())))
-        for j, s in enumerate(kept.get(m, ())):
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                if face in pos[m - 1]:
-                    mat[pos[m - 1][face], j] = (-1) ** i
-        diffs[m] = mat
-    rel = chain_complex(-1, ranks, diffs)
+    """C(X)/C(Y), as `chain_complex_of(x, y)`, plus the quotient chain
+    map from C(X); its transpose lifts quotient coordinates to C(X)."""
+    rel = chain_complex_of(x, y)
     full = chain_complex_of(x)
     proj = {}
-    for d, ss in kept.items():
-        mat = la.zeros(len(ss), full.rank(d))
-        for s in ss:
-            mat[pos[d][s], x.index_of(s)] = 1
+    for d in range(x.dimension + 1):
+        mat = la.zeros(rel.rank(d), full.rank(d))
+        for i, s in enumerate(_basis(x, y, d)):
+            mat[i, x.index_of(s)] = 1
         proj[d] = mat
     return rel, chain_map(full, rel, proj, shift=0, sign=1)
 
 
-def cochain_complex(x: SimplicialComplex) -> ChainComplexZ:
-    """Integer dual of the chain complex; degrees 0..dim, diff_degree +1."""
-    return dual_hom_z(chain_complex_of(x))
+def cochain_complex(x: SimplicialComplex, a: Subcomplex | None = None) -> ChainComplexZ:
+    """Integer dual of C(X)/C(A): the cochains vanishing on `a` (all
+    cochains when `a` is None), on the basis of simplices outside `a`;
+    degrees 0..dim, diff_degree +1."""
+    return dual_hom_z(chain_complex_of(x, a))
 
 
-def relative_cochain_complex(x: SimplicialComplex, a: Subcomplex) -> ChainComplexZ:
-    """Cochains vanishing on `a`: the dual of C(X)/C(A), on the basis of
-    simplices outside `a`."""
-    rel, _ = relative_chain_complex(x, a)
-    return dual_hom_z(rel)
+relative_cochain_complex = cochain_complex
 
 
-def relative_basis(x: SimplicialComplex, a: Subcomplex, degree: int) -> list:
-    return [s for s in x.simplices_of_dim(degree) if s not in a]
+def relative_inclusion_chain_map(inner: SimplicialComplex, inner_sub: Subcomplex | None,
+                                 outer: SimplicialComplex, outer_sub: Subcomplex | None,
+                                 source: ChainComplexZ | None = None,
+                                 target: ChainComplexZ | None = None) -> ChainMap:
+    """C(inner)/C(inner_sub) -> C(outer)/C(outer_sub) for inclusions of
+    pairs where inner simplices outside inner_sub stay outside
+    outer_sub (the vertex orders must agree where they overlap).
+
+    `source` and `target` are those two quotient complexes, when the
+    caller has already assembled them.
+    """
+    src = chain_complex_of(inner, inner_sub) if source is None else source
+    tgt = chain_complex_of(outer, outer_sub) if target is None else target
+    mats = {}
+    for d in range(inner.dimension + 1):
+        row = {s: i for i, s in enumerate(_basis(outer, outer_sub, d))}
+        cols = _basis(inner, inner_sub, d)
+        mat = la.zeros(tgt.rank(d), len(cols))
+        for j, s in enumerate(cols):
+            i = row.get(s)
+            if i is None:
+                raise ValidationError(
+                    f"simplex {s!r} collapses in the target pair but not the source pair"
+                    if s in outer else f"simplex {s!r} not in complex"
+                )
+            mat[i, j] = 1
+        mats[d] = mat
+    return chain_map(src, tgt, mats, shift=0, sign=1)
+
+
+def inclusion_chain_map(inner: SimplicialComplex, outer: SimplicialComplex,
+                        source: ChainComplexZ | None = None,
+                        target: ChainComplexZ | None = None) -> ChainMap:
+    """C(inner) -> C(outer) for a complex whose simplices all belong to
+    `outer`: the inclusion of pairs with empty subcomplexes."""
+    return relative_inclusion_chain_map(inner, None, outer, None, source, target)
 
 
 # -- vector conversions -------------------------------------------------
 
 
-def chain_to_vector(c: SimplicialChain) -> np.ndarray:
-    basis = c.complex.simplices_of_dim(c.degree)
-    v = la.zeros(len(basis), 1)[:, 0]
-    for s, val in c.coefficients.items():
-        v[c.complex.index_of(s)] = val
-    return v
+def chain_to_vector(c: SimplicialChain, y: Subcomplex | None = None) -> np.ndarray:
+    """Coordinates of `c` in the basis of C(X)/C(Y): its coefficients on
+    the simplices outside `y` (on all of them when `y` is None)."""
+    coeffs = c.coefficients
+    return np.array([coeffs.get(s, 0) for s in _basis(c.complex, y, c.degree)], dtype=object)
 
 
-def vector_to_chain(x: SimplicialComplex, degree: int, v) -> SimplicialChain:
-    basis = x.simplices_of_dim(degree)
-    coeffs = {basis[i]: int(v[i]) for i in range(len(basis)) if v[i] != 0}
-    return SimplicialChain(x, degree, coeffs)
+def vector_to_chain(x: SimplicialComplex, degree: int, v,
+                    y: Subcomplex | None = None) -> SimplicialChain:
+    """The chain with coordinates `v` in the basis of C(X)/C(Y), lifted
+    to C(X) by zero on `y`: the transpose of the quotient projection."""
+    basis = _basis(x, y, degree)
+    return SimplicialChain(x, degree, {s: int(c) for s, c in zip(basis, v) if c != 0})
 
 
-def cochain_to_vector(u: SimplicialCochain) -> np.ndarray:
-    basis = u.complex.simplices_of_dim(u.degree)
-    v = la.zeros(len(basis), 1)[:, 0]
-    for s, val in u.values.items():
-        v[u.complex.index_of(s)] = val
-    return v
-
-
-def vector_to_cochain(x: SimplicialComplex, degree: int, v) -> SimplicialCochain:
-    basis = x.simplices_of_dim(degree)
-    vals = {basis[i]: int(v[i]) for i in range(len(basis)) if v[i] != 0}
-    return SimplicialCochain(x, degree, vals)
+cochain_to_vector = chain_to_vector
+vector_to_cochain = vector_to_chain
 
 
 def boundary_of(c: SimplicialChain) -> SimplicialChain:
@@ -310,13 +283,14 @@ def coboundary_of(u: SimplicialCochain) -> SimplicialCochain:
     """(du)(x) = (-1)^(p+1) u(boundary x)."""
     x = u.complex
     p = u.degree
+    values = u.coefficients
     sign = (-1) ** (p + 1)
     out = {}
     for s in x.simplices_of_dim(p + 1):
         acc = 0
         for i in range(len(s)):
             face = s[:i] + s[i + 1:]
-            acc += ((-1) ** i) * u.values.get(face, 0)
+            acc += ((-1) ** i) * values.get(face, 0)
         if acc:
             out[s] = sign * acc
     return SimplicialCochain(x, p + 1, out)
@@ -427,8 +401,8 @@ def cochain_pullback(sd: SubdivisionResult, u: SimplicialCochain,
     if pi is None:
         pi = last_vertex_chain_map(sd)
     m = pi.matrix(u.degree)
-    vals = la.matmul(m.T, cochain_to_vector(u).reshape(-1, 1))[:, 0]
-    return vector_to_cochain(sd.complex, u.degree, vals)
+    vals = la.matmul(m.T, chain_to_vector(u).reshape(-1, 1))[:, 0]
+    return vector_to_chain(sd.complex, u.degree, vals)
 
 
 # -- the evaluation pairing ---------------------------------------------
@@ -445,8 +419,4 @@ def xi_pairing(alpha: SimplicialChain, u: SimplicialCochain) -> int:
 
 
 def xi_functional(alpha: SimplicialChain) -> CochainFunctional:
-    m = alpha.degree
-    sign = (-1) ** m
-    return CochainFunctional(
-        alpha.complex, m, {s: sign * c for s, c in alpha.coefficients.items()}
-    )
+    return alpha.scaled((-1) ** alpha.degree)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bridge import chain_complex_of, relative_chain_complex
+from .bridge import chain_complex_of
 from .chains import homology
 from .complexes import barycentric_subdivide
 from .errors import InternalCheckError, ValidationError
@@ -49,11 +49,7 @@ def cmd_validate(args) -> int:
 def cmd_homology(args) -> int:
     x = load_complex(args.complex)
     label = "H^BM" if args.bm else "H"
-    if args.rel:
-        y = _subcomplex_from_file(x, args.rel)
-        complex_ = relative_chain_complex(x, y)[0]
-    else:
-        complex_ = chain_complex_of(x)
+    complex_ = chain_complex_of(x, _subcomplex_from_file(x, args.rel) if args.rel else None)
     top = max(x.dimension, 0)
     for n in range(top + 1):
         h = homology(complex_, n)
@@ -108,6 +104,8 @@ def _print_star(star) -> None:
 
 
 def cmd_subdivide(args) -> int:
+    if args.times < 0:
+        raise ValidationError("--times must be >= 0")
     x = load_complex(args.complex)
     for _ in range(args.times):
         x = barycentric_subdivide(x).complex

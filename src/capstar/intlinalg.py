@@ -23,7 +23,6 @@ __all__ = [
     "solve_integer",
     "lattice_contains",
     "lattices_equal",
-    "is_zero_matrix",
 ]
 
 
@@ -63,10 +62,6 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
     return a.dot(b)
-
-
-def is_zero_matrix(a: np.ndarray) -> bool:
-    return a.size == 0 or not a.any()
 
 
 @dataclass(frozen=True, eq=False)

@@ -111,6 +111,8 @@ def _parse_valued(data: dict, x: SimplicialComplex, what: str):
     if "values" not in data or not isinstance(data["values"], dict):
         raise ValidationError(f"{what} file needs an object 'values'")
     degree = data["degree"]
+    if degree < 0:
+        raise ValidationError(f"{what} file has a negative degree {degree}")
     out = {}
     for key, coeff in data["values"].items():
         if not isinstance(coeff, int):
@@ -142,8 +144,7 @@ def parse_chain(data: dict, x: SimplicialComplex) -> SimplicialChain:
 
 def serialize_cochain(u) -> str:
     x = u.complex
-    coeffs = u.values if hasattr(u, "values") else u.coefficients
-    items = sorted(coeffs.items(), key=lambda kv: x.sort_key(kv[0]))
+    items = sorted(u.coefficients.items(), key=lambda kv: x.sort_key(kv[0]))
     payload = {
         "degree": u.degree,
         "values": {",".join(str(v) for v in s): c for s, c in items},

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import intlinalg as la
 from .bridge import (
     CochainFunctional,
     SimplicialChain,
@@ -22,15 +21,11 @@ from .bridge import (
     chain_to_vector,
     coboundary_of,
     cochain_pullback,
-    relative_chain_complex,
+    inclusion_chain_map,
+    relative_inclusion_chain_map,
     subdivision_chain_map,
 )
-from .chains import (
-    HomologyClass,
-    chain_map,
-    homology,
-    induced_map_on_homology,
-)
+from .chains import HomologyClass, homology, induced_map_on_homology
 from .complexes import (
     SimplicialComplex,
     Subcomplex,
@@ -61,11 +56,12 @@ def cup(u: SimplicialCochain, v: SimplicialCochain) -> SimplicialCochain:
         raise ValidationError("cochains live on different complexes")
     x = u.complex
     p, q = u.degree, v.degree
+    front, back = u.coefficients, v.coefficients
     out = {}
     for s in x.simplices_of_dim(p + q):
-        val = u.values.get(s[: p + 1], 0)
+        val = front.get(s[: p + 1], 0)
         if val:
-            val *= v.values.get(s[p:], 0)
+            val *= back.get(s[p:], 0)
         if val:
             out[s] = val
     return SimplicialCochain(x, p + q, out)
@@ -77,11 +73,14 @@ def cap(alpha: SimplicialChain, u: SimplicialCochain) -> SimplicialChain:
     if alpha.complex != u.complex:
         raise ValidationError("chain and cochain live on different complexes")
     m, p = alpha.degree, u.degree
+    if m < 0 or p < 0:
+        raise ValidationError(f"cannot cap in negative degrees (chain {m}, cochain {p})")
     if p > m:
         raise ValidationError(f"cannot cap a degree-{m} chain with a degree-{p} cochain")
+    values = u.coefficients
     out = {}
     for s, c in alpha.coefficients.items():
-        val = c * u.values.get(s[: p + 1], 0)
+        val = c * values.get(s[: p + 1], 0)
         if val:
             back = s[p:]
             out[back] = out.get(back, 0) + val
@@ -99,7 +98,7 @@ def dual_cap(f: CochainFunctional, u: SimplicialCochain,
     cochains, with v extended by zero off the star.
     """
     x = f.complex
-    m, p = f.cochain_degree, u.degree
+    m, p = f.degree, u.degree
     if u.complex != x:
         raise ValidationError("functional and cochain live on different complexes")
     if p > m:
@@ -112,7 +111,7 @@ def dual_cap(f: CochainFunctional, u: SimplicialCochain,
         c = f.coefficients.get(s, 0)
         if not c:
             continue
-        uval = u.values.get(s[vdeg:], 0)
+        uval = u.coefficients.get(s[vdeg:], 0)
         if not uval:
             continue
         front = s[: vdeg + 1]
@@ -149,52 +148,12 @@ class RelativeSupportedCapResult:
     diagnostics: CapDiagnostics
 
 
-def inclusion_chain_map(inner: SimplicialComplex, outer: SimplicialComplex):
-    """C(inner) -> C(outer) for a complex whose simplices all belong to
-    `outer` (the vertex orders must agree where they overlap)."""
-    src = chain_complex_of(inner)
-    tgt = chain_complex_of(outer)
-    mats = {}
-    for d in range(inner.dimension + 1):
-        mat = la.zeros(tgt.rank(d), src.rank(d))
-        for j, s in enumerate(inner.simplices_of_dim(d)):
-            mat[outer.index_of(s), j] = 1
-        mats[d] = mat
-    return chain_map(src, tgt, mats, shift=0, sign=1)
-
-
-def relative_inclusion_chain_map(inner: SimplicialComplex, inner_sub: Subcomplex,
-                                 outer: SimplicialComplex, outer_sub: Subcomplex):
-    """C(inner)/C(inner_sub) -> C(outer)/C(outer_sub) for inclusions of
-    pairs where inner simplices outside inner_sub stay outside
-    outer_sub."""
-    src, _ = relative_chain_complex(inner, inner_sub)
-    tgt, _ = relative_chain_complex(outer, outer_sub)
-    tgt_pos = {}
-    for d in range(outer.dimension + 1):
-        tgt_pos[d] = {s: i for i, s in enumerate(
-            s for s in outer.simplices_of_dim(d) if s not in outer_sub)}
-    mats = {}
-    for d in range(inner.dimension + 1):
-        basis = [s for s in inner.simplices_of_dim(d) if s not in inner_sub]
-        mat = la.zeros(tgt.rank(d), len(basis))
-        for j, s in enumerate(basis):
-            i = tgt_pos[d].get(s)
-            if i is None:
-                raise ValidationError(
-                    f"simplex {s!r} collapses in the target pair but not the source pair"
-                )
-            mat[i, j] = 1
-        mats[d] = mat
-    return chain_map(src, tgt, mats, shift=0, sign=1)
-
-
-def _check_supported_cocycle(x, z, u, star, complement):
+def _check_supported_cocycle(x, z, u, complement):
     if u.complex != x:
         raise ValidationError("cochain does not live on the ambient complex")
     if z.parent != x:
         raise ValidationError("support subcomplex does not belong to the ambient complex")
-    for s in u.values:
+    for s in u.coefficients:
         if s in complement:
             raise ValidationError(
                 f"cochain does not vanish on the non-meeting complement (at {s!r})"
@@ -224,55 +183,22 @@ def supported_cap(x: SimplicialComplex, z: Subcomplex, u: SimplicialCochain,
                   alpha: SimplicialChain, presubdivide: int = 0) -> SupportedCapResult:
     """Cap a cycle with a closed cochain vanishing off the star of `z`,
     land in chains on the star, and transport the class back to `z`
-    through the inclusion-induced isomorphism.
+    through the inclusion-induced isomorphism: the relative supported
+    cap with an empty boundary subcomplex.
 
     Raises RetractConditionError when H(Z) -> H(N) fails to be an
     isomorphism in the relevant degree; subdividing first (the
     `presubdivide` count) is the standard fix.
     """
-    if presubdivide < 0:
-        raise ValidationError("presubdivide must be >= 0")
-    if alpha.complex != x:
-        raise ValidationError("chain does not live on the ambient complex")
-    if presubdivide:
-        x, z, u, alpha, _ = _presubdivide(x, z, u, alpha, presubdivide)
-    star = closed_star(x, z)
-    complement = nonmeeting_complement(x, z)
-    _check_supported_cocycle(x, z, u, star, complement)
-    if not boundary_of(alpha).is_zero():
-        raise ValidationError("chain is not a cycle")
-
-    image = cap(alpha, u)
-    for s in image.coefficients:
-        if s not in star:
-            raise InternalCheckError(f"cap image escaped the closed star at {s!r}")
-    n_complex = star.as_complex("star")
-    z_complex = z.as_complex("support")
-    beta = SimplicialChain(n_complex, image.degree, image.coefficients)
-
-    deg = image.degree
-    h_star = homology(chain_complex_of(n_complex), deg)
-    h_z = homology(chain_complex_of(z_complex), deg)
-    incl = inclusion_chain_map(z_complex, n_complex)
-    induced = induced_map_on_homology(incl, deg, source_group=h_z, target_group=h_star)
-    iso = induced.is_isomorphism()
-    diagnostics = CapDiagnostics(
-        degree=deg,
-        inclusion_is_isomorphism=iso,
-        star_group=h_star.group_str(),
-        support_group=h_z.group_str(),
-    )
-    if not iso:
+    res = relative_supported_cap(x, x.empty_subcomplex(), z, u, alpha, presubdivide)
+    diag = res.diagnostics
+    if res.class_in_z is None:
         raise RetractConditionError(
-            f"retract condition failed: H_{deg}(Z) = {h_z.group_str()} -> "
-            f"H_{deg}(N) = {h_star.group_str()} is not an isomorphism; increase presubdivide"
+            f"retract condition failed: H_{diag.degree}(Z) = {diag.support_group} -> "
+            f"H_{diag.degree}(N) = {diag.star_group} is not an isomorphism; increase presubdivide"
         )
-    target_class = h_star.class_of(chain_to_vector(beta))
-    pulled = induced.solve(target_class)
-    if pulled is None:
-        raise InternalCheckError("isomorphism failed to invert on the cap class")
     return SupportedCapResult(
-        star=star, chain_image=beta, class_in_z=pulled, diagnostics=diagnostics
+        star=res.star, chain_image=res.chain_image, class_in_z=res.class_in_z, diagnostics=diag
     )
 
 
@@ -290,15 +216,15 @@ def relative_supported_cap(x: SimplicialComplex, y: Subcomplex, z: Subcomplex,
     if y.parent != x:
         raise ValidationError("boundary subcomplex does not belong to the ambient complex")
     if presubdivide:
-        x, z, u, alpha, extras = _presubdivide(x, z, u, alpha, presubdivide, [y])
-        y = extras[0]
+        x, z, u, alpha, (y,) = _presubdivide(x, z, u, alpha, presubdivide, [y])
     star = closed_star(x, z)
-    complement = nonmeeting_complement(x, z)
-    _check_supported_cocycle(x, z, u, star, complement)
-    d_alpha = boundary_of(alpha)
-    for s in d_alpha.coefficients:
+    _check_supported_cocycle(x, z, u, nonmeeting_complement(x, z))
+    for s in boundary_of(alpha).coefficients:
         if s not in y:
-            raise ValidationError("chain is not a relative cycle mod the boundary subcomplex")
+            raise ValidationError(
+                "chain is not a relative cycle mod the boundary subcomplex"
+                if y.simplices else "chain is not a cycle"
+            )
 
     y_and_z = subcomplex_intersection(y, z)
     y_complex = y.as_complex("boundary")
@@ -321,16 +247,17 @@ def relative_supported_cap(x: SimplicialComplex, y: Subcomplex, z: Subcomplex,
     beta = SimplicialChain(n_complex, image.degree, image.coefficients)
     deg = image.degree
 
-    pair_complex, pair_proj = relative_chain_complex(n_complex, star_boundary)
+    pair_complex = chain_complex_of(n_complex, star_boundary)
     h_pair = homology(pair_complex, deg)
-    beta_rel = la.matmul(pair_proj.matrix(deg), chain_to_vector(beta).reshape(-1, 1))[:, 0]
-    class_in_pair = h_pair.class_of(beta_rel)
+    class_in_pair = h_pair.class_of(chain_to_vector(beta, star_boundary))
 
     z_complex = z.as_complex("support")
     z_boundary = Subcomplex(parent=z_complex, simplices=y_and_z.simplices)
-    z_pair_complex, _ = relative_chain_complex(z_complex, z_boundary)
+    z_pair_complex = chain_complex_of(z_complex, z_boundary)
     h_z_pair = homology(z_pair_complex, deg)
-    incl = relative_inclusion_chain_map(z_complex, z_boundary, n_complex, star_boundary)
+    incl = relative_inclusion_chain_map(
+        z_complex, z_boundary, n_complex, star_boundary, z_pair_complex, pair_complex
+    )
     induced = induced_map_on_homology(incl, deg, source_group=h_z_pair, target_group=h_pair)
     iso = induced.is_isomorphism()
     diagnostics = CapDiagnostics(
@@ -339,7 +266,11 @@ def relative_supported_cap(x: SimplicialComplex, y: Subcomplex, z: Subcomplex,
         star_group=h_pair.group_str(),
         support_group=h_z_pair.group_str(),
     )
-    class_in_z = induced.solve(class_in_pair) if iso else None
+    class_in_z = None
+    if iso:
+        class_in_z = induced.solve(class_in_pair)
+        if class_in_z is None:
+            raise InternalCheckError("isomorphism failed to invert on the cap class")
     return RelativeSupportedCapResult(
         star=star,
         star_boundary=star_boundary,

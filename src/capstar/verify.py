@@ -21,15 +21,13 @@ from .bridge import (
     SimplicialCochain,
     boundary_of,
     chain_complex_of,
+    chain_to_vector,
     coboundary_of,
     cochain_complex,
-    cochain_to_vector,
+    inclusion_chain_map,
     last_vertex_chain_map,
-    relative_chain_complex,
-    relative_cochain_complex,
     subdivision_chain_map,
     vector_to_chain,
-    vector_to_cochain,
     xi_pairing,
 )
 from .chains import (
@@ -46,9 +44,9 @@ from .complexes import (
     closed_star,
     nonmeeting_complement,
 )
-from .errors import RetractConditionError
+from .errors import RetractConditionError, ValidationError
 from .intlinalg import smith_normal_form
-from .products import cap, cup, inclusion_chain_map, supported_cap
+from .products import cap, cup, supported_cap
 
 __all__ = ["CheckResult", "run_suite"]
 
@@ -69,6 +67,8 @@ def _cap_or_zero(alpha: SimplicialChain, u: SimplicialCochain) -> SimplicialChai
 
 
 def _random_chain(rng, x, degree, density=0.6, lo=-3, hi=3) -> SimplicialChain:
+    """Random chain (or cochain): each simplex draws whether it is in the
+    support, then its coefficient."""
     coeffs = {}
     for s in x.simplices_of_dim(degree):
         if rng.random() < density:
@@ -78,14 +78,7 @@ def _random_chain(rng, x, degree, density=0.6, lo=-3, hi=3) -> SimplicialChain:
     return SimplicialChain(x, degree, coeffs)
 
 
-def _random_cochain(rng, x, degree, density=0.6, lo=-3, hi=3) -> SimplicialCochain:
-    vals = {}
-    for s in x.simplices_of_dim(degree):
-        if rng.random() < density:
-            c = rng.randint(lo, hi)
-            if c:
-                vals[s] = c
-    return SimplicialCochain(x, degree, vals)
+_random_cochain = _random_chain
 
 
 def _random_subcomplex(rng, x):
@@ -96,57 +89,42 @@ def _random_subcomplex(rng, x):
     return x.subcomplex_closure(picks)
 
 
-def _supported_basis(x, z, degree):
-    comp = nonmeeting_complement(x, z)
-    return [s for s in x.simplices_of_dim(degree) if s not in comp]
-
-
-def _random_cocycle_vanishing_off_star(rng, x, z, degree):
-    """Random closed cochain vanishing on the non-meeting complement, or
-    None when that space is trivial."""
-    rel = relative_cochain_complex(x, nonmeeting_complement(x, z))
-    kb = la.kernel_basis(rel.d(degree))
-    if kb.shape[1] == 0:
-        return None
-    coeffs = [rng.randint(-2, 2) for _ in range(kb.shape[1])]
-    vec = la.matmul(kb, np.array(coeffs, dtype=object).reshape(-1, 1))[:, 0]
-    basis = _supported_basis(x, z, degree)
-    vals = {s: int(v) for s, v in zip(basis, vec) if v}
-    return SimplicialCochain(x, degree, vals)
-
-
-def _random_supported_cochain(rng, x, z, degree):
-    if degree < 0:
-        return None
-    basis = _supported_basis(x, z, degree)
-    if not basis:
-        return None
-    vals = {}
-    for s in basis:
-        c = rng.randint(-2, 2)
-        if c:
-            vals[s] = c
-    return SimplicialCochain(x, degree, vals)
-
-
-def _random_cycle(rng, x, degree):
-    k = chain_complex_of(x)
+def _random_closed(rng, k, x, degree, y=None):
+    """Random integer combination of a kernel basis of k.d(degree), with
+    `k` a complex of (co)chains on `x` modulo `y`, as a (co)chain on `x`;
+    None when that kernel is trivial."""
     kb = la.kernel_basis(k.d(degree))
     if kb.shape[1] == 0:
         return None
     coeffs = [rng.randint(-2, 2) for _ in range(kb.shape[1])]
     vec = la.matmul(kb, np.array(coeffs, dtype=object).reshape(-1, 1))[:, 0]
-    return vector_to_chain(x, degree, vec)
+    return vector_to_chain(x, degree, vec, y)
+
+
+def _random_cycle(rng, x, degree):
+    return _random_closed(rng, chain_complex_of(x), x, degree)
 
 
 def _random_closed_cochain(rng, x, degree):
-    c = cochain_complex(x)
-    kb = la.kernel_basis(c.d(degree))
-    if kb.shape[1] == 0:
+    return _random_closed(rng, cochain_complex(x), x, degree)
+
+
+def _random_cocycle_vanishing_off_star(rng, x, z, degree):
+    """Random closed cochain vanishing on the non-meeting complement, or
+    None when that space is trivial."""
+    comp = nonmeeting_complement(x, z)
+    return _random_closed(rng, cochain_complex(x, comp), x, degree, comp)
+
+
+def _random_supported_cochain(rng, x, z, degree):
+    """Random cochain vanishing on the non-meeting complement, or None
+    when there is no such nonzero cochain in `degree`."""
+    comp = nonmeeting_complement(x, z)
+    # zero, in the coordinates of C(X)/C(comp): one draw per coordinate
+    zero = chain_to_vector(SimplicialChain(x, degree, {}), comp)
+    if not len(zero):
         return None
-    coeffs = [rng.randint(-2, 2) for _ in range(kb.shape[1])]
-    vec = la.matmul(kb, np.array(coeffs, dtype=object).reshape(-1, 1))[:, 0]
-    return vector_to_cochain(x, degree, vec)
+    return vector_to_chain(x, degree, [rng.randint(-2, 2) for _ in zero], comp)
 
 
 def _is_coboundary(x, w: SimplicialCochain) -> bool:
@@ -155,7 +133,7 @@ def _is_coboundary(x, w: SimplicialCochain) -> bool:
     if w.degree == 0:
         return False
     c = cochain_complex(x)
-    return la.solve_integer(c.d(w.degree - 1), cochain_to_vector(w)) is not None
+    return la.solve_integer(c.d(w.degree - 1), chain_to_vector(w)) is not None
 
 
 def _enlarged(rng, x, z):
@@ -175,6 +153,8 @@ def _cone_identity_acyclic(k) -> bool:
 def run_suite(x: SimplicialComplex, trials: int = 100, seed: int = 0,
               _corrupt: str | None = None) -> list[CheckResult]:
     """Run every applicable invariant check against one complex."""
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
     rng = random.Random(seed)
     results: list[CheckResult] = []
 
@@ -382,7 +362,7 @@ def run_suite(x: SimplicialComplex, trials: int = 100, seed: int = 0,
     for _ in range(min(max(trials // 20, 1), 5)):
         y = _random_subcomplex(rng, x)
         les_ok = les_ok and pair_long_exact_sequence(x, y).passed
-        rel, _ = relative_chain_complex(x, y)
+        rel = chain_complex_of(x, y)
         cy = chain_complex_of(y.as_complex())
         for n in range(dim + 1):
             if cy.rank(n) + rel.rank(n) != k.rank(n):
