@@ -104,58 +104,32 @@ def pair_long_exact_sequence(x: SimplicialComplex, y: Subcomplex) -> ExactnessRe
     if y.parent != x:
         raise ValidationError("subcomplex does not belong to the given complex")
     y_complex = y.as_complex("pair-boundary")
-    cy = chain_complex_of(y_complex)
     rel, proj = relative_chain_complex(x, y)
-    cx = proj.source
-    incl = inclusion_chain_map(y_complex, x, cy, cx)
+    incl = inclusion_chain_map(y_complex, x)
+    cy, cx = incl.source, incl.target
 
     top = x.dimension
-    hy = {n: homology(cy, n) for n in range(-1, top + 2)}
-    hx = {n: homology(cx, n) for n in range(-1, top + 2)}
-    hrel = {n: homology(rel, n) for n in range(-1, top + 2)}
-
-    # connecting homomorphism matrices, in canonical coordinates: lift a
-    # relative cycle to X along the projection's transpose, take its
-    # boundary in Y
-    conn = {}
-    for n in range(top + 1):
-        src, tgt = hrel[n], hy[n - 1]
-        mat = la.zeros(tgt.dim, src.dim)
-        for j, g in enumerate(src.cycle_basis):
-            db = boundary_of(vector_to_chain(x, n, g, y))
-            for s in db.coefficients:
-                if s not in y:
-                    raise InternalCheckError("relative cycle boundary escaped the subcomplex")
-            vec = chain_to_vector(SimplicialChain(y_complex, n - 1, db.coefficients))
-            for i, c in enumerate(tgt.coords_of(vec)):
-                mat[i, j] = c
-        conn[n] = mat
-
-    incl_mat = {n: induced_map_on_homology(incl, n, source_group=hy[n], target_group=hx[n]).matrix
-                for n in range(top + 1)}
-    proj_mat = {n: induced_map_on_homology(proj, n, source_group=hx[n], target_group=hrel[n]).matrix
-                for n in range(top + 1)}
-
-    nodes = []
-    passed = True
-    if top >= 0:
-        # at H_top(Y): nothing comes in from H_{top+1}(X, Y) = 0
-        ok = _exact_at(la.zeros(hy[top].dim, 0), hy[top], incl_mat[top], hx[top])
-        nodes.append((f"H_{top}(Y)", ok))
-        passed = passed and ok
+    # (label, group, outgoing map) from H_top(Y) down to H_0(X, Y),
+    # between the zero map in from H_{top+1}(X, Y) = 0 and H_{-1}(Y) = 0
+    seq = [(None, None, la.zeros(homology(cy, top).dim, 0))]
     for n in range(top, -1, -1):
-        # at H_n(X): in from H_n(Y), out to H_n(X, Y)
-        ok = _exact_at(incl_mat[n], hx[n], proj_mat[n], hrel[n])
-        nodes.append((f"H_{n}(X)", ok))
-        # at H_n(X, Y): in from H_n(X), out via connecting map to H_{n-1}(Y)
-        ok2 = _exact_at(proj_mat[n], hrel[n], conn[n], hy[n - 1])
-        nodes.append((f"H_{n}(X,Y)", ok2))
-        # at H_{n-1}(Y): in via connecting map, out to H_{n-1}(X)
-        if n - 1 >= 0:
-            ok3 = _exact_at(conn[n], hy[n - 1], incl_mat[n - 1], hx[n - 1])
-            nodes.append((f"H_{n - 1}(Y)", ok3))
-            passed = passed and ok3
-        passed = passed and ok and ok2
+        # the connecting map, in canonical coordinates: lift a relative
+        # cycle to X along the projection's transpose, take its boundary in Y
+        hrel, below = homology(rel, n), homology(cy, n - 1)
+        conn = la.zeros(below.dim, hrel.dim)
+        for j, g in enumerate(hrel.cycle_basis):
+            db = boundary_of(vector_to_chain(x, n, g, y))
+            if any(s not in y for s in db.coefficients):
+                raise InternalCheckError("relative cycle boundary escaped the subcomplex")
+            vec = chain_to_vector(SimplicialChain(y_complex, n - 1, db.coefficients))
+            conn[:, j] = below.coords_of(vec)
+        seq += [(f"H_{n}(Y)", homology(cy, n), induced_map_on_homology(incl, n).matrix),
+                (f"H_{n}(X)", homology(cx, n), induced_map_on_homology(proj, n).matrix),
+                (f"H_{n}(X,Y)", hrel, conn)]
+    seq.append((None, homology(cy, -1), None))
+    nodes = [(label, _exact_at(into, here, out, nxt))
+             for (_, _, into), (label, here, out), (_, nxt, _) in zip(seq, seq[1:], seq[2:])]
+    passed = all(ok for _, ok in nodes)
     if not passed:
         failing = [label for label, good in nodes if not good]
         raise InternalCheckError(f"pair sequence not exact at {failing}")
@@ -201,11 +175,9 @@ def subdivision_invariance_check(model: OpenSpaceModel, times: int = 1) -> Invar
     rows = []
     passed = True
     for n in range(max(x.dimension, 0) + 1):
-        src_h = homology(rel_map.source, n)
-        tgt_h = homology(rel_map.target, n)
-        ind = induced_map_on_homology(rel_map, n, source_group=src_h, target_group=tgt_h)
+        ind = induced_map_on_homology(rel_map, n)
         iso = ind.is_isomorphism()
-        rows.append((n, src_h.group_str(), tgt_h.group_str(), iso))
+        rows.append((n, ind.source_group.group_str(), ind.target_group.group_str(), iso))
         passed = passed and iso
     return InvarianceReport(rows=tuple(rows), passed=passed)
 

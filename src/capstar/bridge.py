@@ -7,7 +7,9 @@ coboundary out of degree p is the transpose of the boundary scaled by
 
 Absolute is relative with an empty subcomplex: C(X)/C(Y) has the basis
 of simplices outside Y in the order of X, and every complex, vector
-conversion and inclusion here takes an optional Y.
+conversion and inclusion here takes an optional Y.  The chain and
+cochain complexes of X, or of a pair (X, Y) with Y non-empty, are
+assembled once and kept on X, respectively on Y.
 """
 
 from __future__ import annotations
@@ -167,10 +169,25 @@ def _basis(x: SimplicialComplex, y: Subcomplex | None, d: int):
     return [s for s in level if s not in y.simplices]
 
 
+def _kept(x: SimplicialComplex, y: Subcomplex | None, key: str, build):
+    """`build()` for the pair (x, y), computed on first use and kept on
+    `y` when it is non-empty, on `x` otherwise."""
+    if y is not None and y.parent != x:
+        raise ValidationError("subcomplex does not belong to the given complex")
+    derived = (y if y is not None and y.simplices else x)._derived
+    if key not in derived:
+        derived[key] = build()
+    return derived[key]
+
+
 def chain_complex_of(x: SimplicialComplex, y: Subcomplex | None = None) -> ChainComplexZ:
     """Oriented simplicial chain complex C(X)/C(Y) on the simplices
     outside `y` (C(X) itself when `y` is None or empty); diff_degree -1,
-    degrees 0..dim."""
+    degrees 0..dim.  Assembled once per complex or pair and shared."""
+    return _kept(x, y, "chain", lambda: _assemble(x, y))
+
+
+def _assemble(x: SimplicialComplex, y: Subcomplex | None) -> ChainComplexZ:
     basis = {d: _basis(x, y, d) for d in range(x.dimension + 1)}
     row = {s: i for level in basis.values() for i, s in enumerate(level)}
     diffs = {}
@@ -202,26 +219,20 @@ def relative_chain_complex(x: SimplicialComplex, y: Subcomplex):
 def cochain_complex(x: SimplicialComplex, a: Subcomplex | None = None) -> ChainComplexZ:
     """Integer dual of C(X)/C(A): the cochains vanishing on `a` (all
     cochains when `a` is None), on the basis of simplices outside `a`;
-    degrees 0..dim, diff_degree +1."""
-    return dual_hom_z(chain_complex_of(x, a))
+    degrees 0..dim, diff_degree +1.  Built once per complex or pair."""
+    return _kept(x, a, "cochain", lambda: dual_hom_z(chain_complex_of(x, a)))
 
 
 relative_cochain_complex = cochain_complex
 
 
 def relative_inclusion_chain_map(inner: SimplicialComplex, inner_sub: Subcomplex | None,
-                                 outer: SimplicialComplex, outer_sub: Subcomplex | None,
-                                 source: ChainComplexZ | None = None,
-                                 target: ChainComplexZ | None = None) -> ChainMap:
+                                 outer: SimplicialComplex, outer_sub: Subcomplex | None) -> ChainMap:
     """C(inner)/C(inner_sub) -> C(outer)/C(outer_sub) for inclusions of
     pairs where inner simplices outside inner_sub stay outside
-    outer_sub (the vertex orders must agree where they overlap).
-
-    `source` and `target` are those two quotient complexes, when the
-    caller has already assembled them.
-    """
-    src = chain_complex_of(inner, inner_sub) if source is None else source
-    tgt = chain_complex_of(outer, outer_sub) if target is None else target
+    outer_sub (the vertex orders must agree where they overlap)."""
+    src = chain_complex_of(inner, inner_sub)
+    tgt = chain_complex_of(outer, outer_sub)
     mats = {}
     for d in range(inner.dimension + 1):
         row = {s: i for i, s in enumerate(_basis(outer, outer_sub, d))}
@@ -239,12 +250,10 @@ def relative_inclusion_chain_map(inner: SimplicialComplex, inner_sub: Subcomplex
     return chain_map(src, tgt, mats, shift=0, sign=1)
 
 
-def inclusion_chain_map(inner: SimplicialComplex, outer: SimplicialComplex,
-                        source: ChainComplexZ | None = None,
-                        target: ChainComplexZ | None = None) -> ChainMap:
+def inclusion_chain_map(inner: SimplicialComplex, outer: SimplicialComplex) -> ChainMap:
     """C(inner) -> C(outer) for a complex whose simplices all belong to
     `outer`: the inclusion of pairs with empty subcomplexes."""
-    return relative_inclusion_chain_map(inner, None, outer, None, source, target)
+    return relative_inclusion_chain_map(inner, None, outer, None)
 
 
 # -- vector conversions -------------------------------------------------
@@ -392,15 +401,12 @@ def apply_chain_map(f: ChainMap, chain: SimplicialChain,
     return vector_to_chain(target, chain.degree + f.shift, w)
 
 
-def cochain_pullback(sd: SubdivisionResult, u: SimplicialCochain,
-                     pi: ChainMap | None = None) -> SimplicialCochain:
+def cochain_pullback(sd: SubdivisionResult, u: SimplicialCochain) -> SimplicialCochain:
     """Transpose of the last-vertex chain map: transports a cochain on
     the parent to the subdivision."""
     if u.complex != sd.parent:
         raise ValidationError("cochain does not live on the parent complex")
-    if pi is None:
-        pi = last_vertex_chain_map(sd)
-    m = pi.matrix(u.degree)
+    m = last_vertex_chain_map(sd).matrix(u.degree)
     vals = la.matmul(m.T, chain_to_vector(u).reshape(-1, 1))[:, 0]
     return vector_to_chain(sd.complex, u.degree, vals)
 

@@ -14,7 +14,9 @@ chain-style grading.  Duals, shifts and cones follow the conventions:
 
 Everything is exact integer arithmetic; homology groups come with
 explicit cycle representatives and coordinate maps so induced maps on
-homology (including torsion) can be computed and compared.
+homology (including torsion) can be computed and compared.  A complex's
+differentials are read-only and its homology is computed once per
+degree, then shared by every caller.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ class ChainComplexZ:
     diff_degree: int
     ranks: dict  # degree -> rank (> 0 entries only)
     differentials: dict  # degree -> matrix out of that degree
+    _homology: dict = field(default_factory=dict, repr=False, compare=False)  # degree -> group
 
     def __eq__(self, other):
         if not isinstance(other, ChainComplexZ):
@@ -105,6 +108,10 @@ def chain_complex(diff_degree: int, ranks: dict, differentials: dict, check: boo
                 f"differential at degree {n} has shape {m.shape}, expected {expected}"
             )
         if m.any():
+            # a read-only view: the homology kept on the complex cannot go
+            # stale through an in-place edit, and the caller's array stays writeable
+            m = m.view()
+            m.flags.writeable = False
             diffs[int(n)] = m
     k = ChainComplexZ(diff_degree=diff_degree, ranks=ranks, differentials=diffs)
     if check:
@@ -161,16 +168,6 @@ class ChainMap:
 
     def scale(self, c: int) -> "ChainMap":
         mats = {n: c * m for n, m in self.matrices.items()}
-        return ChainMap(self.source, self.target, mats, shift=self.shift, sign=self.sign)
-
-    def add(self, other: "ChainMap") -> "ChainMap":
-        if (self.shift, self.sign) != (other.shift, other.sign):
-            raise ValidationError("cannot add chain maps of different shift or sign")
-        mats = {}
-        for n in set(self.matrices) | set(other.matrices):
-            m = self.matrix(n) + other.matrix(n)
-            if m.any():
-                mats[n] = m
         return ChainMap(self.source, self.target, mats, shift=self.shift, sign=self.sign)
 
 
@@ -269,9 +266,6 @@ class HomologyGroup:
         )
         return free + tors
 
-    def zero_class(self) -> "HomologyClass":
-        return HomologyClass(group=self, coords=(0,) * self.dim)
-
     def class_of(self, cycle) -> "HomologyClass":
         return HomologyClass(group=self, coords=self.coords_of(cycle))
 
@@ -325,7 +319,10 @@ class HomologyClass:
 
 def homology(k: ChainComplexZ, degree: int) -> HomologyGroup:
     """Isomorphism type + representatives at one degree, via two Smith
-    decompositions (cycles, then boundaries in kernel coordinates)."""
+    decompositions (cycles, then boundaries in kernel coordinates);
+    computed on the first call for `k` and `degree`, then shared."""
+    if degree in k._homology:
+        return k._homology[degree]
     eps = k.diff_degree
     n = k.rank(degree)
     a = k.d(degree)  # out of the degree
@@ -346,7 +343,7 @@ def homology(k: ChainComplexZ, degree: int) -> HomologyGroup:
     free_idx = list(range(r_c, kdim))
     tors_idx = [i for i in range(r_c) if factors[i] > 1]
     basis = tuple(gens[:, i].copy() for i in free_idx + tors_idx)
-    return HomologyGroup(
+    k._homology[degree] = HomologyGroup(
         degree=degree,
         betti=len(free_idx),
         torsion=tuple(factors[i] for i in tors_idx),
@@ -356,6 +353,12 @@ def homology(k: ChainComplexZ, degree: int) -> HomologyGroup:
         _uc=snf_c.U,
         _factors=factors,
     )
+    return k._homology[degree]
+
+
+def _sign(n: int) -> int:
+    """(-1)^n as an int; `(-1) ** n` is a float for negative n."""
+    return -1 if n % 2 else 1
 
 
 # -- duals, shifts, cones ---------------------------------------------
@@ -375,7 +378,7 @@ def dual_hom_z(k: ChainComplexZ) -> ChainComplexZ:
         s = -(p + 1) if eps == 1 else p + 1
         m = k.d(s)
         if m.any():
-            diffs[p] = ((-1) ** (p + 1)) * m.T.copy()
+            diffs[p] = _sign(p + 1) * m.T
     return chain_complex(1, ranks, diffs, check=False)
 
 
@@ -401,7 +404,7 @@ def shift(k: ChainComplexZ, n: int) -> ChainComplexZ:
     eps = k.diff_degree
     step = n * eps
     ranks = {i - step: r for i, r in k.ranks.items()}
-    sgn = (-1) ** n
+    sgn = _sign(n)
     diffs = {i - step: sgn * m for i, m in k.differentials.items()}
     return chain_complex(eps, ranks, diffs, check=False)
 
@@ -487,7 +490,7 @@ def cone_dual_iso(u: ChainMap) -> ChainMap:
         if g_rank + h_rank != lhs.rank(n) or rhs.rank(n) != h_rank + g_rank:
             raise InternalCheckError("cone dual blocks do not line up")
         m = la.zeros(h_rank + g_rank, g_rank + h_rank)
-        s = (-1) ** (n + 1)
+        s = _sign(n + 1)
         for i in range(h_rank):
             m[i, g_rank + i] = s
         for i in range(g_rank):

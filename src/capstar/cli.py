@@ -30,11 +30,13 @@ EXIT_MATH = 2
 
 
 def _subcomplex_from_file(x, path):
+    """The simplices of a complex file as a subcomplex of `x`, each
+    re-sorted into the vertex order of `x`."""
     sub = load_complex(path)
     for v in sub.vertex_order:
         if sub.has_vertex(v) and not x.has_vertex(v):
             raise ValidationError(f"vertex {v!r} of {path} is not in the ambient complex")
-    return x.subcomplex(sub.all_simplices())
+    return x.subcomplex(sorted(s, key=x.rank_of) for s in sub.all_simplices())
 
 
 def cmd_validate(args) -> int:

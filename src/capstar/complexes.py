@@ -55,6 +55,9 @@ class SimplicialComplex:
     name: str = ""
     _rank: Mapping = field(default=None, repr=False, compare=False)
     _index: Mapping = field(default=None, repr=False, compare=False)
+    # data derived from this complex on first use (its chain and
+    # cochain complexes); lives and dies with the complex
+    _derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         rank = {v: i for i, v in enumerate(self.vertex_order)}
@@ -142,6 +145,8 @@ class Subcomplex:
 
     parent: SimplicialComplex
     simplices: frozenset
+    # the pair (parent, self)'s chain and cochain complexes, on first use
+    _derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         for s in self.simplices:

@@ -9,6 +9,8 @@ a lexicographic (row, column) tie-break.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mul
 
 import numpy as np
 
@@ -102,13 +104,29 @@ def _min_pivot(w: np.ndarray, t: int):
     return best[1], best[2]
 
 
-def smith_normal_form(a, _verify_limit: int = 20000) -> SmithDecomposition:
+def _max_abs(a: np.ndarray) -> int:
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def _certify(u: np.ndarray, a: np.ndarray, v: np.ndarray, d: np.ndarray) -> None:
+    """Exact check of U @ A @ V == D by three matrix-vector products:
+    every entry of U A V - D is below B/2 in absolute value, so each
+    entry of (U A V - D) r, r = (1, B, B^2, ...), is a balanced base-B
+    numeral whose digits are one row of U A V - D, zero only when they all are."""
+    m, n = a.shape
+    b = 2 * (m * n * _max_abs(u) * _max_abs(a) * _max_abs(v) + _max_abs(d)) + 1
+    r = np.array(list(accumulate(repeat(b, n), mul, initial=1))[:n], dtype=object)
+    if not np.array_equal(matmul(u, matmul(a, matmul(v, r))), matmul(d, r)):
+        raise AssertionError("smith reduction lost the factorization")
+
+
+def smith_normal_form(a) -> SmithDecomposition:
     """Exact Smith normal form over the integers.
 
     Deterministic minimal-absolute-value pivoting with lexicographic
     tie-break.  All five returned matrices are object-dtype arrays of
-    Python ints; the identity U @ A @ V == D is re-checked for matrices
-    up to `_verify_limit` entries.
+    Python ints; the identity U @ A @ V == D is certified exactly at
+    every size before returning.
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -198,22 +216,17 @@ def smith_normal_form(a, _verify_limit: int = 20000) -> SmithDecomposition:
             add_row(offender, t, 1)
         t += 1
 
-    if m * n <= _verify_limit:
-        if not np.array_equal(matmul(matmul(u, a), v), w):
-            raise AssertionError("smith reduction lost the factorization")
+    _certify(u, a, v, w)
     return SmithDecomposition(U=u, D=w, V=v, u_inv=u_inv, v_inv=v_inv)
 
 
-def kernel_basis(a, snf: SmithDecomposition | None = None) -> np.ndarray:
+def kernel_basis(a) -> np.ndarray:
     """Columns form a basis of the integer kernel lattice of `a`."""
-    a = as_matrix(a)
-    if snf is None:
-        snf = smith_normal_form(a)
-    r = snf.rank
-    return snf.V[:, r:]
+    snf = smith_normal_form(a)
+    return snf.V[:, snf.rank:]
 
 
-def solve_integer(a, b, snf: SmithDecomposition | None = None):
+def solve_integer(a, b):
     """One integer solution x of a @ x = b, or None when there is none.
 
     `b` may be a vector (shape (m,)) or a matrix of stacked right-hand
@@ -227,8 +240,7 @@ def solve_integer(a, b, snf: SmithDecomposition | None = None):
         b = b.reshape(-1, 1)
     if b.shape[0] != a.shape[0]:
         raise ValueError("right-hand side length mismatch")
-    if snf is None:
-        snf = smith_normal_form(a)
+    snf = smith_normal_form(a)
     c = matmul(snf.U, b)
     r = snf.rank
     y = zeros(a.shape[1], b.shape[1])
@@ -245,7 +257,7 @@ def solve_integer(a, b, snf: SmithDecomposition | None = None):
     return x[:, 0] if vec else x
 
 
-def lattice_contains(gens, vectors, snf: SmithDecomposition | None = None) -> bool:
+def lattice_contains(gens, vectors) -> bool:
     """True when every column of `vectors` lies in the lattice spanned
     by the columns of `gens`."""
     gens = as_matrix(gens)
@@ -254,7 +266,7 @@ def lattice_contains(gens, vectors, snf: SmithDecomposition | None = None) -> bo
         vectors = vectors.reshape(-1, 1)
     if vectors.shape[1] == 0:
         return True
-    return solve_integer(gens, vectors, snf=snf) is not None
+    return solve_integer(gens, vectors) is not None
 
 
 def lattices_equal(gens_a, gens_b) -> bool:

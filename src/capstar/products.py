@@ -17,7 +17,6 @@ from .bridge import (
     SimplicialCochain,
     apply_chain_map,
     boundary_of,
-    chain_complex_of,
     chain_to_vector,
     coboundary_of,
     cochain_pullback,
@@ -25,7 +24,7 @@ from .bridge import (
     relative_inclusion_chain_map,
     subdivision_chain_map,
 )
-from .chains import HomologyClass, homology, induced_map_on_homology
+from .chains import HomologyClass, induced_map_on_homology
 from .complexes import (
     SimplicialComplex,
     Subcomplex,
@@ -247,18 +246,12 @@ def relative_supported_cap(x: SimplicialComplex, y: Subcomplex, z: Subcomplex,
     beta = SimplicialChain(n_complex, image.degree, image.coefficients)
     deg = image.degree
 
-    pair_complex = chain_complex_of(n_complex, star_boundary)
-    h_pair = homology(pair_complex, deg)
-    class_in_pair = h_pair.class_of(chain_to_vector(beta, star_boundary))
-
     z_complex = z.as_complex("support")
     z_boundary = Subcomplex(parent=z_complex, simplices=y_and_z.simplices)
-    z_pair_complex = chain_complex_of(z_complex, z_boundary)
-    h_z_pair = homology(z_pair_complex, deg)
-    incl = relative_inclusion_chain_map(
-        z_complex, z_boundary, n_complex, star_boundary, z_pair_complex, pair_complex
-    )
-    induced = induced_map_on_homology(incl, deg, source_group=h_z_pair, target_group=h_pair)
+    incl = relative_inclusion_chain_map(z_complex, z_boundary, n_complex, star_boundary)
+    induced = induced_map_on_homology(incl, deg)
+    h_z_pair, h_pair = induced.source_group, induced.target_group
+    class_in_pair = h_pair.class_of(chain_to_vector(beta, star_boundary))
     iso = induced.is_isomorphism()
     diagnostics = CapDiagnostics(
         degree=deg,
