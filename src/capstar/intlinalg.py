@@ -14,6 +14,8 @@ from operator import mul
 
 import numpy as np
 
+from .errors import ValidationError
+
 __all__ = [
     "SmithDecomposition",
     "as_matrix",
@@ -28,14 +30,33 @@ __all__ = [
 ]
 
 
+def _exact(a: np.ndarray) -> np.ndarray:
+    """`a` as an object array of Python ints; any integer or bool dtype."""
+    if a.dtype == object:
+        return a
+    if a.dtype.kind == "b":
+        a = a.astype(np.int8)
+    if a.dtype.kind not in "iu":
+        raise ValidationError(f"matrix entries must be integers, not {a.dtype}")
+    return a.astype(object)
+
+
+def _entry(x) -> int:
+    if not isinstance(x, (int, np.integer, np.bool_)):
+        raise ValidationError(f"matrix entry {x!r} is not an integer")
+    return int(x)
+
+
 def as_matrix(rows, shape=None) -> np.ndarray:
     """Build an object-dtype integer matrix from nested sequences.
 
-    `shape` is required when `rows` is empty in one dimension.
+    `shape` is required when `rows` is empty in one dimension.  Entries
+    must be ints, bools or numpy integers: a float, even 1.0, a Fraction
+    or a string raises ValidationError rather than being truncated.
     """
-    if isinstance(rows, np.ndarray) and rows.dtype == object and rows.ndim == 2:
-        return rows
-    rows = [[int(x) for x in r] for r in rows]
+    if isinstance(rows, np.ndarray) and rows.ndim == 2:
+        return _exact(rows)
+    rows = [[_entry(x) for x in r] for r in rows]
     if not rows:
         if shape is None:
             shape = (0, 0)
@@ -61,9 +82,29 @@ def identity(n: int) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact a @ b in Python ints, whatever the operands' integer dtype.
+
+    Each column of the product reads only the columns of `a` that its
+    column of `b` meets, so the cost is O(rows(a) * nnz(b)).  A vector
+    `b`, dense with huge entries in `_certify`, is instead dotted with the
+    nonzeros of each row of `a`: one sum per entry, with no partial sums
+    of huge integers kept alive across rows."""
+    a, b = _exact(a), _exact(b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    return a.dot(b)
+    if b.ndim == 1:
+        out = np.zeros(a.shape[0], dtype=object)
+        for i in range(a.shape[0]):
+            nz = np.flatnonzero(a[i])
+            if nz.size:
+                out[i] = a[i, nz].dot(b[nz])
+        return out
+    out = zeros(a.shape[0], b.shape[1])
+    for j in range(b.shape[1]):
+        nz = np.flatnonzero(b[:, j])
+        if nz.size:
+            out[:, j] = a[:, nz].dot(b[nz, j])
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,24 +129,43 @@ class SmithDecomposition:
         return tuple(int(self.D[i, i]) for i in range(min(self.D.shape)) if self.D[i, i] != 0)
 
 
+# Rows read per vectorised step of the pivot and divisibility searches;
+# a search stops at the first band that holds a hit.
+_BAND = 4
+
+
+def _first_hit(block: np.ndarray, test):
+    """(row, col) of the first entry of `block`, in row-major order, for
+    which `test` holds, or None; read a band of rows at a time."""
+    n = block.shape[1]
+    for r in range(0, block.shape[0], _BAND):
+        hits = np.flatnonzero(test(block[r:r + _BAND]))
+        if hits.size:
+            i, j = divmod(int(hits[0]), n)
+            return r + i, j
+    return None
+
+
 def _min_pivot(w: np.ndarray, t: int):
-    """Smallest |entry| in the trailing block, ties broken by (row, col)."""
-    m, n = w.shape
-    best = None
-    for i in range(t, m):
-        for j in range(t, n):
-            v = w[i, j]
-            if v != 0:
-                key = (abs(v), i, j)
-                if best is None or key < best:
-                    best = key
-    if best is None:
-        return None
-    return best[1], best[2]
+    """Smallest |entry| in the trailing block, ties broken by (row, col).
+
+    No nonzero entry is smaller than a unit, so the first ±1 in row-major
+    order is the answer; only a block without one needs the least |entry|
+    first, and then its first occurrence."""
+    block = w[t:, t:]
+    pos = _first_hit(block, lambda band: (band == 1) | (band == -1))
+    if pos is None:
+        nonzero = block[block != 0]
+        if not nonzero.size:
+            return None
+        least = np.abs(nonzero).min()
+        pos = _first_hit(block, lambda band: (band == least) | (band == -least))
+    return t + pos[0], t + pos[1]
 
 
 def _max_abs(a: np.ndarray) -> int:
-    return int(np.abs(a).max()) if a.size else 0
+    # two reductions rather than a dense |a| the size of a
+    return int(max(a.max(), -a.min())) if a.size else 0
 
 
 def _certify(u: np.ndarray, a: np.ndarray, v: np.ndarray, d: np.ndarray) -> None:
@@ -148,23 +208,37 @@ def smith_normal_form(a) -> SmithDecomposition:
             v[:, [i, j]] = v[:, [j, i]]
             v_inv[[i, j], :] = v_inv[[j, i], :]
 
-    def add_row(src, dst, q):
-        # row_dst += q * row_src
-        if q:
-            w[dst, :] += q * w[src, :]
-            u[dst, :] += q * u[src, :]
-            u_inv[:, src] -= q * u_inv[:, dst]
-
-    def add_col(src, dst, q):
-        if q:
-            w[:, dst] += q * w[:, src]
-            v[:, dst] += q * v[:, src]
-            v_inv[src, :] -= q * v_inv[dst, :]
-
     def negate_row(i):
         w[i, :] = -w[i, :]
         u[i, :] = -u[i, :]
         u_inv[:, i] = -u_inv[:, i]
+
+    def clear_column(t):
+        # row i += q_i * row t for every row i below t that meets column t;
+        # each step changes row i alone, so one outer product does them all
+        rows = t + 1 + np.flatnonzero(w[t + 1:, t])
+        if rows.size:
+            q = -(w[rows, t] // w[t, t])
+            cols = np.flatnonzero(w[t])
+            w[np.ix_(rows, cols)] += np.outer(q, w[t, cols])
+            cols = np.flatnonzero(u[t])
+            u[np.ix_(rows, cols)] += np.outer(q, u[t, cols])
+            u_inv[:, t] -= u_inv[:, rows].dot(q)
+
+    def clear_row(t):
+        # the transpose: column j += q_j * column t for every j right of t
+        cols = t + 1 + np.flatnonzero(w[t, t + 1:])
+        if cols.size:
+            q = -(w[t, cols] // w[t, t])
+            rows = np.flatnonzero(w[:, t])
+            w[np.ix_(rows, cols)] += np.outer(w[rows, t], q)
+            rows = np.flatnonzero(v[:, t])
+            v[np.ix_(rows, cols)] += np.outer(v[rows, t], q)
+            v_inv[t, :] -= q.dot(v_inv[cols, :])
+
+    def first_nonzero(vec):
+        nz = np.flatnonzero(vec)
+        return int(nz[0]) if nz.size else None
 
     t = 0
     bound = min(m, n)
@@ -177,43 +251,27 @@ def smith_normal_form(a) -> SmithDecomposition:
         while True:
             if w[t, t] < 0:
                 negate_row(t)
-            # clear column t with Euclidean steps
-            moved = False
-            for i in range(t + 1, m):
-                if w[i, t] != 0:
-                    add_row(t, i, -(w[i, t] // w[t, t]))
-            for i in range(t + 1, m):
-                if w[i, t] != 0:
-                    # nonzero remainder is strictly smaller: promote it
-                    swap_rows(t, i)
-                    moved = True
-                    break
-            if moved:
+            clear_column(t)
+            i = first_nonzero(w[t + 1:, t])
+            if i is not None:
+                # nonzero remainder is strictly smaller: promote it
+                swap_rows(t, t + 1 + i)
                 continue
-            for j in range(t + 1, n):
-                if w[t, j] != 0:
-                    add_col(t, j, -(w[t, j] // w[t, t]))
-            dirty = False
-            for j in range(t + 1, n):
-                if w[t, j] != 0:
-                    swap_cols(t, j)
-                    dirty = True
-                    break
-            if dirty:
+            clear_row(t)
+            j = first_nonzero(w[t, t + 1:])
+            if j is not None:
+                swap_cols(t, t + 1 + j)
                 continue
-            # row and column are clear; enforce divisibility on the block
+            # row and column are clear; every entry of the block must be
+            # divisible by the pivot, which a unit pivot divides already
             p = w[t, t]
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if w[i, j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = None if p == 1 else _first_hit(w[t + 1:, t + 1:], lambda band: band % p)
             if offender is None:
                 break
-            add_row(offender, t, 1)
+            i = t + 1 + offender[0]
+            w[t, :] += w[i, :]
+            u[t, :] += u[i, :]
+            u_inv[:, i] -= u_inv[:, t]
         t += 1
 
     _certify(u, a, v, w)
