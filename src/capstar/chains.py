@@ -343,6 +343,9 @@ def homology(k: ChainComplexZ, degree: int) -> HomologyGroup:
     free_idx = list(range(r_c, kdim))
     tors_idx = [i for i in range(r_c) if factors[i] > 1]
     basis = tuple(gens[:, i].copy() for i in free_idx + tors_idx)
+    for rep in basis:
+        # every caller shares this group: no in-place edit may change it
+        rep.flags.writeable = False
     k._homology[degree] = HomologyGroup(
         degree=degree,
         betti=len(free_idx),

@@ -4,6 +4,7 @@ derive from, and shared read-only."""
 import gc
 import weakref
 
+import numpy as np
 import pytest
 
 import capstar.bm as bm
@@ -49,6 +50,21 @@ def test_differentials_are_read_only():
     with pytest.raises(ValueError):
         d1[0, 0] += 1
     assert homology(chain_complex_of(x), 1).group_str() == "Z^2"
+
+
+def test_cycle_representatives_are_read_only():
+    k = chain_complex_of(torus())
+    h = homology(k, 1)
+    before = [rep.copy() for rep in h.cycle_basis]
+    for rep in h.cycle_basis:
+        with pytest.raises(ValueError):
+            rep[0] += 1
+        with pytest.raises(ValueError):
+            rep *= 2
+    again = homology(k, 1)
+    assert again is h and again.group_str() == "Z^2"
+    assert all(np.array_equal(a, b) for a, b in zip(again.cycle_basis, before))
+    assert [again.coords_of(rep) for rep in again.cycle_basis] == [(1, 0), (0, 1)]
 
 
 def test_cache_does_not_change_equality_or_hashing():

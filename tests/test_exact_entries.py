@@ -79,3 +79,23 @@ def test_smith_normal_form_refuses_non_integers():
         la.smith_normal_form([[2, 0.5]])
     with pytest.raises(ValidationError, match="must be integers"):
         la.smith_normal_form(np.array([[1.0]]))
+
+
+@pytest.mark.parametrize(
+    "rhs", [[2.0], [Fraction(2, 1)], np.array([2.0]), [[0.5]]], ids=repr
+)
+def test_right_hand_sides_must_be_integers(rhs):
+    with pytest.raises(ValidationError):
+        la.solve_integer([[1]], rhs)
+    with pytest.raises(ValidationError):
+        la.lattice_contains([[1]], rhs)
+
+
+@pytest.mark.parametrize(
+    "rhs", [[np.int64(2)], np.array([2], dtype=np.int32), [np.uint8(2)]], ids=repr
+)
+def test_numpy_integer_right_hand_sides_are_accepted(rhs):
+    x = la.solve_integer([[1]], rhs)
+    assert x.tolist() == [2] and type(x[0]) is int
+    assert la.lattice_contains([[1]], rhs)
+    assert not la.lattice_contains([[2]], [np.int64(1)])

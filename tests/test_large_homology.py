@@ -1,14 +1,16 @@
 """Homology with representatives at sizes where a cubic Smith reduction
-took over a minute: torus sd^2 (1,512 cells) and RP^2 sd^2 (1,081 cells).
-The time bound is generous: on 2 vCPUs both take about 2.5 s, against
-about 70 s for the cubic kernel.  It is a gate like any other check."""
+took over a minute: torus sd^2 (1,512 cells) and RP^2 sd^2 (1,081 cells),
+and the next size, Klein sd^2 (3,456 cells).  The time bound is generous:
+on 2 vCPUs torus and RP^2 together take about 1 s and Klein about 3 s,
+against about 70 s for torus and RP^2 with the cubic kernel.  It is a
+gate like any other check."""
 
 import time
 
 from capstar.bridge import chain_complex_of
 from capstar.chains import homology
 from capstar.complexes import barycentric_subdivide
-from capstar.fixtures import projective_plane, torus
+from capstar.fixtures import klein_bottle, projective_plane, torus
 
 BOUND_S = 30.0
 
@@ -33,5 +35,18 @@ def test_torus_and_rp2_at_sd2_in_every_degree():
             assert (g.betti, g.torsion) == (betti, torsion)
             for i, rep in enumerate(g.cycle_basis):
                 assert g.coords_of(rep) == tuple(int(i == j) for j in range(g.dim))
+    elapsed = time.perf_counter() - start
+    assert elapsed < BOUND_S, f"{elapsed:.1f} s"
+
+
+def test_klein_sd2_homology_with_representatives():
+    start = time.perf_counter()
+    k = chain_complex_of(_sd2(klein_bottle()))
+    assert k.total_rank() == 3456
+    for n, (betti, torsion) in enumerate([(1, ()), (1, (2,)), (0, ())]):
+        g = homology(k, n)
+        assert (g.betti, g.torsion) == (betti, torsion)
+        for i, rep in enumerate(g.cycle_basis):
+            assert g.coords_of(rep) == tuple(int(i == j) for j in range(g.dim))
     elapsed = time.perf_counter() - start
     assert elapsed < BOUND_S, f"{elapsed:.1f} s"

@@ -4,7 +4,7 @@ reference entry for entry."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_smith
@@ -78,4 +78,31 @@ def _boundary_matrices():
 
 @pytest.mark.parametrize("a", _boundary_matrices())
 def test_same_reduction_on_boundary_matrices(a):
+    assert_same_reduction(a)
+
+
+@st.composite
+def boundary_like_matrices(draw):
+    """Sparse matrices shaped like boundary matrices, up to 30 x 30: at
+    most four nonzeros per column, from {±1, ±2, ±3}, with some rows and
+    columns all zero.  Elimination fills rows in, swaps move the column
+    index, zero rows stay behind the pivot and some blocks have no unit."""
+    m, n = draw(st.integers(0, 30)), draw(st.integers(0, 30))
+    a = la.zeros(m, n)
+    if not m:
+        return a
+    zero_rows = draw(st.sets(st.integers(0, m - 1), max_size=m // 4))
+    units = draw(st.booleans())
+    values = [1, -1, 2, -2, 3, -3] if units else [2, -2, 3, -3]
+    for j in range(n):
+        column = draw(st.dictionaries(st.integers(0, m - 1), st.sampled_from(values), max_size=4))
+        for i, x in column.items():
+            if i not in zero_rows:
+                a[i, j] = x
+    return a
+
+
+@settings(max_examples=100)
+@given(boundary_like_matrices())
+def test_same_reduction_on_sparse_boundary_like_matrices(a):
     assert_same_reduction(a)
