@@ -193,18 +193,19 @@ def _certify(u: np.ndarray, a: np.ndarray, v: np.ndarray, d: np.ndarray) -> None
     all are.  Each operand's nonzeros are read once; the products run
     over them in Python ints."""
     m, n = a.shape
-    ops = [(x.shape[0], _nonzeros(x)) for x in (u, a, v, d)]
-    big = [max(map(abs, nz[2]), default=0) for _, nz in ops]
-    b = 2 * (m * n * big[0] * big[1] * big[2] + big[3]) + 1
+    su, sa, sv, sd = [(x.shape[0], *_nonzeros(x)) for x in (u, a, v, d)]
+    bu, ba, bv, bd = [max(map(abs, x[3]), default=0) for x in (su, sa, sv, sd)]
+    b = 2 * (m * n * bu * ba * bv + bd) + 1
 
-    def times(op, vec):
-        out = [0] * op[0]
-        for i, j, e in zip(*op[1]):
+    def times(x, vec):
+        count, rows, cols, entries = x
+        out = [0] * count
+        for i, j, e in zip(rows, cols, entries):
             out[i] += e * vec[j]
         return out
 
     r = list(accumulate(repeat(b, n), mul, initial=1))[:n]
-    if times(ops[0], times(ops[1], times(ops[2], r))) != times(ops[3], r):
+    if times(su, times(sa, times(sv, r))) != times(sd, r):
         raise AssertionError("smith reduction lost the factorization")
 
 
