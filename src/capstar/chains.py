@@ -37,7 +37,6 @@ __all__ = [
     "InducedMap",
     "ConeResult",
     "chain_complex",
-    "zero_complex",
     "homology",
     "dual_hom_z",
     "shift",
@@ -120,10 +119,6 @@ def chain_complex(diff_degree: int, ranks: dict, differentials: dict, check: boo
             if prod.any():
                 raise ValidationError(f"d o d != 0 out of degree {n}")
     return k
-
-
-def zero_complex(diff_degree: int = -1) -> ChainComplexZ:
-    return ChainComplexZ(diff_degree=diff_degree, ranks={}, differentials={})
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,6 +216,8 @@ class HomologyGroup:
     _to_kernel: np.ndarray = field(repr=False, compare=False, default=None)
     _uc: np.ndarray = field(repr=False, compare=False, default=None)
     _factors: tuple = field(repr=False, compare=False, default=())
+    # columns: a basis of the cycles, V[:, r:] of the first Smith decomposition
+    _kernel: np.ndarray = field(repr=False, compare=False, default=None)
 
     def __eq__(self, other):
         if not isinstance(other, HomologyGroup):
@@ -329,7 +326,8 @@ def homology(k: ChainComplexZ, degree: int) -> HomologyGroup:
     b = k.d(degree - eps)  # into the degree
     snf_a = smith_normal_form(a)
     r_a = snf_a.rank
-    kernel_cols = snf_a.V[:, r_a:]
+    kernel_cols = snf_a.V[:, r_a:].copy()  # a copy: the group need not keep all of V
+    kernel_cols.flags.writeable = False
     to_kernel = snf_a.v_inv[r_a:, :]
     kdim = n - r_a
     coords_b = la.matmul(snf_a.v_inv, b)
@@ -355,6 +353,7 @@ def homology(k: ChainComplexZ, degree: int) -> HomologyGroup:
         _to_kernel=to_kernel,
         _uc=snf_c.U,
         _factors=factors,
+        _kernel=kernel_cols,
     )
     return k._homology[degree]
 

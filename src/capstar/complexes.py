@@ -145,7 +145,9 @@ class Subcomplex:
 
     parent: SimplicialComplex
     simplices: frozenset
-    # the pair (parent, self)'s chain and cochain complexes, on first use
+    # data derived from this subcomplex on first use: the pair (parent,
+    # self)'s chain and cochain complexes, its closed star in the parent
+    # and its `as_complex` views by name; lives and dies with the subcomplex
     _derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -170,7 +172,11 @@ class Subcomplex:
 
     def as_complex(self, name: str = "") -> SimplicialComplex:
         """The subcomplex as a complex of its own, keeping the parent's
-        vertex order (so orientations and signs agree)."""
+        vertex order (so orientations and signs agree); built once per
+        name, since complexes with different names are not equal."""
+        key = ("complex", name)
+        if key in self._derived:
+            return self._derived[key]
         by_dim = {}
         for s in self.simplices:
             by_dim.setdefault(len(s) - 1, []).append(s)
@@ -179,11 +185,12 @@ class Subcomplex:
             tuple(sorted(by_dim.get(d, ()), key=self.parent.sort_key))
             for d in range(dim + 1)
         )
-        return SimplicialComplex(
+        self._derived[key] = SimplicialComplex(
             vertex_order=self.parent.vertex_order,
             simplices_by_dim=levels,
             name=name or self.parent.name,
         )
+        return self._derived[key]
 
 
 def _normalize_tuple(vertices, rank) -> Simplex:
@@ -234,12 +241,15 @@ def from_maximal_simplices(maximal, order=None, name: str = "") -> SimplicialCom
 
 
 def closed_star(x: SimplicialComplex, z: Subcomplex) -> Subcomplex:
-    """Face closure of every simplex of `x` having a vertex in `z`."""
+    """Face closure of every simplex of `x` having a vertex in `z`;
+    computed once and kept on `z`."""
     if z.parent is not x and z.parent != x:
         raise ValidationError("subcomplex does not belong to the given complex")
-    zv = z.vertices()
-    meeting = [s for s in x.all_simplices() if any(v in zv for v in s)]
-    return x.subcomplex_closure(meeting)
+    if "star" not in z._derived:
+        zv = z.vertices()
+        meeting = [s for s in x.all_simplices() if any(v in zv for v in s)]
+        z._derived["star"] = x.subcomplex_closure(meeting)
+    return z._derived["star"]
 
 
 def nonmeeting_complement(x: SimplicialComplex, z: Subcomplex) -> Subcomplex:

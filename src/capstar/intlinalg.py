@@ -53,9 +53,9 @@ def _entry(x) -> int:
 
 
 def _integral(b) -> np.ndarray:
-    """A right-hand side (a vector or stacked columns) as an object array,
-    under the same integer check as `as_matrix`."""
-    if isinstance(b, np.ndarray):
+    """A right-hand side (a vector or stacked columns) as an object array
+    of Python ints; an object array's entries are checked one by one."""
+    if isinstance(b, np.ndarray) and b.dtype != object:
         return _exact(b)
     b = np.asarray(b, dtype=object)
     return np.array([_entry(x) for x in b.flat], dtype=object).reshape(b.shape)
@@ -221,8 +221,11 @@ def smith_normal_form(a) -> SmithDecomposition:
     """
     a = as_matrix(a)
     m, n = a.shape
-    nonzeros = _nonzeros(a)
+    rows, cols, entries = _nonzeros(a)
+    nonzeros = rows, cols, [_entry(e) for e in entries]  # object arrays pass as_matrix unread
     w = _lines(nonzeros, m)
+    if any(type(e) is not int for e in entries):
+        a = _dense(w, (m, n))  # certify the checked ints: numpy integers would overflow
     w_cols = [set(col) for col in _lines(nonzeros, n, by_column=True)]
     eye_m, eye_n = _nonzeros(identity(m)), _nonzeros(identity(n))
     u, u_inv = _lines(eye_m, m), _lines(eye_m, m, by_column=True)

@@ -78,15 +78,18 @@ def serialize_complex(x: SimplicialComplex) -> str:
     return json.dumps(payload, indent=2)
 
 
-def load_complex(path: str) -> SimplicialComplex:
+def _load_json(path: str):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as e:
         raise ValidationError(f"cannot read {path}: {e}")
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path} is not valid JSON: {e}")
-    return parse_complex(data)
+
+
+def load_complex(path: str) -> SimplicialComplex:
+    return parse_complex(_load_json(path))
 
 
 _VALUED_KEYS = {"degree", "values"}
@@ -152,19 +155,9 @@ def serialize_cochain(u) -> str:
     return json.dumps(payload, indent=2)
 
 
-def _load_valued(path: str):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as e:
-        raise ValidationError(f"cannot read {path}: {e}")
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"{path} is not valid JSON: {e}")
-
-
 def load_cochain(path: str, x: SimplicialComplex) -> SimplicialCochain:
-    return parse_cochain(_load_valued(path), x)
+    return parse_cochain(_load_json(path), x)
 
 
 def load_chain(path: str, x: SimplicialComplex) -> SimplicialChain:
-    return parse_chain(_load_valued(path), x)
+    return parse_chain(_load_json(path), x)

@@ -31,7 +31,6 @@ from .complexes import (
     barycentric_subdivide,
     closed_star,
     induced_subdivision,
-    nonmeeting_complement,
     subcomplex_intersection,
 )
 from .errors import InternalCheckError, RetractConditionError, ValidationError
@@ -103,7 +102,6 @@ def dual_cap(f: CochainFunctional, u: SimplicialCochain,
     if p > m:
         raise ValidationError("cochain degree exceeds the functional degree")
     sign = (-1) ** (m * p)
-    source = star if star is not None else x.full_subcomplex()
     vdeg = m - p
     out = {}
     for s in x.simplices_of_dim(m):
@@ -114,7 +112,7 @@ def dual_cap(f: CochainFunctional, u: SimplicialCochain,
         if not uval:
             continue
         front = s[: vdeg + 1]
-        if front in source:
+        if star is None or front in star:
             out[front] = out.get(front, 0) + sign * c * uval
     if star is None:
         return CochainFunctional(x, vdeg, out)
@@ -147,13 +145,14 @@ class RelativeSupportedCapResult:
     diagnostics: CapDiagnostics
 
 
-def _check_supported_cocycle(x, z, u, complement):
+def _check_supported_cocycle(x, z, u):
     if u.complex != x:
         raise ValidationError("cochain does not live on the ambient complex")
     if z.parent != x:
         raise ValidationError("support subcomplex does not belong to the ambient complex")
+    zv = z.vertices()
     for s in u.coefficients:
-        if s in complement:
+        if zv.isdisjoint(s):
             raise ValidationError(
                 f"cochain does not vanish on the non-meeting complement (at {s!r})"
             )
@@ -217,7 +216,7 @@ def relative_supported_cap(x: SimplicialComplex, y: Subcomplex, z: Subcomplex,
     if presubdivide:
         x, z, u, alpha, (y,) = _presubdivide(x, z, u, alpha, presubdivide, [y])
     star = closed_star(x, z)
-    _check_supported_cocycle(x, z, u, nonmeeting_complement(x, z))
+    _check_supported_cocycle(x, z, u)
     for s in boundary_of(alpha).coefficients:
         if s not in y:
             raise ValidationError(

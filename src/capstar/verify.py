@@ -90,10 +90,10 @@ def _random_subcomplex(rng, x):
 
 
 def _random_closed(rng, k, x, degree, y=None):
-    """Random integer combination of a kernel basis of k.d(degree), with
-    `k` a complex of (co)chains on `x` modulo `y`, as a (co)chain on `x`;
-    None when that kernel is trivial."""
-    kb = la.kernel_basis(k.d(degree))
+    """Random integer combination of the kernel basis of k.d(degree) that
+    `homology` keeps, with `k` a complex of (co)chains on `x` modulo `y`,
+    as a (co)chain on `x`; None when that kernel is trivial."""
+    kb = homology(k, degree)._kernel
     if kb.shape[1] == 0:
         return None
     coeffs = [rng.randint(-2, 2) for _ in range(kb.shape[1])]
@@ -342,14 +342,8 @@ def run_suite(x: SimplicialComplex, trials: int = 100, seed: int = 0,
             except RetractConditionError:
                 res_big = None
             if res_big is not None:
-                inc = inclusion_chain_map(
-                    z.as_complex("support"), z_big.as_complex("support")
-                )
-                ind = induced_map_on_homology(
-                    inc, res.class_in_z.group.degree,
-                    source_group=res.class_in_z.group,
-                    target_group=res_big.class_in_z.group,
-                )
+                inc = inclusion_chain_map(z.as_complex("support"), z_big.as_complex("support"))
+                ind = induced_map_on_homology(inc, res.class_in_z.group.degree)
                 enlarge_ok = enlarge_ok and (
                     ind.apply(res.class_in_z).coords == res_big.class_in_z.coords
                 )

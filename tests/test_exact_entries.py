@@ -2,6 +2,7 @@
 fixed-width dtype, and a non-integral entry is refused rather than
 truncated."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -99,3 +100,27 @@ def test_numpy_integer_right_hand_sides_are_accepted(rhs):
     assert x.tolist() == [2] and type(x[0]) is int
     assert la.lattice_contains([[1]], rhs)
     assert not la.lattice_contains([[2]], [np.int64(1)])
+
+
+def test_object_array_right_hand_sides_are_checked():
+    with pytest.raises(ValidationError, match="not an integer"):
+        la.solve_integer([[1]], np.array([2.0], dtype=object))
+    with pytest.raises(ValidationError, match="not an integer"):
+        la.lattice_contains([[1]], np.array([[0.5]], dtype=object))
+    x = la.solve_integer([[1]], np.array([np.int64(2)], dtype=object))
+    assert x.tolist() == [2] and type(x[0]) is int
+
+
+def test_smith_normal_form_checks_object_array_entries():
+    with pytest.raises(ValidationError, match="not an integer"):
+        la.smith_normal_form(np.array([[0.5, 1]], dtype=object))
+
+
+def test_smith_normal_form_certifies_numpy_integers_in_object_arrays():
+    a = np.array([[np.int64(2**62), 3], [5, np.int64(7)]], dtype=object)
+    assert type(a[0, 0]) is np.int64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        snf = la.smith_normal_form(a)
+    assert snf.D.tolist() == [[1, 0], [0, 7 * 2**62 - 15]]
+    assert all(type(e) is int for m in (snf.U, snf.D, snf.V) for e in m.flat)

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -8,6 +9,9 @@ from capstar.complexes import barycentric_subdivide
 from capstar.errors import ValidationError
 from capstar.fixtures import circle, interval_pair, projective_plane, torus
 from capstar.io import (
+    load_chain,
+    load_cochain,
+    load_complex,
     parse_complex,
     parse_cochain,
     serialize_complex,
@@ -35,6 +39,19 @@ def write_json(tmp_path, payload, name):
 
 
 # -- file format ---------------------------------------------------------
+
+
+def test_loaders_share_their_read_errors(tmp_path):
+    x = circle()
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    missing = str(tmp_path / "missing.json")
+    loaders = [load_complex, lambda p: load_cochain(p, x), lambda p: load_chain(p, x)]
+    for load in loaders:
+        with pytest.raises(ValidationError, match=f"^cannot read {re.escape(missing)}: "):
+            load(missing)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(bad))} is not valid JSON: "):
+            load(str(bad))
 
 
 def test_parse_rejects_unknown_keys():

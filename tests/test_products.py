@@ -85,6 +85,19 @@ def test_dual_cap_zero():
     assert dual_cap(f, SimplicialCochain(x, 1, {})).is_zero()
 
 
+def test_dual_cap_without_a_star_builds_no_subcomplex(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dual_cap copied the whole complex")
+
+    x = circle()
+    monkeypatch.setattr(type(x), "full_subcomplex", refuse)
+    f = xi_functional(SimplicialChain(x, 1, {(1, 2): 1, (2, 3): 1, (1, 3): -1}))
+    u = SimplicialCochain(x, 1, {(1, 2): 1})
+    g = dual_cap(f, u)
+    for v in (SimplicialCochain(x, 0, {(1,): 1}), SimplicialCochain(x, 0, {(2,): 3})):
+        assert g.evaluate(v) == -f.evaluate(cup(v, u))
+
+
 def test_dual_cap_degree_zero_sign_free():
     x = from_maximal_simplices([["a", "b"]])
     alpha = SimplicialChain(x, 0, {("a",): 1})
