@@ -27,7 +27,6 @@ from .bridge import (
 )
 from .chains import (
     HomologyGroup,
-    chain_map,
     homology,
     induced_map_on_homology,
 )
@@ -151,26 +150,12 @@ def subdivision_invariance_check(model: OpenSpaceModel, times: int = 1) -> Invar
     if times < 1:
         raise ValidationError("times must be >= 1")
     x, y = model.ambient, model.boundary
-
-    # compose k relative subdivision maps
-    cur_x, cur_y = x, y
-    proj_cur = relative_chain_complex(x, y)[1]
     rel_map = None
     for _ in range(times):
-        sd = barycentric_subdivide(cur_x)
-        sdm = subdivision_chain_map(sd)
-        next_x = sd.complex
-        next_y = induced_subdivision(sd, cur_y)
-        proj_next = relative_chain_complex(next_x, next_y)[1]
-        # the subdivision map sends C(Y) into C(sd Y), so it drops to the
-        # quotients: project after it, lift by the transpose before it
-        mats = {
-            n: la.matmul(la.matmul(proj_next.matrix(n), sdm.matrix(n)), proj_cur.matrix(n).T)
-            for n in range(cur_x.dimension + 1)
-        }
-        step = chain_map(proj_cur.target, proj_next.target, mats, shift=0, sign=1)
+        sd = barycentric_subdivide(x)
+        step = subdivision_chain_map(sd, y)
         rel_map = step if rel_map is None else step.compose(rel_map)
-        cur_x, cur_y, proj_cur = next_x, next_y, proj_next
+        x, y = sd.complex, induced_subdivision(sd, y)
 
     rows = []
     passed = True

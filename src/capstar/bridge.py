@@ -7,9 +7,10 @@ coboundary out of degree p is the transpose of the boundary scaled by
 
 Absolute is relative with an empty subcomplex: C(X)/C(Y) has the basis
 of simplices outside Y in the order of X, and every complex, vector
-conversion and inclusion here takes an optional Y.  The chain and
-cochain complexes of X, or of a pair (X, Y) with Y non-empty, are
-assembled once and kept on X, respectively on Y.
+conversion, inclusion and subdivision map here takes an optional Y.
+One builder, `_matrix`, fills every matrix into such a quotient.  The
+chain and cochain complexes of X, or of a pair (X, Y) with Y non-empty,
+are assembled once and kept on X, respectively on Y.
 """
 
 from __future__ import annotations
@@ -21,7 +22,13 @@ import numpy as np
 
 from . import intlinalg as la
 from .chains import ChainComplexZ, ChainMap, chain_complex, chain_map, dual_hom_z
-from .complexes import SimplicialComplex, Subcomplex, SubdivisionResult, last_vertex_approximation
+from .complexes import (
+    SimplicialComplex,
+    Subcomplex,
+    SubdivisionResult,
+    induced_subdivision,
+    last_vertex_approximation,
+)
 from .errors import ValidationError
 
 __all__ = [
@@ -53,7 +60,7 @@ def _validated_support(complex: SimplicialComplex, degree: int, coefficients: Ma
     out = {}
     for s, c in coefficients.items():
         s = tuple(s)
-        c = int(c)
+        c = la._entry(c)
         if c == 0:
             continue
         if len(s) - 1 != degree:
@@ -71,6 +78,8 @@ class SimplicialChain:
     One type serves as a chain, as a cochain (its value on each simplex)
     and as a functional on cochains (its value on each dual basis
     cochain); `SimplicialCochain` and `CochainFunctional` name it too.
+    Coefficients are ints, bools or numpy integers; anything else, a
+    float or a Fraction included, raises ValidationError.
     """
 
     complex: SimplicialComplex
@@ -187,18 +196,29 @@ def chain_complex_of(x: SimplicialComplex, y: Subcomplex | None = None) -> Chain
     return _kept(x, y, "chain", lambda: _assemble(x, y))
 
 
+def _matrix(cols, x: SimplicialComplex, y: Subcomplex | None, d: int, image) -> np.ndarray:
+    """The matrix into degree d of C(X)/C(Y) whose column j is
+    `image(cols[j])`, a dict {simplex: coefficient}: a simplex in `y` is
+    zero there, and any other simplex outside `x` raises ValidationError."""
+    row = {s: i for i, s in enumerate(_basis(x, y, d))}
+    mat = la.zeros(len(row), len(cols))
+    for j, s in enumerate(cols):
+        for t, c in image(s).items():
+            i = row.get(t)
+            if i is not None:
+                mat[i, j] = c
+            elif y is None or t not in y:
+                raise ValidationError(f"simplex {t!r} not in complex")
+    return mat
+
+
+def _faces(s) -> dict:
+    return {s[:i] + s[i + 1:]: (-1) ** i for i in range(len(s))}
+
+
 def _assemble(x: SimplicialComplex, y: Subcomplex | None) -> ChainComplexZ:
     basis = {d: _basis(x, y, d) for d in range(x.dimension + 1)}
-    row = {s: i for level in basis.values() for i, s in enumerate(level)}
-    diffs = {}
-    for m in range(1, x.dimension + 1):
-        mat = la.zeros(len(basis[m - 1]), len(basis[m]))
-        for j, s in enumerate(basis[m]):
-            for i in range(len(s)):
-                r = row.get(s[:i] + s[i + 1:])
-                if r is not None:
-                    mat[r, j] = (-1) ** i
-        diffs[m] = mat
+    diffs = {m: _matrix(basis[m], x, y, m - 1, _faces) for m in range(1, x.dimension + 1)}
     return chain_complex(-1, {d: len(level) for d, level in basis.items()}, diffs)
 
 
@@ -207,12 +227,8 @@ def relative_chain_complex(x: SimplicialComplex, y: Subcomplex):
     map from C(X); its transpose lifts quotient coordinates to C(X)."""
     rel = chain_complex_of(x, y)
     full = chain_complex_of(x)
-    proj = {}
-    for d in range(x.dimension + 1):
-        mat = la.zeros(rel.rank(d), full.rank(d))
-        for i, s in enumerate(_basis(x, y, d)):
-            mat[i, x.index_of(s)] = 1
-        proj[d] = mat
+    proj = {d: _matrix(x.simplices_of_dim(d), x, y, d, lambda s: {s: 1})
+            for d in range(x.dimension + 1)}
     return rel, chain_map(full, rel, proj, shift=0, sign=1)
 
 
@@ -233,20 +249,15 @@ def relative_inclusion_chain_map(inner: SimplicialComplex, inner_sub: Subcomplex
     outer_sub (the vertex orders must agree where they overlap)."""
     src = chain_complex_of(inner, inner_sub)
     tgt = chain_complex_of(outer, outer_sub)
-    mats = {}
-    for d in range(inner.dimension + 1):
-        row = {s: i for i, s in enumerate(_basis(outer, outer_sub, d))}
-        cols = _basis(inner, inner_sub, d)
-        mat = la.zeros(tgt.rank(d), len(cols))
-        for j, s in enumerate(cols):
-            i = row.get(s)
-            if i is None:
-                raise ValidationError(
-                    f"simplex {s!r} collapses in the target pair but not the source pair"
-                    if s in outer else f"simplex {s!r} not in complex"
-                )
-            mat[i, j] = 1
-        mats[d] = mat
+
+    def image(s):
+        if outer_sub is not None and s in outer_sub:
+            raise ValidationError(
+                f"simplex {s!r} collapses in the target pair but not the source pair")
+        return {s: 1}
+
+    mats = {d: _matrix(_basis(inner, inner_sub, d), outer, outer_sub, d, image)
+            for d in range(inner.dimension + 1)}
     return chain_map(src, tgt, mats, shift=0, sign=1)
 
 
@@ -270,8 +281,7 @@ def vector_to_chain(x: SimplicialComplex, degree: int, v,
                     y: Subcomplex | None = None) -> SimplicialChain:
     """The chain with coordinates `v` in the basis of C(X)/C(Y), lifted
     to C(X) by zero on `y`: the transpose of the quotient projection."""
-    basis = _basis(x, y, degree)
-    return SimplicialChain(x, degree, {s: int(c) for s, c in zip(basis, v) if c != 0})
+    return SimplicialChain(x, degree, dict(zip(_basis(x, y, degree), v)))
 
 
 cochain_to_vector = chain_to_vector
@@ -343,21 +353,17 @@ def subdivision_expansions(sd: SubdivisionResult) -> dict:
     return memo
 
 
-def subdivision_chain_map(sd: SubdivisionResult) -> ChainMap:
-    """C(X) -> C(sd X); vertices go to themselves and every simplex to
-    the cone of its subdivided boundary on its barycenter."""
-    src = chain_complex_of(sd.parent)
-    tgt = chain_complex_of(sd.complex)
+def subdivision_chain_map(sd: SubdivisionResult, y: Subcomplex | None = None) -> ChainMap:
+    """C(X)/C(Y) -> C(sd X)/C(sd Y) (C(X) -> C(sd X) when `y` is None);
+    vertices go to themselves and every simplex to the cone of its
+    subdivided boundary on its barycenter."""
+    x = sd.parent
+    sd_y = None if y is None else induced_subdivision(sd, y)
     memo = subdivision_expansions(sd)
-    mats = {}
-    for d in range(sd.parent.dimension + 1):
-        cols = sd.parent.simplices_of_dim(d)
-        mat = la.zeros(tgt.rank(d), len(cols))
-        for j, s in enumerate(cols):
-            for t, c in memo[s].items():
-                mat[sd.complex.index_of(t), j] = c
-        mats[d] = mat
-    return chain_map(src, tgt, mats, shift=0, sign=1)
+    mats = {d: _matrix(_basis(x, y, d), sd.complex, sd_y, d, memo.__getitem__)
+            for d in range(x.dimension + 1)}
+    return chain_map(chain_complex_of(x, y), chain_complex_of(sd.complex, sd_y), mats,
+                     shift=0, sign=1)
 
 
 def _sorted_with_sign(tokens, rank_of):
@@ -376,28 +382,24 @@ def last_vertex_chain_map(sd: SubdivisionResult) -> ChainMap:
     simplices with a repeated image vertex go to zero."""
     x = sd.parent
     vertex_map = last_vertex_approximation(sd)
-    src = chain_complex_of(sd.complex)
-    tgt = chain_complex_of(x)
-    mats = {}
-    for d in range(sd.complex.dimension + 1):
-        cols = sd.complex.simplices_of_dim(d)
-        mat = la.zeros(tgt.rank(d), len(cols))
-        for j, s in enumerate(cols):
-            image = tuple(vertex_map[v] for v in s)
-            if len(set(image)) != len(image):
-                continue
-            sorted_image, sign = _sorted_with_sign(image, x.rank_of)
-            mat[x.index_of(sorted_image), j] = sign
-        mats[d] = mat
-    return chain_map(src, tgt, mats, shift=0, sign=1)
+
+    def image(s):
+        vertices = tuple(vertex_map[v] for v in s)
+        if len(set(vertices)) != len(vertices):
+            return {}
+        sorted_image, sign = _sorted_with_sign(vertices, x.rank_of)
+        return {sorted_image: sign}
+
+    mats = {d: _matrix(sd.complex.simplices_of_dim(d), x, None, d, image)
+            for d in range(sd.complex.dimension + 1)}
+    return chain_map(chain_complex_of(sd.complex), chain_complex_of(x), mats, shift=0, sign=1)
 
 
 def apply_chain_map(f: ChainMap, chain: SimplicialChain,
                     source: SimplicialComplex, target: SimplicialComplex) -> SimplicialChain:
     if chain.complex != source:
         raise ValidationError("chain does not live on the map's source complex")
-    v = chain_to_vector(chain)
-    w = la.matmul(f.matrix(chain.degree), v.reshape(-1, 1))[:, 0]
+    w = la.matmul(f.matrix(chain.degree), chain_to_vector(chain))
     return vector_to_chain(target, chain.degree + f.shift, w)
 
 
@@ -407,7 +409,7 @@ def cochain_pullback(sd: SubdivisionResult, u: SimplicialCochain) -> SimplicialC
     if u.complex != sd.parent:
         raise ValidationError("cochain does not live on the parent complex")
     m = last_vertex_chain_map(sd).matrix(u.degree)
-    vals = la.matmul(m.T, chain_to_vector(u).reshape(-1, 1))[:, 0]
+    vals = la.matmul(m.T, chain_to_vector(u))
     return vector_to_chain(sd.complex, u.degree, vals)
 
 

@@ -166,7 +166,7 @@ class ChainMap:
         return ChainMap(self.source, self.target, mats, shift=self.shift, sign=self.sign)
 
 
-def chain_map(source, target, matrices, shift=0, sign=1, check=True) -> ChainMap:
+def chain_map(source, target, matrices, shift=0, sign=1) -> ChainMap:
     if source.diff_degree != target.diff_degree:
         raise ValidationError("source and target have different differential degrees")
     if sign not in (1, -1):
@@ -182,13 +182,12 @@ def chain_map(source, target, matrices, shift=0, sign=1, check=True) -> ChainMap
         if m.any():
             mats[int(n)] = m
     f = ChainMap(source=source, target=target, matrices=mats, shift=shift, sign=sign)
-    if check:
-        eps = source.diff_degree
-        for n in set(source.ranks) | {k - eps for k in source.ranks}:
-            lhs = la.matmul(f.matrix(n + eps), source.d(n))
-            rhs = sign * la.matmul(target.d(n + shift), f.matrix(n))
-            if not np.array_equal(lhs, rhs):
-                raise ValidationError(f"map does not commute with differentials at degree {n}")
+    eps = source.diff_degree
+    for n in set(source.ranks) | {k - eps for k in source.ranks}:
+        lhs = la.matmul(f.matrix(n + eps), source.d(n))
+        rhs = sign * la.matmul(target.d(n + shift), f.matrix(n))
+        if not np.array_equal(lhs, rhs):
+            raise ValidationError(f"map does not commute with differentials at degree {n}")
     return f
 
 
@@ -249,13 +248,12 @@ class HomologyGroup:
 
     def coords_of(self, cycle) -> tuple:
         """Canonical coordinates of a cycle's homology class."""
-        z = np.asarray(cycle, dtype=object).reshape(-1)
+        z = la._integral(cycle).reshape(-1)
         if self._cycle_test.shape[1] != z.shape[0]:
             raise ValidationError("cycle has the wrong length")
-        if la.matmul(self._cycle_test, z.reshape(-1, 1)).any():
+        if la.matmul(self._cycle_test, z).any():
             raise ValidationError("vector is not a cycle")
-        ck = la.matmul(self._to_kernel, z.reshape(-1, 1))
-        y = la.matmul(self._uc, ck)[:, 0]
+        y = la.matmul(self._uc, la.matmul(self._to_kernel, z))
         r = len(self._factors)
         free = tuple(int(v) for v in y[r:])
         tors = tuple(
@@ -326,9 +324,10 @@ def homology(k: ChainComplexZ, degree: int) -> HomologyGroup:
     b = k.d(degree - eps)  # into the degree
     snf_a = smith_normal_form(a)
     r_a = snf_a.rank
-    kernel_cols = snf_a.V[:, r_a:].copy()  # a copy: the group need not keep all of V
-    kernel_cols.flags.writeable = False
-    to_kernel = snf_a.v_inv[r_a:, :]
+    # copies: the group need not keep all of V and v_inv
+    kernel_cols = snf_a.V[:, r_a:].copy()
+    to_kernel = snf_a.v_inv[r_a:, :].copy()
+    kernel_cols.flags.writeable = to_kernel.flags.writeable = False
     kdim = n - r_a
     coords_b = la.matmul(snf_a.v_inv, b)
     if coords_b[:r_a, :].any():
@@ -513,8 +512,8 @@ class InducedMap:
     def apply(self, cls: HomologyClass) -> HomologyClass:
         if cls.group != self.source_group:
             raise ValidationError("class does not live in the source group")
-        vec = la.matmul(self.matrix, np.array(cls.coords, dtype=object).reshape(-1, 1))
-        return HomologyClass(self.target_group, self.target_group.reduce_coords(vec[:, 0]))
+        vec = la.matmul(self.matrix, np.array(cls.coords, dtype=object))
+        return HomologyClass(self.target_group, self.target_group.reduce_coords(vec))
 
     def is_surjective(self) -> bool:
         t = self.target_group
@@ -551,7 +550,7 @@ def induced_map_on_homology(f: ChainMap, degree: int,
     m = f.matrix(degree)
     cols = []
     for g in hs.cycle_basis:
-        img = la.matmul(m, g.reshape(-1, 1))[:, 0]
+        img = la.matmul(m, g)
         cols.append(ht.coords_of(img))
     mat = la.zeros(ht.dim, hs.dim)
     for j, c in enumerate(cols):

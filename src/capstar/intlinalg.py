@@ -42,13 +42,13 @@ def _exact(a: np.ndarray) -> np.ndarray:
     if a.dtype.kind == "b":
         a = a.astype(np.int8)
     if a.dtype.kind not in "iu":
-        raise ValidationError(f"matrix entries must be integers, not {a.dtype}")
+        raise ValidationError(f"entries must be integers, not {a.dtype}")
     return a.astype(object)
 
 
 def _entry(x) -> int:
     if not isinstance(x, (int, np.integer, np.bool_)):
-        raise ValidationError(f"matrix entry {x!r} is not an integer")
+        raise ValidationError(f"entry {x!r} is not an integer")
     return int(x)
 
 
@@ -100,23 +100,17 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Each column of the product reads only the columns of `a` that its
     column of `b` meets, so the cost is O(rows(a) * nnz(b)).  A vector
-    `b` is instead dotted with the nonzeros of each row of `a`."""
+    `b` runs as a one-column matrix and gives a vector back."""
     a, b = _exact(a), _exact(b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    if b.ndim == 1:
-        out = np.zeros(a.shape[0], dtype=object)
-        for i in range(a.shape[0]):
-            nz = np.flatnonzero(a[i])
-            if nz.size:
-                out[i] = a[i, nz].dot(b[nz])
-        return out
-    out = zeros(a.shape[0], b.shape[1])
-    for j in range(b.shape[1]):
-        nz = np.flatnonzero(b[:, j])
+    cols = b.reshape(len(b), 1) if b.ndim == 1 else b
+    out = zeros(a.shape[0], cols.shape[1])
+    for j in range(cols.shape[1]):
+        nz = np.flatnonzero(cols[:, j])
         if nz.size:
-            out[:, j] = a[:, nz].dot(b[nz, j])
-    return out
+            out[:, j] = a[:, nz].dot(cols[nz, j])
+    return out[:, 0] if b.ndim == 1 else out
 
 
 @dataclass(frozen=True, eq=False)

@@ -97,7 +97,7 @@ def _random_closed(rng, k, x, degree, y=None):
     if kb.shape[1] == 0:
         return None
     coeffs = [rng.randint(-2, 2) for _ in range(kb.shape[1])]
-    vec = la.matmul(kb, np.array(coeffs, dtype=object).reshape(-1, 1))[:, 0]
+    vec = la.matmul(kb, np.array(coeffs, dtype=object))
     return vector_to_chain(x, degree, vec, y)
 
 

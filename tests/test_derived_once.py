@@ -224,3 +224,17 @@ def test_kept_kernel_is_the_kernel_basis(surfaces, pairs):
             assert kept.shape == fresh.shape and np.array_equal(kept, fresh)
             with pytest.raises(ValueError):
                 kept[..., :1] *= 2
+
+
+def test_kept_coordinate_rows_own_their_data(surfaces, pairs):
+    ks = [chain_complex_of(x) for x in surfaces.values()]
+    ks += [cochain_complex(m.ambient, m.boundary) for m in pairs.values()]
+    for k in ks:
+        lo, hi = k.degree_span()
+        for n in range(lo - 1, hi + 2):
+            h = homology(k, n)
+            to_kernel = h._to_kernel
+            # a view would keep the whole inverse of the first Smith factor V alive
+            assert to_kernel.base is None and to_kernel.flags.owndata
+            assert not to_kernel.flags.writeable
+            assert np.array_equal(la.matmul(to_kernel, h._kernel), la.identity(h._kernel.shape[1]))

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from capstar import intlinalg as la
-from capstar.chains import chain_complex
+from capstar.bridge import SimplicialChain, chain_complex_of, vector_to_chain
+from capstar.chains import chain_complex, homology
 from capstar.errors import ValidationError
+from capstar.fixtures import circle
 
 
 def test_matmul_does_not_overflow_int64():
@@ -124,3 +126,51 @@ def test_smith_normal_form_certifies_numpy_integers_in_object_arrays():
         snf = la.smith_normal_form(a)
     assert snf.D.tolist() == [[1, 0], [0, 7 * 2**62 - 15]]
     assert all(type(e) is int for m in (snf.U, snf.D, snf.V) for e in m.flat)
+
+
+def test_matmul_of_an_empty_vector():
+    assert la.matmul(la.zeros(3, 0), np.array([], dtype=object)).tolist() == [0, 0, 0]
+    assert la.matmul(la.zeros(0, 2), np.array([1, 2])).shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "entry", [2.5, 1.0, np.float64(1.0), Fraction(7, 2), Fraction(1, 1)], ids=repr,
+)
+def test_chains_refuse_non_integer_coefficients(entry):
+    with pytest.raises(ValidationError, match="not an integer"):
+        SimplicialChain(circle(), 1, {(1, 2): 2, (2, 3): entry})
+    with pytest.raises(ValidationError, match="not an integer"):
+        vector_to_chain(circle(), 1, [entry, 1, 0])
+
+
+def test_vector_to_chain_refuses_a_float_array():
+    with pytest.raises(ValidationError):
+        vector_to_chain(circle(), 1, np.array([0.5, 1.9, 0.0]))
+
+
+def test_chains_accept_ints_bools_and_numpy_integers():
+    c = SimplicialChain(circle(), 1, {(1, 2): True, (1, 3): np.int64(-3), (2, 3): np.uint8(0)})
+    assert c.coefficients == {(1, 2): 1, (1, 3): -3}
+    assert all(type(v) is int for v in c.coefficients.values())
+    v = vector_to_chain(circle(), 1, np.array([2, 0, -1], dtype=np.int16))
+    assert v.coefficients == {(1, 2): 2, (2, 3): -1}
+
+
+@pytest.mark.parametrize(
+    "cycle",
+    [[0.5, -0.5, 0.5], [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 2)],
+     np.array([0.5, -0.5, 0.5], dtype=object), np.array([1.0, -1.0, 1.0])],
+    ids=["floats", "fractions", "object-array", "float-array"],
+)
+def test_coords_of_refuses_non_integer_vectors(cycle):
+    h1 = homology(chain_complex_of(circle()), 1)
+    with pytest.raises(ValidationError):
+        h1.coords_of(cycle)
+
+
+def test_coords_of_reads_integer_vectors_of_any_dtype():
+    h1 = homology(chain_complex_of(circle()), 1)
+    g = h1.cycle_basis[0]
+    assert h1.coords_of(g) == h1.coords_of(list(g)) == (1,)
+    assert h1.coords_of(np.array(list(g), dtype=np.int8)) == (1,)
+    assert h1.coords_of(3 * g) == (3,)

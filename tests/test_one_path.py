@@ -16,8 +16,10 @@ from capstar.bridge import (
     inclusion_chain_map,
     relative_chain_complex,
     relative_inclusion_chain_map,
+    subdivision_chain_map,
     vector_to_chain,
 )
+from capstar.complexes import SimplicialComplex, barycentric_subdivide, induced_subdivision
 from capstar.errors import ValidationError
 from capstar.fixtures import circle, interval_pair, solid_simplex, torus
 from capstar.products import relative_supported_cap, supported_cap
@@ -60,6 +62,35 @@ def test_relative_inclusion_rejects_a_simplex_that_collapses_only_in_the_target(
     with pytest.raises(ValidationError) as err:
         relative_inclusion_chain_map(x, x.empty_subcomplex(), x, y)
     assert "collapses in the target pair but not the source pair" in str(err.value)
+
+
+def test_inclusion_rejects_a_simplex_outside_the_target():
+    with pytest.raises(ValidationError, match=r"simplex \(1, 2, 3\) not in complex"):
+        inclusion_chain_map(solid_simplex(2), circle())
+
+
+def test_a_complex_that_is_not_face_closed_has_no_chain_complex():
+    # the edge (2, 3) without its vertex (3,); the constructor does not check closure
+    x = SimplicialComplex(vertex_order=(2, 3), simplices_by_dim=(((2,),), ((2, 3),)))
+    with pytest.raises(ValidationError, match=r"simplex \(3,\) not in complex"):
+        chain_complex_of(x)
+
+
+def test_relative_subdivision_map_is_the_projected_absolute_map(pairs):
+    for name, model in pairs.items():
+        x, y = model.ambient, model.boundary
+        for _ in range(2):
+            sd = barycentric_subdivide(x)
+            sd_y = induced_subdivision(sd, y)
+            p_cur = relative_chain_complex(x, y)[1]
+            p_next = relative_chain_complex(sd.complex, sd_y)[1]
+            absolute, relative = subdivision_chain_map(sd), subdivision_chain_map(sd, y)
+            assert relative.source == chain_complex_of(x, y), name
+            assert relative.target == chain_complex_of(sd.complex, sd_y), name
+            for d in range(x.dimension + 1):
+                want = la.matmul(la.matmul(p_next.matrix(d), absolute.matrix(d)), p_cur.matrix(d).T)
+                assert np.array_equal(relative.matrix(d), want), (name, d)
+            x, y = sd.complex, sd_y
 
 
 def test_inclusion_is_the_pair_inclusion_with_empty_subcomplexes():
