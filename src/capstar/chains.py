@@ -94,7 +94,7 @@ class ChainComplexZ:
         return {-n: r for n, r in self.ranks.items()}
 
 
-def chain_complex(diff_degree: int, ranks: dict, differentials: dict, check: bool = True) -> ChainComplexZ:
+def chain_complex(diff_degree: int, ranks: dict, differentials: dict) -> ChainComplexZ:
     if diff_degree not in (1, -1):
         raise ValidationError("diff_degree must be +1 or -1")
     ranks = {int(n): int(r) for n, r in ranks.items() if r}
@@ -113,11 +113,10 @@ def chain_complex(diff_degree: int, ranks: dict, differentials: dict, check: boo
             m.flags.writeable = False
             diffs[int(n)] = m
     k = ChainComplexZ(diff_degree=diff_degree, ranks=ranks, differentials=diffs)
-    if check:
-        for n in ranks:
-            prod = la.matmul(k.d(n + diff_degree), k.d(n))
-            if prod.any():
-                raise ValidationError(f"d o d != 0 out of degree {n}")
+    for n in ranks:
+        prod = la.matmul(k.d(n + diff_degree), k.d(n))
+        if prod.any():
+            raise ValidationError(f"d o d != 0 out of degree {n}")
     return k
 
 
@@ -212,9 +211,8 @@ class HomologyGroup:
     torsion: tuple
     cycle_basis: tuple  # column vectors in chain coordinates
     _cycle_test: np.ndarray = field(repr=False, compare=False, default=None)
-    _to_kernel: np.ndarray = field(repr=False, compare=False, default=None)
-    _uc: np.ndarray = field(repr=False, compare=False, default=None)
-    _factors: tuple = field(repr=False, compare=False, default=())
+    # rows: the canonical coordinates of a cycle, dim x rank of the degree
+    _coords: np.ndarray = field(repr=False, compare=False, default=None)
     # columns: a basis of the cycles, V[:, r:] of the first Smith decomposition
     _kernel: np.ndarray = field(repr=False, compare=False, default=None)
 
@@ -253,13 +251,7 @@ class HomologyGroup:
             raise ValidationError("cycle has the wrong length")
         if la.matmul(self._cycle_test, z).any():
             raise ValidationError("vector is not a cycle")
-        y = la.matmul(self._uc, la.matmul(self._to_kernel, z))
-        r = len(self._factors)
-        free = tuple(int(v) for v in y[r:])
-        tors = tuple(
-            int(y[i]) % d for i, d in enumerate(self._factors) if d > 1
-        )
-        return free + tors
+        return self.reduce_coords(la.matmul(self._coords, z))
 
     def class_of(self, cycle) -> "HomologyClass":
         return HomologyClass(group=self, coords=self.coords_of(cycle))
@@ -324,11 +316,9 @@ def homology(k: ChainComplexZ, degree: int) -> HomologyGroup:
     b = k.d(degree - eps)  # into the degree
     snf_a = smith_normal_form(a)
     r_a = snf_a.rank
-    # copies: the group need not keep all of V and v_inv
+    # a copy: the group need not keep all of V
     kernel_cols = snf_a.V[:, r_a:].copy()
-    to_kernel = snf_a.v_inv[r_a:, :].copy()
-    kernel_cols.flags.writeable = to_kernel.flags.writeable = False
-    kdim = n - r_a
+    kernel_cols.flags.writeable = False
     coords_b = la.matmul(snf_a.v_inv, b)
     if coords_b[:r_a, :].any():
         raise InternalCheckError("boundaries are not cycles; d o d != 0")
@@ -336,12 +326,15 @@ def homology(k: ChainComplexZ, degree: int) -> HomologyGroup:
     snf_c = smith_normal_form(c)
     r_c = snf_c.rank
     factors = tuple(int(snf_c.D[i, i]) for i in range(r_c))
-    gens = la.matmul(kernel_cols, snf_c.u_inv)
-    free_idx = list(range(r_c, kdim))
+    free_idx = list(range(r_c, n - r_a))
     tors_idx = [i for i in range(r_c) if factors[i] > 1]
-    basis = tuple(gens[:, i].copy() for i in free_idx + tors_idx)
+    keep = free_idx + tors_idx
+    gens = la.matmul(kernel_cols, snf_c.u_inv[:, keep])
+    basis = tuple(gens[:, j].copy() for j in range(len(keep)))
+    coords = la.matmul(snf_c.U[keep, :], snf_a.v_inv[r_a:, :])
+    # every caller shares this group: no in-place edit may change it
+    coords.flags.writeable = False
     for rep in basis:
-        # every caller shares this group: no in-place edit may change it
         rep.flags.writeable = False
     k._homology[degree] = HomologyGroup(
         degree=degree,
@@ -349,9 +342,7 @@ def homology(k: ChainComplexZ, degree: int) -> HomologyGroup:
         torsion=tuple(factors[i] for i in tors_idx),
         cycle_basis=basis,
         _cycle_test=a,
-        _to_kernel=to_kernel,
-        _uc=snf_c.U,
-        _factors=factors,
+        _coords=coords,
         _kernel=kernel_cols,
     )
     return k._homology[degree]
@@ -380,7 +371,7 @@ def dual_hom_z(k: ChainComplexZ) -> ChainComplexZ:
         m = k.d(s)
         if m.any():
             diffs[p] = _sign(p + 1) * m.T
-    return chain_complex(1, ranks, diffs, check=False)
+    return chain_complex(1, ranks, diffs)
 
 
 def dual_map(f: ChainMap) -> ChainMap:
@@ -407,7 +398,7 @@ def shift(k: ChainComplexZ, n: int) -> ChainComplexZ:
     ranks = {i - step: r for i, r in k.ranks.items()}
     sgn = _sign(n)
     diffs = {i - step: sgn * m for i, m in k.differentials.items()}
-    return chain_complex(eps, ranks, diffs, check=False)
+    return chain_complex(eps, ranks, diffs)
 
 
 @dataclass(frozen=True)
@@ -540,13 +531,9 @@ class InducedMap:
         return HomologyClass(self.source_group, self.source_group.reduce_coords(coords))
 
 
-def induced_map_on_homology(f: ChainMap, degree: int,
-                            source_group: HomologyGroup | None = None,
-                            target_group: HomologyGroup | None = None) -> InducedMap:
-    hs = source_group or homology(f.source, degree)
-    ht = target_group or homology(f.target, degree + f.shift)
-    if hs.degree != degree or ht.degree != degree + f.shift:
-        raise ValidationError("precomputed groups are at the wrong degrees")
+def induced_map_on_homology(f: ChainMap, degree: int) -> InducedMap:
+    hs = homology(f.source, degree)
+    ht = homology(f.target, degree + f.shift)
     m = f.matrix(degree)
     cols = []
     for g in hs.cycle_basis:

@@ -177,20 +177,24 @@ class Subcomplex:
         key = ("complex", name)
         if key in self._derived:
             return self._derived[key]
-        by_dim = {}
-        for s in self.simplices:
-            by_dim.setdefault(len(s) - 1, []).append(s)
-        dim = max(by_dim) if by_dim else -1
-        levels = tuple(
-            tuple(sorted(by_dim.get(d, ()), key=self.parent.sort_key))
-            for d in range(dim + 1)
-        )
         self._derived[key] = SimplicialComplex(
             vertex_order=self.parent.vertex_order,
-            simplices_by_dim=levels,
+            simplices_by_dim=_levels(self.simplices, self.parent._rank),
             name=name or self.parent.name,
         )
         return self._derived[key]
+
+
+def _levels(simplices, rank) -> tuple:
+    """The simplices grouped by dimension, each level sorted by the
+    ranks of its vertices."""
+    by_dim = {}
+    for s in simplices:
+        by_dim.setdefault(len(s) - 1, []).append(s)
+    return tuple(
+        tuple(sorted(by_dim.get(d, ()), key=lambda s: tuple(rank[v] for v in s)))
+        for d in range(max(by_dim, default=-1) + 1)
+    )
 
 
 def _normalize_tuple(vertices, rank) -> Simplex:
@@ -229,15 +233,7 @@ def from_maximal_simplices(maximal, order=None, name: str = "") -> SimplicialCom
         s = _normalize_tuple(s, rank)
         for k in range(1, len(s) + 1):
             closed.update(combinations(s, k))
-    by_dim = {}
-    for s in closed:
-        by_dim.setdefault(len(s) - 1, []).append(s)
-    dim = max(by_dim) if by_dim else -1
-    levels = tuple(
-        tuple(sorted(by_dim.get(d, ()), key=lambda s: tuple(rank[v] for v in s)))
-        for d in range(dim + 1)
-    )
-    return SimplicialComplex(vertex_order=order, simplices_by_dim=levels, name=name)
+    return SimplicialComplex(vertex_order=order, simplices_by_dim=_levels(closed, rank), name=name)
 
 
 def closed_star(x: SimplicialComplex, z: Subcomplex) -> Subcomplex:
@@ -317,20 +313,14 @@ def barycentric_subdivide(x: SimplicialComplex) -> SubdivisionResult:
         chains_ending[s] = out
         return out
 
-    by_dim = {}
-    for s in x.all_simplices():
-        for chain in chains(s):
-            simplex = tuple(barycenter_of[f] for f in chain)
-            by_dim.setdefault(len(simplex) - 1, []).append(simplex)
+    new_simplices = [
+        tuple(barycenter_of[f] for f in chain)
+        for s in x.all_simplices() for chain in chains(s)
+    ]
     rank = {v: i for i, v in enumerate(new_order)}
-    dim = max(by_dim) if by_dim else -1
-    levels = tuple(
-        tuple(sorted(by_dim.get(d, ()), key=lambda s: tuple(rank[v] for v in s)))
-        for d in range(dim + 1)
-    )
     sd = SimplicialComplex(
         vertex_order=new_order,
-        simplices_by_dim=levels,
+        simplices_by_dim=_levels(new_simplices, rank),
         name=(x.name + "/sd") if x.name else "sd",
     )
     return SubdivisionResult(parent=x, complex=sd, barycenter_of=barycenter_of, parent_of=parent_of)

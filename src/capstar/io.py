@@ -107,9 +107,14 @@ def _resolve_token(part: str, x: SimplicialComplex):
     raise ValidationError(f"unknown vertex token {part!r} in simplex key")
 
 
+def _is_int(v) -> bool:
+    # JSON true and false load as bools, which Python counts as ints
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _parse_valued(data: dict, x: SimplicialComplex, what: str):
     _check_keys(data, _VALUED_KEYS, what)
-    if "degree" not in data or not isinstance(data["degree"], int):
+    if "degree" not in data or not _is_int(data["degree"]):
         raise ValidationError(f"{what} file needs an integer 'degree'")
     if "values" not in data or not isinstance(data["values"], dict):
         raise ValidationError(f"{what} file needs an object 'values'")
@@ -118,7 +123,7 @@ def _parse_valued(data: dict, x: SimplicialComplex, what: str):
         raise ValidationError(f"{what} file has a negative degree {degree}")
     out = {}
     for key, coeff in data["values"].items():
-        if not isinstance(coeff, int):
+        if not _is_int(coeff):
             raise ValidationError(f"{what}: coefficient for {key!r} must be an integer")
         parts = key.split(",")
         simplex = tuple(_resolve_token(p, x) for p in parts)
@@ -131,6 +136,8 @@ def _parse_valued(data: dict, x: SimplicialComplex, what: str):
         ranks = [x.rank_of(v) for v in simplex]
         if ranks != sorted(ranks):
             raise ValidationError(f"{what}: key {key!r} is not in increasing vertex order")
+        if simplex in out:
+            raise ValidationError(f"{what}: {key!r} names the same simplex as an earlier key")
         out[simplex] = coeff
     return degree, out
 

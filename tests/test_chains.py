@@ -322,13 +322,10 @@ def test_cone_long_exact_sequence_random():
             hc = homology(c, n)
             hk_prev = homology(k, n - 1)
             hl_prev = homology(l, n - 1)
-            f_n = induced_map_on_homology(f, n, source_group=hk, target_group=hl)
-            i_n = induced_map_on_homology(res.include_target, n,
-                                          source_group=hl, target_group=hc)
-            p_n = induced_map_on_homology(res.project_source, n,
-                                          source_group=hc, target_group=hk_prev)
-            f_prev = induced_map_on_homology(f, n - 1,
-                                             source_group=hk_prev, target_group=hl_prev)
+            f_n = induced_map_on_homology(f, n)
+            i_n = induced_map_on_homology(res.include_target, n)
+            p_n = induced_map_on_homology(res.project_source, n)
+            f_prev = induced_map_on_homology(f, n - 1)
             assert _exact_at(f_n.matrix, hl, i_n.matrix, hc)
             assert _exact_at(i_n.matrix, hc, p_n.matrix, hk_prev)
             assert _exact_at(p_n.matrix, hk_prev, f_prev.matrix, hl_prev)

@@ -227,14 +227,17 @@ def test_kept_kernel_is_the_kernel_basis(surfaces, pairs):
 
 
 def test_kept_coordinate_rows_own_their_data(surfaces, pairs):
-    ks = [chain_complex_of(x) for x in surfaces.values()]
-    ks += [cochain_complex(m.ambient, m.boundary) for m in pairs.values()]
+    ks = [f(x) for x in surfaces.values() for f in (chain_complex_of, cochain_complex)]
+    ks += [f(m.ambient, m.boundary) for m in pairs.values()
+           for f in (chain_complex_of, cochain_complex)]
     for k in ks:
         lo, hi = k.degree_span()
         for n in range(lo - 1, hi + 2):
             h = homology(k, n)
-            to_kernel = h._to_kernel
-            # a view would keep the whole inverse of the first Smith factor V alive
-            assert to_kernel.base is None and to_kernel.flags.owndata
-            assert not to_kernel.flags.writeable
-            assert np.array_equal(la.matmul(to_kernel, h._kernel), la.identity(h._kernel.shape[1]))
+            coords = h._coords
+            # one dim x rank C_n matrix, not a view into a Smith factor
+            assert coords.base is None and coords.flags.owndata
+            assert not coords.flags.writeable
+            assert coords.shape == (h.dim, k.rank(n))
+            reps = np.stack(h.cycle_basis, axis=1) if h.dim else la.zeros(k.rank(n), 0)
+            assert np.array_equal(la.matmul(coords, reps), la.identity(h.dim))

@@ -214,6 +214,40 @@ def test_cli_cap_degree_error_exits_one(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("bad", [
+    {"degree": True, "values": {"1,2": 1}},
+    {"degree": 1, "values": {"1,2": True}},
+], ids=["boolean-degree", "boolean-coefficient"])
+def test_cli_rejects_json_booleans(tmp_path, bad):
+    # true is not the integer 1 in a chain or cochain file
+    xp = write_complex(tmp_path, circle())
+    up = write_json(tmp_path, bad, "u.json")
+    vp = write_json(tmp_path, {"degree": 0, "values": {"1": 1}}, "v.json")
+    ap = write_json(
+        tmp_path, {"degree": 1, "values": {"1,2": 1, "2,3": 1, "1,3": -1}}, "a.json"
+    )
+    for args in (("cap", xp, "--cochain", up, "--chain", ap),
+                 ("cap", xp, "--cochain", vp, "--chain", up),
+                 ("cup", xp, "--u", up, "--v", vp)):
+        code, _, err = run_cli(*args)
+        assert code == 1, args
+        assert "must be an integer" in err or "needs an integer 'degree'" in err
+
+
+def test_cli_rejects_a_simplex_named_twice(tmp_path):
+    # "01,2" resolves to the same edge as "1,2"; neither value may win silently
+    xp = write_complex(tmp_path, circle())
+    up = write_json(tmp_path, {"degree": 1, "values": {"1,2": 1, "01,2": 5}}, "u.json")
+    vp = write_json(tmp_path, {"degree": 0, "values": {"1": 1}}, "v.json")
+    ap = write_json(
+        tmp_path, {"degree": 1, "values": {"1,2": 1, "2,3": 1, "1,3": -1}}, "a.json"
+    )
+    for args in (("cap", xp, "--cochain", up, "--chain", ap), ("cup", xp, "--u", up, "--v", vp)):
+        code, _, err = run_cli(*args)
+        assert code == 1, args
+        assert "'01,2' names the same simplex as an earlier key" in err
+
+
 def test_cli_cap_relative_interval(tmp_path):
     model = interval_pair()
     xp = write_complex(tmp_path, model.ambient, "x.json")

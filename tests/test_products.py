@@ -274,9 +274,7 @@ def test_supported_cap_compatible_with_enlarging_support():
     small = supported_cap(x, z, u, alpha)
     big = supported_cap(x, z_big, u, alpha)
     inc = inclusion_chain_map(z.as_complex("support"), z_big.as_complex("support"))
-    ind = induced_map_on_homology(
-        inc, 0, source_group=small.class_in_z.group, target_group=big.class_in_z.group
-    )
+    ind = induced_map_on_homology(inc, 0)
     assert ind.apply(small.class_in_z).coords == big.class_in_z.coords
 
 
