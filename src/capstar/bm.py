@@ -175,16 +175,17 @@ def bm_supported_cap(model: OpenSpaceModel, z: Subcomplex, u: SimplicialCochain,
     """Supported cap on the Borel-Moore homology of the complement:
     delegates to the relative supported cap of the pair.
 
-    When the support misses the boundary and the input is an honest
-    cycle, the result is cross-checked against the absolute supported
-    cap (the localization compatibility)."""
+    When the class was transported to H(Z), the support misses the
+    boundary and the input is an honest cycle, the result is
+    cross-checked against the absolute supported cap with the same
+    `presubdivide` (the localization compatibility)."""
     result = relative_supported_cap(
         model.ambient, model.boundary, z, u, alpha, presubdivide=presubdivide
     )
     z_meets_y = bool(model.boundary.simplices & z.simplices)
-    if not z_meets_y and boundary_of(alpha).is_zero() and presubdivide == 0:
-        absolute = supported_cap(model.ambient, z, u, alpha)
-        if result.class_in_z is not None and absolute.class_in_z.coords != result.class_in_z.coords:
+    if result.class_in_z is not None and not z_meets_y and boundary_of(alpha).is_zero():
+        absolute = supported_cap(model.ambient, z, u, alpha, presubdivide)
+        if absolute.class_in_z.coords != result.class_in_z.coords:
             raise InternalCheckError(
                 "relative and absolute supported caps disagree away from the boundary"
             )

@@ -9,13 +9,15 @@ Absolute is relative with an empty subcomplex: C(X)/C(Y) has the basis
 of simplices outside Y in the order of X, and every complex, vector
 conversion, inclusion and subdivision map here takes an optional Y.
 One builder, `_matrix`, fills every matrix into such a quotient.  The
-chain and cochain complexes of X, or of a pair (X, Y) with Y non-empty,
-are assembled once and kept on X, respectively on Y.
+chain complex of X, or of a pair (X, Y) with Y non-empty, is assembled
+once and kept on X, respectively on Y; the cochain complex is its dual,
+kept on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Mapping
 
 import numpy as np
@@ -178,22 +180,17 @@ def _basis(x: SimplicialComplex, y: Subcomplex | None, d: int):
     return [s for s in level if s not in y.simplices]
 
 
-def _kept(x: SimplicialComplex, y: Subcomplex | None, key: str, build):
-    """`build()` for the pair (x, y), computed on first use and kept on
-    `y` when it is non-empty, on `x` otherwise."""
-    if y is not None and y.parent != x:
-        raise ValidationError("subcomplex does not belong to the given complex")
-    derived = (y if y is not None and y.simplices else x)._derived
-    if key not in derived:
-        derived[key] = build()
-    return derived[key]
-
-
 def chain_complex_of(x: SimplicialComplex, y: Subcomplex | None = None) -> ChainComplexZ:
     """Oriented simplicial chain complex C(X)/C(Y) on the simplices
     outside `y` (C(X) itself when `y` is None or empty); diff_degree -1,
-    degrees 0..dim.  Assembled once per complex or pair and shared."""
-    return _kept(x, y, "chain", lambda: _assemble(x, y))
+    degrees 0..dim.  Assembled on first use and kept on `y` when it is
+    non-empty, on `x` otherwise."""
+    if y is not None and y.parent != x:
+        raise ValidationError("subcomplex does not belong to the given complex")
+    derived = (y if y is not None and y.simplices else x)._derived
+    if "chain" not in derived:
+        derived["chain"] = _assemble(x, y)
+    return derived["chain"]
 
 
 def _matrix(cols, x: SimplicialComplex, y: Subcomplex | None, d: int, image) -> np.ndarray:
@@ -235,8 +232,8 @@ def relative_chain_complex(x: SimplicialComplex, y: Subcomplex):
 def cochain_complex(x: SimplicialComplex, a: Subcomplex | None = None) -> ChainComplexZ:
     """Integer dual of C(X)/C(A): the cochains vanishing on `a` (all
     cochains when `a` is None), on the basis of simplices outside `a`;
-    degrees 0..dim, diff_degree +1.  Built once per complex or pair."""
-    return _kept(x, a, "cochain", lambda: dual_hom_z(chain_complex_of(x, a)))
+    degrees 0..dim, diff_degree +1.  The dual kept on `chain_complex_of(x, a)`."""
+    return dual_hom_z(chain_complex_of(x, a))
 
 
 relative_cochain_complex = cochain_complex
@@ -318,54 +315,6 @@ def coboundary_of(u: SimplicialCochain) -> SimplicialCochain:
 # -- subdivision and last-vertex chain maps ----------------------------
 
 
-def _cone_on_barycenter(terms: dict, b) -> dict:
-    """Append the (largest) barycenter vertex to each increasing tuple;
-    moving it from the front costs (-1)^len."""
-    out = {}
-    for t, c in terms.items():
-        out[t + (b,)] = c * ((-1) ** len(t))
-    return out
-
-
-def subdivision_expansions(sd: SubdivisionResult) -> dict:
-    """parent simplex -> dict of subdivided simplices with signs, via the
-    cone-over-the-barycenter recursion."""
-    memo = {}
-
-    def expand(s):
-        if s in memo:
-            return memo[s]
-        if len(s) == 1:
-            out = {(sd.barycenter_of[s],): 1}
-        else:
-            acc = {}
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                fsign = (-1) ** i
-                for t, c in _cone_on_barycenter(expand(face), sd.barycenter_of[s]).items():
-                    acc[t] = acc.get(t, 0) + fsign * c
-            out = {t: c for t, c in acc.items() if c}
-        memo[s] = out
-        return out
-
-    for s in sd.parent.all_simplices():
-        expand(s)
-    return memo
-
-
-def subdivision_chain_map(sd: SubdivisionResult, y: Subcomplex | None = None) -> ChainMap:
-    """C(X)/C(Y) -> C(sd X)/C(sd Y) (C(X) -> C(sd X) when `y` is None);
-    vertices go to themselves and every simplex to the cone of its
-    subdivided boundary on its barycenter."""
-    x = sd.parent
-    sd_y = None if y is None else induced_subdivision(sd, y)
-    memo = subdivision_expansions(sd)
-    mats = {d: _matrix(_basis(x, y, d), sd.complex, sd_y, d, memo.__getitem__)
-            for d in range(x.dimension + 1)}
-    return chain_map(chain_complex_of(x, y), chain_complex_of(sd.complex, sd_y), mats,
-                     shift=0, sign=1)
-
-
 def _sorted_with_sign(tokens, rank_of):
     """Sort a repetition-free tuple, returning (sorted tuple, parity)."""
     keyed = [(rank_of(t), t) for t in tokens]
@@ -375,6 +324,32 @@ def _sorted_with_sign(tokens, rank_of):
             if keyed[i][0] > keyed[j][0]:
                 inversions += 1
     return tuple(t for _, t in sorted(keyed)), (-1) ** inversions
+
+
+def _subdivided(sd: SubdivisionResult, s) -> dict:
+    """The column of `s` in the subdivision chain map: {flag: sgn(pi)}
+    for every order pi of the vertices of `s`."""
+    rank_of = sd.parent.rank_of
+    out = {}
+    for order in permutations(s):
+        flag = tuple(sd.barycenter_of[_sorted_with_sign(order[:k], rank_of)[0]]
+                     for k in range(1, len(s) + 1))
+        out[flag] = _sorted_with_sign(order, rank_of)[1]
+    return out
+
+
+def subdivision_chain_map(sd: SubdivisionResult, y: Subcomplex | None = None) -> ChainMap:
+    """C(X)/C(Y) -> C(sd X)/C(sd Y) (C(X) -> C(sd X) when `y` is None):
+    each simplex s goes to the sum, over the orders pi in which its
+    vertices can be added, of sgn(pi) times the flag of barycenters
+    [b(v_pi0), b(v_pi0 v_pi1), ..., b(s)].  The target pair is the
+    induced subdivision kept on `sd`."""
+    x = sd.parent
+    sd_y = None if y is None else induced_subdivision(sd, y)
+    mats = {d: _matrix(_basis(x, y, d), sd.complex, sd_y, d, lambda s: _subdivided(sd, s))
+            for d in range(x.dimension + 1)}
+    return chain_map(chain_complex_of(x, y), chain_complex_of(sd.complex, sd_y), mats,
+                     shift=0, sign=1)
 
 
 def last_vertex_chain_map(sd: SubdivisionResult) -> ChainMap:

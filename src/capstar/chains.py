@@ -56,7 +56,9 @@ class ChainComplexZ:
     diff_degree: int
     ranks: dict  # degree -> rank (> 0 entries only)
     differentials: dict  # degree -> matrix out of that degree
-    _homology: dict = field(default_factory=dict, repr=False, compare=False)  # degree -> group
+    # data derived on first use: the homology group at each degree
+    # (keyed by the degree) and the integer dual (keyed by "dual")
+    _derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __eq__(self, other):
         if not isinstance(other, ChainComplexZ):
@@ -308,8 +310,8 @@ def homology(k: ChainComplexZ, degree: int) -> HomologyGroup:
     """Isomorphism type + representatives at one degree, via two Smith
     decompositions (cycles, then boundaries in kernel coordinates);
     computed on the first call for `k` and `degree`, then shared."""
-    if degree in k._homology:
-        return k._homology[degree]
+    if degree in k._derived:
+        return k._derived[degree]
     eps = k.diff_degree
     n = k.rank(degree)
     a = k.d(degree)  # out of the degree
@@ -336,7 +338,7 @@ def homology(k: ChainComplexZ, degree: int) -> HomologyGroup:
     coords.flags.writeable = False
     for rep in basis:
         rep.flags.writeable = False
-    k._homology[degree] = HomologyGroup(
+    k._derived[degree] = HomologyGroup(
         degree=degree,
         betti=len(free_idx),
         torsion=tuple(factors[i] for i in tors_idx),
@@ -345,7 +347,7 @@ def homology(k: ChainComplexZ, degree: int) -> HomologyGroup:
         _coords=coords,
         _kernel=kernel_cols,
     )
-    return k._homology[degree]
+    return k._derived[degree]
 
 
 def _sign(n: int) -> int:
@@ -360,8 +362,11 @@ def dual_hom_z(k: ChainComplexZ) -> ChainComplexZ:
     """Integer dual with differential (-1)^(p+1) * transpose.
 
     Output degree p dualizes K^{-p} (cochain grading) respectively K_p
-    (chain grading); the result always has diff_degree +1.
+    (chain grading); the result always has diff_degree +1.  Built on
+    first use and kept on `k`.
     """
+    if "dual" in k._derived:
+        return k._derived["dual"]
     eps = k.diff_degree
     dual_degree_of = (lambda n: -n) if eps == 1 else (lambda n: n)
     ranks = {dual_degree_of(n): r for n, r in k.ranks.items()}
@@ -371,7 +376,8 @@ def dual_hom_z(k: ChainComplexZ) -> ChainComplexZ:
         m = k.d(s)
         if m.any():
             diffs[p] = _sign(p + 1) * m.T
-    return chain_complex(1, ranks, diffs)
+    k._derived["dual"] = chain_complex(1, ranks, diffs)
+    return k._derived["dual"]
 
 
 def dual_map(f: ChainMap) -> ChainMap:

@@ -55,8 +55,8 @@ class SimplicialComplex:
     name: str = ""
     _rank: Mapping = field(default=None, repr=False, compare=False)
     _index: Mapping = field(default=None, repr=False, compare=False)
-    # data derived from this complex on first use (its chain and
-    # cochain complexes); lives and dies with the complex
+    # data derived from this complex on first use (its chain
+    # complex); lives and dies with the complex
     _derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -146,7 +146,7 @@ class Subcomplex:
     parent: SimplicialComplex
     simplices: frozenset
     # data derived from this subcomplex on first use: the pair (parent,
-    # self)'s chain and cochain complexes, its closed star in the parent
+    # self)'s chain complex, its closed star in the parent
     # and its `as_complex` views by name; lives and dies with the subcomplex
     _derived: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -275,6 +275,9 @@ class SubdivisionResult:
     complex: SimplicialComplex
     barycenter_of: Mapping  # parent simplex -> new vertex token
     parent_of: Mapping  # new vertex token -> parent simplex
+    # the induced subdivisions built so far, keyed by the simplices of
+    # the subcomplex of `parent` they subdivide
+    _derived: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def barycenter_token(simplex: Simplex):
@@ -285,10 +288,15 @@ def barycenter_token(simplex: Simplex):
 
 
 def barycentric_subdivide(x: SimplicialComplex) -> SubdivisionResult:
+    """sd X: one vertex b(s) per simplex s of X, and one simplex
+    [b(s_0), ..., b(s_k)] per flag s_0 < ... < s_k of faces.  The new
+    vertices are ordered by parent dimension, then by parent tuple."""
     barycenter_of = {}
     parent_of = {}
-    parents_sorted = sorted(x.all_simplices(), key=lambda s: (len(s), x.sort_key(s)))
-    for s in parents_sorted:
+    # parent -> the sd simplices whose last vertex is its barycenter; a
+    # parent comes after its faces, so theirs are listed already
+    flags_ending = {}
+    for s in sorted(x.all_simplices(), key=lambda s: (len(s), x.sort_key(s))):
         tok = barycenter_token(s)
         if len(s) > 1 and x.has_vertex(tok):
             raise ValidationError(
@@ -296,45 +304,32 @@ def barycentric_subdivide(x: SimplicialComplex) -> SubdivisionResult:
             )
         barycenter_of[s] = tok
         parent_of[tok] = s
-    # order: by parent dimension, then lexicographically by parent tuple
-    new_order = tuple(barycenter_of[s] for s in parents_sorted)
-
-    # chains of proper-face inclusions, keyed by their top simplex
-    chains_ending = {}
-
-    def chains(s):
-        if s in chains_ending:
-            return chains_ending[s]
-        out = [(s,)]
-        for k in range(1, len(s)):
-            for f in combinations(s, k):
-                for c in chains(f):
-                    out.append(c + (s,))
-        chains_ending[s] = out
-        return out
-
-    new_simplices = [
-        tuple(barycenter_of[f] for f in chain)
-        for s in x.all_simplices() for chain in chains(s)
-    ]
+        flags_ending[s] = [(tok,)] + [
+            flag + (tok,)
+            for k in range(1, len(s)) for f in combinations(s, k) for flag in flags_ending[f]
+        ]
+    new_order = tuple(parent_of)
     rank = {v: i for i, v in enumerate(new_order)}
     sd = SimplicialComplex(
         vertex_order=new_order,
-        simplices_by_dim=_levels(new_simplices, rank),
+        simplices_by_dim=_levels([f for flags in flags_ending.values() for f in flags], rank),
         name=(x.name + "/sd") if x.name else "sd",
     )
     return SubdivisionResult(parent=x, complex=sd, barycenter_of=barycenter_of, parent_of=parent_of)
 
 
 def induced_subdivision(sd: SubdivisionResult, z: Subcomplex) -> Subcomplex:
-    """The subdivision of `z` as a subcomplex of the subdivided complex."""
+    """The subdivision of `z` as a subcomplex of the subdivided complex:
+    the sd simplices whose last vertex is the barycenter of a simplex of
+    `z` (that simplex is their largest face, and `z` is face-closed).
+    Built once per `z` and kept on `sd`."""
     if z.parent != sd.parent:
         raise ValidationError("subcomplex does not belong to the subdivided complex")
-    keep = frozenset(
-        s for s in sd.complex.all_simplices()
-        if all(sd.parent_of[v] in z.simplices for v in s)
-    )
-    return Subcomplex(parent=sd.complex, simplices=keep)
+    if z.simplices not in sd._derived:
+        sd._derived[z.simplices] = Subcomplex(parent=sd.complex, simplices=frozenset(
+            s for s in sd.complex.all_simplices() if sd.parent_of[s[-1]] in z.simplices
+        ))
+    return sd._derived[z.simplices]
 
 
 def last_vertex_approximation(sd: SubdivisionResult) -> dict:

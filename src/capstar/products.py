@@ -104,10 +104,7 @@ def dual_cap(f: CochainFunctional, u: SimplicialCochain,
     sign = (-1) ** (m * p)
     vdeg = m - p
     out = {}
-    for s in x.simplices_of_dim(m):
-        c = f.coefficients.get(s, 0)
-        if not c:
-            continue
+    for s, c in f.coefficients.items():
         uval = u.coefficients.get(s[vdeg:], 0)
         if not uval:
             continue
@@ -160,21 +157,17 @@ def _check_supported_cocycle(x, z, u):
         raise ValidationError("cochain is not closed (du != 0)")
 
 
-def _presubdivide(x, z, u, alpha, times, extra_subcomplexes=()):
-    """Transport (X, Z, u, alpha) through `times` barycentric
+def _presubdivide(x, y, z, u, alpha, times):
+    """Transport (X, Y, Z, u, alpha) through `times` barycentric
     subdivisions: u by cochain pullback along the last-vertex map, alpha
-    by the subdivision chain map, subcomplexes by their induced
-    subdivisions."""
-    extras = list(extra_subcomplexes)
+    by the subdivision chain map, Y and Z by their induced subdivisions."""
     for _ in range(times):
         sd = barycentric_subdivide(x)
-        sdm = subdivision_chain_map(sd)
         u = cochain_pullback(sd, u)
-        alpha = apply_chain_map(sdm, alpha, x, sd.complex)
-        z = induced_subdivision(sd, z)
-        extras = [induced_subdivision(sd, e) for e in extras]
+        alpha = apply_chain_map(subdivision_chain_map(sd), alpha, x, sd.complex)
+        y, z = induced_subdivision(sd, y), induced_subdivision(sd, z)
         x = sd.complex
-    return (x, z, u, alpha, extras)
+    return x, y, z, u, alpha
 
 
 def supported_cap(x: SimplicialComplex, z: Subcomplex, u: SimplicialCochain,
@@ -214,7 +207,7 @@ def relative_supported_cap(x: SimplicialComplex, y: Subcomplex, z: Subcomplex,
     if y.parent != x:
         raise ValidationError("boundary subcomplex does not belong to the ambient complex")
     if presubdivide:
-        x, z, u, alpha, (y,) = _presubdivide(x, z, u, alpha, presubdivide, [y])
+        x, y, z, u, alpha = _presubdivide(x, y, z, u, alpha, presubdivide)
     star = closed_star(x, z)
     _check_supported_cocycle(x, z, u)
     for s in boundary_of(alpha).coefficients:

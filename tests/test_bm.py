@@ -9,7 +9,8 @@ from capstar.bm import (
     pair_long_exact_sequence,
     subdivision_invariance_check,
 )
-from capstar.bridge import SimplicialChain, SimplicialCochain, chain_complex_of
+import capstar.bm as bm
+from capstar.bridge import SimplicialChain, SimplicialCochain, chain_complex_of, vector_to_chain
 from capstar.chains import homology
 from capstar.complexes import from_maximal_simplices
 from capstar.errors import ValidationError
@@ -19,6 +20,7 @@ from capstar.fixtures import (
     interval_pair,
     simplex_pair,
     solid_simplex,
+    torus,
 )
 from capstar.products import supported_cap
 
@@ -144,6 +146,37 @@ def test_bm_supported_cap_agrees_with_absolute_when_boundary_empty():
     absolute = supported_cap(x, z, u, alpha)
     assert rel.class_in_z is not None
     assert rel.class_in_z.coords == absolute.class_in_z.coords
+
+
+def test_bm_supported_cap_returns_when_the_retract_condition_fails():
+    # H_0(Z) = Z^2 for two vertices, H_0(N) = Z for their connected star
+    x = torus()
+    model = OpenSpaceModel(ambient=x, boundary=x.subcomplex_closure([(6,)]))
+    z = x.subcomplex_closure([(0,), (1,)])
+    u = SimplicialCochain(x, 2, {(0, 1, 3): 1})
+    alpha = vector_to_chain(x, 2, homology(chain_complex_of(x), 2).cycle_basis[0])
+    res = bm_supported_cap(model, z, u, alpha)
+    assert res.class_in_z is None
+    assert not res.diagnostics.inclusion_is_isomorphism
+    assert (res.diagnostics.support_group, res.diagnostics.star_group) == ("Z^2", "Z^1")
+
+
+def test_bm_supported_cap_cross_checks_a_presubdivided_cap(monkeypatch):
+    calls = []
+
+    def absolute(*args):
+        calls.append(args[4:])
+        return supported_cap(*args)
+
+    monkeypatch.setattr(bm, "supported_cap", absolute)
+    x = circle()
+    model = OpenSpaceModel(ambient=x, boundary=x.subcomplex([(3,)]))
+    z = x.subcomplex_closure([(1,)])
+    u = SimplicialCochain(x, 1, {(1, 2): 1})
+    alpha = SimplicialChain(x, 1, {(1, 2): 1, (2, 3): 1, (1, 3): -1})
+    res = bm_supported_cap(model, z, u, alpha, presubdivide=1)
+    assert res.class_in_z.coords == (1,)
+    assert calls == [(1,)]
 
 
 def test_model_requires_subcomplex_of_ambient():

@@ -9,16 +9,22 @@ import numpy as np
 import pytest
 
 import capstar.bm as bm
+import capstar.bridge as bridge
 import capstar.chains as chains
 import capstar.complexes as complexes
 import capstar.products as products
 from capstar import intlinalg as la
-from capstar.bm import OpenSpaceModel, bm_supported_cap, pair_long_exact_sequence
+from capstar.bm import (
+    OpenSpaceModel,
+    bm_supported_cap,
+    pair_long_exact_sequence,
+    subdivision_invariance_check,
+)
 from capstar.bridge import SimplicialChain, SimplicialCochain, chain_complex_of, cochain_complex
-from capstar.chains import homology
+from capstar.chains import dual_hom_z, homology, uct_check
 from capstar.complexes import closed_star, from_maximal_simplices
 from capstar.errors import InternalCheckError, ValidationError
-from capstar.fixtures import circle, interval_pair, torus
+from capstar.fixtures import circle, interval_pair, simplex_pair, torus
 from capstar.products import supported_cap
 
 
@@ -41,6 +47,44 @@ def test_relative_complex_is_kept_on_the_subcomplex():
     other = from_maximal_simplices([[0, 1, 3]])
     with pytest.raises(ValidationError):
         chain_complex_of(other, y)
+
+
+def test_cochain_complex_is_the_dual_kept_on_the_chain_complex():
+    x = torus()
+    y = x.subcomplex_closure([(0, 1)])
+    assert cochain_complex(x) is dual_hom_z(chain_complex_of(x))
+    assert cochain_complex(x, y) is dual_hom_z(chain_complex_of(x, y))
+
+
+def test_uct_check_reuses_the_kept_dual_and_its_groups(monkeypatch):
+    x = torus()
+    k, c = chain_complex_of(x), cochain_complex(x)
+    for n in range(-2, 4):
+        homology(k, n), homology(c, n)
+    calls = []
+    snf = chains.smith_normal_form
+
+    def counted(a):
+        calls.append(a.shape)
+        return snf(a)
+
+    monkeypatch.setattr(chains, "smith_normal_form", counted)
+    assert uct_check(k).passed
+    assert calls == []
+
+
+def test_subdivision_invariance_assembles_each_pair_once(monkeypatch):
+    assembled = []
+    assemble = bridge._assemble
+
+    def counted(x, y):
+        assembled.append((x.num_simplices(), 0 if y is None else len(y.simplices)))
+        return assemble(x, y)
+
+    monkeypatch.setattr(bridge, "_assemble", counted)
+    assert subdivision_invariance_check(simplex_pair(3), times=2).passed
+    # the pair, its subdivision (149 cells, 74 in Y) and the second one
+    assert assembled == [(15, 14), (149, 74), (2745, 434)]
 
 
 def test_homology_is_computed_once_per_degree():
