@@ -193,20 +193,22 @@ def chain_complex_of(x: SimplicialComplex, y: Subcomplex | None = None) -> Chain
     return derived["chain"]
 
 
-def _matrix(cols, x: SimplicialComplex, y: Subcomplex | None, d: int, image) -> np.ndarray:
-    """The matrix into degree d of C(X)/C(Y) whose column j is
-    `image(cols[j])`, a dict {simplex: coefficient}: a simplex in `y` is
-    zero there, and any other simplex outside `x` raises ValidationError."""
+def _matrix(cols, x: SimplicialComplex, y: Subcomplex | None, d: int, image) -> la.SparseMatrix:
+    """The sparse matrix into degree d of C(X)/C(Y) whose column j is
+    `image(cols[j])`, a dict {simplex: nonzero coefficient}: a simplex in
+    `y` is zero there, and any other simplex outside `x` raises ValidationError."""
     row = {s: i for i, s in enumerate(_basis(x, y, d))}
-    mat = la.zeros(len(row), len(cols))
-    for j, s in enumerate(cols):
+    out = []
+    for s in cols:
+        col = {}
         for t, c in image(s).items():
             i = row.get(t)
             if i is not None:
-                mat[i, j] = c
+                col[i] = c
             elif y is None or t not in y:
                 raise ValidationError(f"simplex {t!r} not in complex")
-    return mat
+        out.append(col)
+    return la.SparseMatrix((len(row), len(cols)), _cols=tuple(out))
 
 
 def _faces(s) -> dict:
@@ -343,18 +345,24 @@ def subdivision_chain_map(sd: SubdivisionResult, y: Subcomplex | None = None) ->
     each simplex s goes to the sum, over the orders pi in which its
     vertices can be added, of sgn(pi) times the flag of barycenters
     [b(v_pi0), b(v_pi0 v_pi1), ..., b(s)].  The target pair is the
-    induced subdivision kept on `sd`."""
+    induced subdivision kept on `sd`.  Built once per `y` and kept on `sd`."""
     x = sd.parent
     sd_y = None if y is None else induced_subdivision(sd, y)
-    mats = {d: _matrix(_basis(x, y, d), sd.complex, sd_y, d, lambda s: _subdivided(sd, s))
-            for d in range(x.dimension + 1)}
-    return chain_map(chain_complex_of(x, y), chain_complex_of(sd.complex, sd_y), mats,
-                     shift=0, sign=1)
+    key = ("subdivision map", None if y is None else y.simplices)
+    if key not in sd._derived:
+        mats = {d: _matrix(_basis(x, y, d), sd.complex, sd_y, d, lambda s: _subdivided(sd, s))
+                for d in range(x.dimension + 1)}
+        sd._derived[key] = chain_map(chain_complex_of(x, y), chain_complex_of(sd.complex, sd_y),
+                                     mats, shift=0, sign=1)
+    return sd._derived[key]
 
 
 def last_vertex_chain_map(sd: SubdivisionResult) -> ChainMap:
     """C(sd X) -> C(X) induced by the last-vertex approximation; sd
-    simplices with a repeated image vertex go to zero."""
+    simplices with a repeated image vertex go to zero.  Built once and
+    kept on `sd`."""
+    if "last vertex map" in sd._derived:
+        return sd._derived["last vertex map"]
     x = sd.parent
     vertex_map = last_vertex_approximation(sd)
 
@@ -367,14 +375,16 @@ def last_vertex_chain_map(sd: SubdivisionResult) -> ChainMap:
 
     mats = {d: _matrix(sd.complex.simplices_of_dim(d), x, None, d, image)
             for d in range(sd.complex.dimension + 1)}
-    return chain_map(chain_complex_of(sd.complex), chain_complex_of(x), mats, shift=0, sign=1)
+    sd._derived["last vertex map"] = chain_map(chain_complex_of(sd.complex), chain_complex_of(x),
+                                               mats, shift=0, sign=1)
+    return sd._derived["last vertex map"]
 
 
 def apply_chain_map(f: ChainMap, chain: SimplicialChain,
                     source: SimplicialComplex, target: SimplicialComplex) -> SimplicialChain:
     if chain.complex != source:
         raise ValidationError("chain does not live on the map's source complex")
-    w = la.matmul(f.matrix(chain.degree), chain_to_vector(chain))
+    w = f.sparse_matrix(chain.degree).apply(chain_to_vector(chain))
     return vector_to_chain(target, chain.degree + f.shift, w)
 
 
@@ -383,8 +393,8 @@ def cochain_pullback(sd: SubdivisionResult, u: SimplicialCochain) -> SimplicialC
     the parent to the subdivision."""
     if u.complex != sd.parent:
         raise ValidationError("cochain does not live on the parent complex")
-    m = last_vertex_chain_map(sd).matrix(u.degree)
-    vals = la.matmul(m.T, chain_to_vector(u))
+    m = last_vertex_chain_map(sd).sparse_matrix(u.degree)
+    vals = m.T.apply(chain_to_vector(u))
     return vector_to_chain(sd.complex, u.degree, vals)
 
 

@@ -1,8 +1,9 @@
 """Finitely generated free integer chain complexes and their homology.
 
-A ChainComplexZ stores one integer matrix per degree, the map OUT of
-that degree; `diff_degree` is +1 for cochain-style grading and -1 for
-chain-style grading.  Duals, shifts and cones follow the conventions:
+A ChainComplexZ stores one sparse integer matrix per degree, the map
+OUT of that degree (`d(n)` exports it dense); `diff_degree` is +1 for
+cochain-style grading and -1 for chain-style grading.  Duals, shifts
+and cones follow the conventions:
 
   * dual:   D(K)^p is the integer dual of K^{-p} (cochain grading) or
             of K_p (chain grading); the dual differential is the
@@ -15,7 +16,7 @@ chain-style grading.  Duals, shifts and cones follow the conventions:
 Everything is exact integer arithmetic; homology groups come with
 explicit cycle representatives and coordinate maps so induced maps on
 homology (including torsion) can be computed and compared.  A complex's
-differentials are read-only and its homology is computed once per
+differentials never change and its homology is computed once per
 degree, then shared by every caller.
 """
 
@@ -49,24 +50,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ChainComplexZ:
     """Graded free Z-modules with differentials of degree +1 or -1."""
 
     diff_degree: int
     ranks: dict  # degree -> rank (> 0 entries only)
-    differentials: dict  # degree -> matrix out of that degree
+    sparse: dict  # degree -> nonzero SparseMatrix out of that degree
     # data derived on first use: the homology group at each degree
     # (keyed by the degree) and the integer dual (keyed by "dual")
     _derived: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __eq__(self, other):
-        if not isinstance(other, ChainComplexZ):
-            return NotImplemented
-        if self.diff_degree != other.diff_degree or self.ranks != other.ranks:
-            return False
-        degs = set(self.differentials) | set(other.differentials)
-        return all(np.array_equal(self.d(n), other.d(n)) for n in degs)
 
     def rank(self, n: int) -> int:
         return self.ranks.get(n, 0)
@@ -79,12 +72,23 @@ class ChainComplexZ:
             return (0, -1)
         return (min(self.ranks), max(self.ranks))
 
-    def d(self, n: int) -> np.ndarray:
+    def sparse_d(self, n: int) -> la.SparseMatrix:
         """Differential out of degree n (a zero matrix when absent)."""
-        m = self.differentials.get(n)
+        m = self.sparse.get(n)
         if m is None:
-            return la.zeros(self.rank(n + self.diff_degree), self.rank(n))
+            return la.SparseMatrix((self.rank(n + self.diff_degree), self.rank(n)))
         return m
+
+    def d(self, n: int) -> np.ndarray:
+        """`sparse_d(n)` as a read-only dense matrix, built on request."""
+        m = self.sparse_d(n).toarray()
+        m.flags.writeable = False
+        return m
+
+    @property
+    def differentials(self) -> dict:
+        """The nonzero differentials by degree, dense, built on request."""
+        return {n: self.d(n) for n in self.sparse}
 
     def total_rank(self) -> int:
         return sum(self.ranks.values())
@@ -102,51 +106,45 @@ def chain_complex(diff_degree: int, ranks: dict, differentials: dict) -> ChainCo
     ranks = {int(n): int(r) for n, r in ranks.items() if r}
     diffs = {}
     for n, m in differentials.items():
-        m = la.as_matrix(m, shape=(ranks.get(n + diff_degree, 0), ranks.get(n, 0)))
         expected = (ranks.get(n + diff_degree, 0), ranks.get(n, 0))
+        m = la.SparseMatrix.of(m, shape=expected)
         if m.shape != expected:
             raise ValidationError(
                 f"differential at degree {n} has shape {m.shape}, expected {expected}"
             )
         if m.any():
-            # a read-only view: the homology kept on the complex cannot go
-            # stale through an in-place edit, and the caller's array stays writeable
-            m = m.view()
-            m.flags.writeable = False
             diffs[int(n)] = m
-    k = ChainComplexZ(diff_degree=diff_degree, ranks=ranks, differentials=diffs)
+    k = ChainComplexZ(diff_degree=diff_degree, ranks=ranks, sparse=diffs)
     for n in ranks:
-        prod = la.matmul(k.d(n + diff_degree), k.d(n))
-        if prod.any():
+        if (k.sparse_d(n + diff_degree) @ k.sparse_d(n)).any():
             raise ValidationError(f"d o d != 0 out of degree {n}")
     return k
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ChainMap:
     """Graded map f with f d = sign * d f, degree shift in stored indices."""
 
     source: ChainComplexZ
     target: ChainComplexZ
-    matrices: dict  # degree n -> matrix source_n -> target_{n+shift}
+    sparse: dict  # degree n -> nonzero SparseMatrix source_n -> target_{n+shift}
     shift: int = 0
     sign: int = 1
 
-    def __eq__(self, other):
-        if not isinstance(other, ChainMap):
-            return NotImplemented
-        if (self.shift, self.sign) != (other.shift, other.sign):
-            return False
-        if self.source != other.source or self.target != other.target:
-            return False
-        degs = set(self.matrices) | set(other.matrices)
-        return all(np.array_equal(self.matrix(n), other.matrix(n)) for n in degs)
+    def sparse_matrix(self, n: int) -> la.SparseMatrix:
+        m = self.sparse.get(n)
+        if m is None:
+            return la.SparseMatrix((self.target.rank(n + self.shift), self.source.rank(n)))
+        return m
 
     def matrix(self, n: int) -> np.ndarray:
-        m = self.matrices.get(n)
-        if m is None:
-            return la.zeros(self.target.rank(n + self.shift), self.source.rank(n))
-        return m
+        """`sparse_matrix(n)` as a dense matrix, built on request."""
+        return self.sparse_matrix(n).toarray()
+
+    @property
+    def matrices(self) -> dict:
+        """The nonzero matrices by degree, dense, built on request."""
+        return {n: self.matrix(n) for n in self.sparse}
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self o other (apply `other` first)."""
@@ -154,7 +152,7 @@ class ChainMap:
             raise ValidationError("chain maps not composable")
         mats = {}
         for n in other.source.degrees():
-            m = la.matmul(self.matrix(n + other.shift), other.matrix(n))
+            m = self.sparse_matrix(n + other.shift) @ other.sparse_matrix(n)
             if m.any():
                 mats[n] = m
         return chain_map(
@@ -163,7 +161,7 @@ class ChainMap:
         )
 
     def scale(self, c: int) -> "ChainMap":
-        mats = {n: c * m for n, m in self.matrices.items()}
+        mats = {n: m.scaled(c) for n, m in self.sparse.items()}
         return ChainMap(self.source, self.target, mats, shift=self.shift, sign=self.sign)
 
 
@@ -174,26 +172,26 @@ def chain_map(source, target, matrices, shift=0, sign=1) -> ChainMap:
         raise ValidationError("sign must be +1 or -1")
     mats = {}
     for n, m in matrices.items():
-        m = la.as_matrix(m, shape=(target.rank(n + shift), source.rank(n)))
         expected = (target.rank(n + shift), source.rank(n))
+        m = la.SparseMatrix.of(m, shape=expected)
         if m.shape != expected:
             raise ValidationError(
                 f"chain map matrix at degree {n} has shape {m.shape}, expected {expected}"
             )
         if m.any():
             mats[int(n)] = m
-    f = ChainMap(source=source, target=target, matrices=mats, shift=shift, sign=sign)
+    f = ChainMap(source=source, target=target, sparse=mats, shift=shift, sign=sign)
     eps = source.diff_degree
     for n in set(source.ranks) | {k - eps for k in source.ranks}:
-        lhs = la.matmul(f.matrix(n + eps), source.d(n))
-        rhs = sign * la.matmul(target.d(n + shift), f.matrix(n))
-        if not np.array_equal(lhs, rhs):
+        lhs = f.sparse_matrix(n + eps) @ source.sparse_d(n)
+        rhs = (target.sparse_d(n + shift) @ f.sparse_matrix(n)).scaled(sign)
+        if lhs != rhs:
             raise ValidationError(f"map does not commute with differentials at degree {n}")
     return f
 
 
 def identity_map(k: ChainComplexZ) -> ChainMap:
-    return ChainMap(k, k, {n: la.identity(r) for n, r in k.ranks.items()})
+    return ChainMap(k, k, {n: la.sparse_identity(r) for n, r in k.ranks.items()})
 
 
 # -- homology ---------------------------------------------------------
@@ -212,11 +210,11 @@ class HomologyGroup:
     betti: int
     torsion: tuple
     cycle_basis: tuple  # column vectors in chain coordinates
-    _cycle_test: np.ndarray = field(repr=False, compare=False, default=None)
+    _cycle_test: la.SparseMatrix = field(repr=False, compare=False, default=None)
     # rows: the canonical coordinates of a cycle, dim x rank of the degree
-    _coords: np.ndarray = field(repr=False, compare=False, default=None)
+    _coords: la.SparseMatrix = field(repr=False, compare=False, default=None)
     # columns: a basis of the cycles, V[:, r:] of the first Smith decomposition
-    _kernel: np.ndarray = field(repr=False, compare=False, default=None)
+    _kernel: la.SparseMatrix = field(repr=False, compare=False, default=None)
 
     def __eq__(self, other):
         if not isinstance(other, HomologyGroup):
@@ -251,9 +249,9 @@ class HomologyGroup:
         z = la._integral(cycle).reshape(-1)
         if self._cycle_test.shape[1] != z.shape[0]:
             raise ValidationError("cycle has the wrong length")
-        if la.matmul(self._cycle_test, z).any():
+        if self._cycle_test.apply(z).any():
             raise ValidationError("vector is not a cycle")
-        return self.reduce_coords(la.matmul(self._coords, z))
+        return self.reduce_coords(self._coords.apply(z))
 
     def class_of(self, cycle) -> "HomologyClass":
         return HomologyClass(group=self, coords=self.coords_of(cycle))
@@ -314,38 +312,32 @@ def homology(k: ChainComplexZ, degree: int) -> HomologyGroup:
         return k._derived[degree]
     eps = k.diff_degree
     n = k.rank(degree)
-    a = k.d(degree)  # out of the degree
-    b = k.d(degree - eps)  # into the degree
+    a = k.sparse_d(degree)  # out of the degree
+    b = k.sparse_d(degree - eps)  # into the degree
     snf_a = smith_normal_form(a)
     r_a = snf_a.rank
-    # a copy: the group need not keep all of V
-    kernel_cols = snf_a.V[:, r_a:].copy()
-    kernel_cols.flags.writeable = False
-    coords_b = la.matmul(snf_a.v_inv, b)
-    if coords_b[:r_a, :].any():
+    v_inv = snf_a.sparse.v_inv
+    kernel = snf_a.sparse.V.T[r_a:]  # rows: a basis of the cycles
+    coords_b = v_inv @ b
+    if any(coords_b.rows[:r_a]):
         raise InternalCheckError("boundaries are not cycles; d o d != 0")
-    c = coords_b[r_a:, :]
-    snf_c = smith_normal_form(c)
+    snf_c = smith_normal_form(coords_b[r_a:])
     r_c = snf_c.rank
-    factors = tuple(int(snf_c.D[i, i]) for i in range(r_c))
+    factors = snf_c.invariant_factors()
     free_idx = list(range(r_c, n - r_a))
     tors_idx = [i for i in range(r_c) if factors[i] > 1]
     keep = free_idx + tors_idx
-    gens = la.matmul(kernel_cols, snf_c.u_inv[:, keep])
-    basis = tuple(gens[:, j].copy() for j in range(len(keep)))
-    coords = la.matmul(snf_c.U[keep, :], snf_a.v_inv[r_a:, :])
+    gens = (snf_c.sparse.u_inv.T[keep] @ kernel).toarray()
     # every caller shares this group: no in-place edit may change it
-    coords.flags.writeable = False
-    for rep in basis:
-        rep.flags.writeable = False
+    gens.flags.writeable = False
     k._derived[degree] = HomologyGroup(
         degree=degree,
         betti=len(free_idx),
         torsion=tuple(factors[i] for i in tors_idx),
-        cycle_basis=basis,
+        cycle_basis=tuple(gens),
         _cycle_test=a,
-        _coords=coords,
-        _kernel=kernel_cols,
+        _coords=snf_c.sparse.U[keep] @ v_inv[r_a:],
+        _kernel=kernel.T,
     )
     return k._derived[degree]
 
@@ -370,12 +362,8 @@ def dual_hom_z(k: ChainComplexZ) -> ChainComplexZ:
     eps = k.diff_degree
     dual_degree_of = (lambda n: -n) if eps == 1 else (lambda n: n)
     ranks = {dual_degree_of(n): r for n, r in k.ranks.items()}
-    diffs = {}
-    for p in list(ranks):
-        s = -(p + 1) if eps == 1 else p + 1
-        m = k.d(s)
-        if m.any():
-            diffs[p] = _sign(p + 1) * m.T
+    diffs = {p: k.sparse_d(-(p + 1) if eps == 1 else p + 1).T.scaled(_sign(p + 1))
+             for p in ranks}
     k._derived["dual"] = chain_complex(1, ranks, diffs)
     return k._derived["dual"]
 
@@ -388,11 +376,7 @@ def dual_map(f: ChainMap) -> ChainMap:
     src_d = dual_hom_z(f.target)
     tgt_d = dual_hom_z(f.source)
     dual_degree_of = (lambda n: -n) if eps == 1 else (lambda n: n)
-    mats = {}
-    for n in f.source.degrees():
-        m = f.matrix(n)
-        if m.any():
-            mats[dual_degree_of(n)] = m.T.copy()
+    mats = {dual_degree_of(n): m.T for n, m in f.sparse.items()}
     return chain_map(src_d, tgt_d, mats, shift=0, sign=1)
 
 
@@ -403,7 +387,7 @@ def shift(k: ChainComplexZ, n: int) -> ChainComplexZ:
     step = n * eps
     ranks = {i - step: r for i, r in k.ranks.items()}
     sgn = _sign(n)
-    diffs = {i - step: sgn * m for i, m in k.differentials.items()}
+    diffs = {i - step: m.scaled(sgn) for i, m in k.sparse.items()}
     return chain_complex(eps, ranks, diffs)
 
 
@@ -435,31 +419,17 @@ def cone(u: ChainMap) -> ConeResult:
             ranks[n] = r
     diffs = {}
     for n in ranks:
-        rk_top = k.rank(n + 2 * eps)
-        rl_top = l.rank(n + eps)
-        top = np.concatenate(
-            [-k.d(n + eps), la.zeros(rk_top, l.rank(n))], axis=1
-        )
-        bottom = np.concatenate([u.matrix(n + eps), l.d(n)], axis=1)
-        m = np.concatenate([top, bottom], axis=0)
-        if m.any():
-            diffs[n] = m
+        off = k.rank(n + eps)  # the K-block's columns come first
+        bottom = tuple({**f, **{off + j: e for j, e in d.items()}} for f, d in
+                       zip(u.sparse_matrix(n + eps).rows, l.sparse_d(n).rows))
+        top = k.sparse_d(n + eps).scaled(-1).rows
+        diffs[n] = la.SparseMatrix((len(top) + len(bottom), ranks[n]), top + bottom)
     c = chain_complex(eps, ranks, diffs)
-    incl = {}
-    for n, r in l.ranks.items():
-        m = la.zeros(c.rank(n), r)
-        off = k.rank(n + eps)
-        for i in range(r):
-            m[off + i, i] = 1
-        incl[n] = m
-    proj = {}
-    for n in c.ranks:
-        rk = k.rank(n + eps)
-        if rk:
-            m = la.zeros(rk, c.rank(n))
-            for i in range(rk):
-                m[i, i] = 1
-            proj[n] = m
+    # L_n comes after the K-block of degree n; the projection keeps that block
+    incl = {n: la.SparseMatrix((c.rank(n), r), _cols=tuple(
+                {k.rank(n + eps) + i: 1} for i in range(r))) for n, r in l.ranks.items()}
+    proj = {n: la.SparseMatrix((k.rank(n + eps), r), la.sparse_identity(k.rank(n + eps)).rows)
+            for n, r in c.ranks.items()}
     return ConeResult(
         complex=c,
         include_target=chain_map(l, c, incl, shift=0, sign=1),
@@ -487,13 +457,9 @@ def cone_dual_iso(u: ChainMap) -> ChainMap:
         h_rank = dl.rank(n + 1)
         if g_rank + h_rank != lhs.rank(n) or rhs.rank(n) != h_rank + g_rank:
             raise InternalCheckError("cone dual blocks do not line up")
-        m = la.zeros(h_rank + g_rank, g_rank + h_rank)
         s = _sign(n + 1)
-        for i in range(h_rank):
-            m[i, g_rank + i] = s
-        for i in range(g_rank):
-            m[h_rank + i, i] = 1
-        mats[n] = m
+        rows = tuple({g_rank + i: s} for i in range(h_rank)) + tuple({i: 1} for i in range(g_rank))
+        mats[n] = la.SparseMatrix((h_rank + g_rank, g_rank + h_rank), rows)
     return chain_map(lhs, rhs, mats, shift=0, sign=1)
 
 
@@ -540,11 +506,8 @@ class InducedMap:
 def induced_map_on_homology(f: ChainMap, degree: int) -> InducedMap:
     hs = homology(f.source, degree)
     ht = homology(f.target, degree + f.shift)
-    m = f.matrix(degree)
-    cols = []
-    for g in hs.cycle_basis:
-        img = la.matmul(m, g)
-        cols.append(ht.coords_of(img))
+    m = f.sparse_matrix(degree)
+    cols = [ht.coords_of(m.apply(g)) for g in hs.cycle_basis]
     mat = la.zeros(ht.dim, hs.dim)
     for j, c in enumerate(cols):
         for i, v in enumerate(c):

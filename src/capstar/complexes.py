@@ -56,7 +56,7 @@ class SimplicialComplex:
     _rank: Mapping = field(default=None, repr=False, compare=False)
     _index: Mapping = field(default=None, repr=False, compare=False)
     # data derived from this complex on first use (its chain
-    # complex); lives and dies with the complex
+    # complex, its barycentric subdivision); lives and dies with the complex
     _derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -145,8 +145,8 @@ class Subcomplex:
 
     parent: SimplicialComplex
     simplices: frozenset
-    # data derived from this subcomplex on first use: the pair (parent,
-    # self)'s chain complex, its closed star in the parent
+    # data derived from this subcomplex on first use: the pair (parent, self)'s
+    # chain complex, its closed star and non-meeting complement in the parent
     # and its `as_complex` views by name; lives and dies with the subcomplex
     _derived: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -249,11 +249,15 @@ def closed_star(x: SimplicialComplex, z: Subcomplex) -> Subcomplex:
 
 
 def nonmeeting_complement(x: SimplicialComplex, z: Subcomplex) -> Subcomplex:
-    """Simplices of `x` with no vertex in `z`; automatically face-closed."""
+    """Simplices of `x` with no vertex in `z`; automatically face-closed.
+    Computed once and kept on `z`."""
     if z.parent is not x and z.parent != x:
         raise ValidationError("subcomplex does not belong to the given complex")
-    zv = z.vertices()
-    return x.subcomplex(s for s in x.all_simplices() if not any(v in zv for v in s))
+    if "complement" not in z._derived:
+        zv = z.vertices()
+        z._derived["complement"] = x.subcomplex(
+            s for s in x.all_simplices() if not any(v in zv for v in s))
+    return z._derived["complement"]
 
 
 def subcomplex_intersection(a: Subcomplex, b: Subcomplex) -> Subcomplex:
@@ -276,7 +280,8 @@ class SubdivisionResult:
     barycenter_of: Mapping  # parent simplex -> new vertex token
     parent_of: Mapping  # new vertex token -> parent simplex
     # the induced subdivisions built so far, keyed by the simplices of
-    # the subcomplex of `parent` they subdivide
+    # the subcomplex of `parent` they subdivide, and the subdivision and
+    # last-vertex chain maps
     _derived: dict = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -290,7 +295,12 @@ def barycenter_token(simplex: Simplex):
 def barycentric_subdivide(x: SimplicialComplex) -> SubdivisionResult:
     """sd X: one vertex b(s) per simplex s of X, and one simplex
     [b(s_0), ..., b(s_k)] per flag s_0 < ... < s_k of faces.  The new
-    vertices are ordered by parent dimension, then by parent tuple."""
+    vertices are ordered by parent dimension, then by parent tuple.
+    Built once: `x` keeps every part of the result but the result itself,
+    which refers back to `x`; a reference cycle would keep them all alive
+    after their last use, until the cyclic garbage collector runs."""
+    if "sd" in x._derived:
+        return SubdivisionResult(x, *x._derived["sd"])
     barycenter_of = {}
     parent_of = {}
     # parent -> the sd simplices whose last vertex is its barycenter; a
@@ -315,7 +325,8 @@ def barycentric_subdivide(x: SimplicialComplex) -> SubdivisionResult:
         simplices_by_dim=_levels([f for flags in flags_ending.values() for f in flags], rank),
         name=(x.name + "/sd") if x.name else "sd",
     )
-    return SubdivisionResult(parent=x, complex=sd, barycenter_of=barycenter_of, parent_of=parent_of)
+    x._derived["sd"] = (sd, barycenter_of, parent_of, {})
+    return SubdivisionResult(x, *x._derived["sd"])
 
 
 def induced_subdivision(sd: SubdivisionResult, z: Subcomplex) -> Subcomplex:

@@ -1,31 +1,35 @@
 """Exact integer matrix algebra: Smith normal form, kernels, solving.
 
-Matrices are numpy arrays of dtype=object holding Python ints, so all
-arithmetic is arbitrary precision.  Everything here is deterministic:
-the Smith reduction always picks the minimal-absolute-value pivot with
-a lexicographic (row, column) tie-break.
+Entries are Python ints, so all arithmetic is arbitrary precision.
+Everything here is deterministic: the Smith reduction always picks the
+minimal-absolute-value pivot with a lexicographic (row, column)
+tie-break.
 
-The reduction itself works on sparse rows and columns (dicts of the
-nonzeros), so its cost follows the nonzeros of the boundary matrices;
-its inputs and its five outputs are still dense object arrays, and the
-exact U @ A @ V == D certificate runs on every call at every size.
+Matrices are kept as `SparseMatrix`: dicts of the nonzeros by row, with
+the column view built on demand.  Products, the Smith reduction and its
+five factors all live there, so their cost follows the nonzeros of the
+boundary matrices; the exact U @ A @ V == D certificate runs on them,
+row by row, on every call at every size.  The public functions also
+take dense matrices (numpy arrays of dtype=object, or nested
+sequences), and `toarray` exports one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, repeat
-from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
 
 __all__ = [
+    "SparseMatrix",
     "SmithDecomposition",
     "as_matrix",
     "zeros",
     "identity",
+    "sparse_identity",
     "matmul",
     "smith_normal_form",
     "kernel_basis",
@@ -89,84 +93,7 @@ def zeros(m: int, n: int) -> np.ndarray:
 
 
 def identity(n: int) -> np.ndarray:
-    a = zeros(n, n)
-    for i in range(n):
-        a[i, i] = 1
-    return a
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact a @ b in Python ints, whatever the operands' integer dtype.
-
-    Each column of the product reads only the columns of `a` that its
-    column of `b` meets, so the cost is O(rows(a) * nnz(b)).  A vector
-    `b` runs as a one-column matrix and gives a vector back."""
-    a, b = _exact(a), _exact(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    cols = b.reshape(len(b), 1) if b.ndim == 1 else b
-    out = zeros(a.shape[0], cols.shape[1])
-    for j in range(cols.shape[1]):
-        nz = np.flatnonzero(cols[:, j])
-        if nz.size:
-            out[:, j] = a[:, nz].dot(cols[nz, j])
-    return out[:, 0] if b.ndim == 1 else out
-
-
-@dataclass(frozen=True, eq=False)
-class SmithDecomposition:
-    """U @ A @ V == D with U, V unimodular and D diagonal, d1 | d2 | ...
-
-    `u_inv` and `v_inv` are the exact inverses, tracked during the
-    reduction (never computed by inversion after the fact).
-    """
-
-    U: np.ndarray
-    D: np.ndarray
-    V: np.ndarray
-    u_inv: np.ndarray
-    v_inv: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for i in range(min(self.D.shape)) if self.D[i, i] != 0)
-
-    def invariant_factors(self) -> tuple[int, ...]:
-        return tuple(int(self.D[i, i]) for i in range(min(self.D.shape)) if self.D[i, i] != 0)
-
-
-def _nonzeros(x: np.ndarray) -> tuple[list, list, list]:
-    """Rows, columns and entries of the nonzeros of `x`, in row-major order."""
-    # one vectorised comparison, then nonzero on bools: on an object array
-    # this is over twice as fast as nonzero itself
-    rows, cols = np.nonzero(x != 0)
-    return rows.tolist(), cols.tolist(), x[rows, cols].tolist()
-
-
-def _lines(nonzeros: tuple[list, list, list], count: int, by_column: bool = False) -> list[dict]:
-    """The `count` rows, or columns, of a matrix given by its nonzeros, as
-    dicts {column: entry}, or {row: entry}."""
-    rows, cols, entries = nonzeros
-    if by_column:
-        rows, cols = cols, rows
-    out = [{} for _ in range(count)]
-    for i, j, e in zip(rows, cols, entries):
-        out[i][j] = e
-    return out
-
-
-def _dense(lines: list[dict], shape: tuple[int, int], by_column: bool = False) -> np.ndarray:
-    """The object matrix of `shape` whose rows, or columns, are `lines`."""
-    rows, cols, entries = [], [], []
-    for i, line in enumerate(lines):
-        rows += repeat(i, len(line))
-        cols += line
-        entries += line.values()
-    if by_column:
-        rows, cols = cols, rows
-    out = zeros(*shape)
-    out[rows, cols] = np.array(entries, dtype=object)
-    return out
+    return sparse_identity(n).toarray()
 
 
 def _axpy(dst: dict, q: int, src: dict) -> None:
@@ -179,51 +106,199 @@ def _axpy(dst: dict, q: int, src: dict) -> None:
             del dst[k]
 
 
-def _certify(u: np.ndarray, a: np.ndarray, v: np.ndarray, d: np.ndarray) -> None:
-    """Exact check of U @ A @ V == D by three matrix-vector products:
-    every entry of U A V - D is below B/2 in absolute value, so each
-    entry of (U A V - D) r, r = (1, B, B^2, ...), is a balanced base-B
-    numeral whose digits are one row of U A V - D, zero only when they
-    all are.  Each operand's nonzeros are read once; the products run
-    over them in Python ints."""
-    m, n = a.shape
-    su, sa, sv, sd = [(x.shape[0], *_nonzeros(x)) for x in (u, a, v, d)]
-    bu, ba, bv, bd = [max(map(abs, x[3]), default=0) for x in (su, sa, sv, sd)]
-    b = 2 * (m * n * bu * ba * bv + bd) + 1
+def _times(row: dict, rows) -> dict:
+    """The sparse row `row` times the matrix whose rows are `rows`."""
+    out = {}
+    for k, e in row.items():
+        for j, x in rows[k].items():
+            out[j] = out.get(j, 0) + e * x
+    return {j: x for j, x in out.items() if x}
 
-    def times(x, vec):
-        count, rows, cols, entries = x
-        out = [0] * count
-        for i, j, e in zip(rows, cols, entries):
-            out[i] += e * vec[j]
+
+def _transposed(lines, count: int) -> tuple:
+    """The `count` columns of the matrix whose rows are `lines`; or its
+    rows, given its columns."""
+    out = tuple({} for _ in range(count))
+    for i, line in enumerate(lines):
+        for j, e in line.items():
+            out[j][i] = e
+    return out
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class SparseMatrix:
+    """An exact integer matrix kept as its nonzeros: `rows[i]` is the dict
+    {column: entry} of row i, `cols[j]` the dict {row: entry} of column j,
+    with Python int entries and no stored zeros.  One of the two views
+    is given, the other is built on first use; `T` swaps them.  A
+    matrix is never edited: no dict in either view changes once it is
+    there, so matrices may share them.  Built with neither view, it is
+    the zero matrix of its shape."""
+
+    shape: tuple
+    _rows: tuple = None
+    _cols: tuple = None
+
+    def __post_init__(self):
+        if self._rows is None and self._cols is None:
+            object.__setattr__(self, "_rows", tuple({} for _ in range(self.shape[0])))
+
+    @classmethod
+    def of(cls, a, shape=None) -> "SparseMatrix":
+        """`a` itself, or the matrix `as_matrix(a, shape)` read once; each
+        nonzero entry is checked to be an integer."""
+        if isinstance(a, SparseMatrix):
+            return a
+        a = as_matrix(a, shape)
+        rows = tuple({} for _ in range(a.shape[0]))
+        r, c = np.nonzero(a != 0)
+        for i, j, e in zip(r.tolist(), c.tolist(), a[r, c].tolist()):
+            rows[i][j] = _entry(e)
+        return cls(a.shape, rows)
+
+    @property
+    def rows(self) -> tuple:
+        if self._rows is None:
+            object.__setattr__(self, "_rows", _transposed(self._cols, self.shape[0]))
+        return self._rows
+
+    @property
+    def cols(self) -> tuple:
+        if self._cols is None:
+            object.__setattr__(self, "_cols", _transposed(self._rows, self.shape[1]))
+        return self._cols
+
+    @property
+    def T(self) -> "SparseMatrix":
+        return SparseMatrix(self.shape[::-1], self._cols, self._rows)
+
+    def __getitem__(self, index) -> "SparseMatrix":
+        """The rows at `index`, a slice or a list of row numbers."""
+        rows = self.rows[index] if isinstance(index, slice) else tuple(self.rows[i] for i in index)
+        return SparseMatrix((len(rows), self.shape[1]), rows)
+
+    def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
+        """Row i of the product combines the rows of `other` that row i
+        of `self` meets, so the cost follows the nonzeros."""
+        if self.shape[1] != other.shape[0]:
+            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
+        rows = other.rows
+        return SparseMatrix((self.shape[0], other.shape[1]),
+                            tuple(_times(row, rows) for row in self.rows))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SparseMatrix):
+            return NotImplemented
+        return self.shape == other.shape and self.rows == other.rows
+
+    def any(self) -> bool:
+        return any(self._rows if self._rows is not None else self._cols)
+
+    def scaled(self, c: int) -> "SparseMatrix":
+        if c == 1:
+            return self
+        return SparseMatrix(self.shape, tuple(
+            {j: c * e for j, e in row.items()} if c else {} for row in self.rows))
+
+    def apply(self, vec) -> np.ndarray:
+        """self @ vec for a vector of Python ints, reading only the
+        columns that its nonzeros meet."""
+        out = [0] * self.shape[0]
+        cols = self.cols
+        for j in np.flatnonzero(vec != 0).tolist():
+            x = vec[j]
+            for i, e in cols[j].items():
+                out[i] += x * e
+        return np.array(out, dtype=object)
+
+    def toarray(self) -> np.ndarray:
+        """The dense object matrix."""
+        out = zeros(*self.shape)
+        for i, row in enumerate(self.rows):
+            for j, e in row.items():
+                out[i, j] = e
         return out
 
-    r = list(accumulate(repeat(b, n), mul, initial=1))[:n]
-    if times(su, times(sa, times(sv, r))) != times(sd, r):
-        raise AssertionError("smith reduction lost the factorization")
+
+def sparse_identity(n: int) -> SparseMatrix:
+    """The n x n identity; the Smith reduction starts its factors here."""
+    return SparseMatrix((n, n), tuple({i: 1} for i in range(n)))
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact a @ b in Python ints, whatever the operands' integer dtype,
+    on the sparse product.  A vector `b` gives a vector back."""
+    a, b = _exact(a), _exact(b)
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
+    if b.ndim == 1:
+        return SparseMatrix.of(a).apply(b)
+    return (SparseMatrix.of(a) @ SparseMatrix.of(b)).toarray()
+
+
+class Factors(NamedTuple):
+    """The five matrices of a Smith decomposition, kept sparse."""
+
+    U: SparseMatrix
+    D: SparseMatrix
+    V: SparseMatrix
+    u_inv: SparseMatrix
+    v_inv: SparseMatrix
+
+
+@dataclass(frozen=True, eq=False)
+class SmithDecomposition:
+    """U @ A @ V == D with U, V unimodular and D diagonal, d1 | d2 | ...
+
+    `u_inv` and `v_inv` are the exact inverses, tracked during the
+    reduction (never computed by inversion after the fact).  The factors
+    are kept sparse in `sparse`; `U`, `D`, `V`, `u_inv` and `v_inv` are
+    their dense object arrays, built on each request.
+    """
+
+    sparse: Factors
+
+    U = property(lambda self: self.sparse.U.toarray())
+    D = property(lambda self: self.sparse.D.toarray())
+    V = property(lambda self: self.sparse.V.toarray())
+    u_inv = property(lambda self: self.sparse.u_inv.toarray())
+    v_inv = property(lambda self: self.sparse.v_inv.toarray())
+
+    @property
+    def rank(self) -> int:
+        return len(self.invariant_factors())
+
+    def invariant_factors(self) -> tuple[int, ...]:
+        return tuple(row[i] for i, row in enumerate(self.sparse.D.rows) if i in row)
+
+
+def _certify(u, a, v, d) -> None:
+    """Exact check of U @ A @ V == D, one row at a time: row i of U A V
+    is row i of U times A, times V, each product on the nonzeros.  The
+    operands are sparse, or anything `SparseMatrix.of` reads."""
+    u, a, v, d = map(SparseMatrix.of, (u, a, v, d))
+    a_rows, v_rows = a.rows, v.rows
+    for u_row, d_row in zip(u.rows, d.rows):
+        if _times(_times(u_row, a_rows), v_rows) != d_row:
+            raise AssertionError("smith reduction lost the factorization")
 
 
 def smith_normal_form(a) -> SmithDecomposition:
-    """Exact Smith normal form over the integers.
+    """Exact Smith normal form over the integers, of a SparseMatrix or
+    anything `as_matrix` takes.
 
     Deterministic minimal-absolute-value pivoting with lexicographic
     tie-break.  The reduction runs on sparse lines: the working matrix
     as row dicts with a column -> rows index, U and v_inv as row dicts,
-    u_inv and V as column dicts.  All five returned matrices are
-    object-dtype arrays of Python ints; the identity U @ A @ V == D is
-    certified exactly at every size before returning.
+    u_inv and V as column dicts; these become the sparse factors.  The
+    identity U @ A @ V == D is certified exactly at every size before
+    returning.
     """
-    a = as_matrix(a)
+    a = SparseMatrix.of(a)
     m, n = a.shape
-    rows, cols, entries = _nonzeros(a)
-    nonzeros = rows, cols, [_entry(e) for e in entries]  # object arrays pass as_matrix unread
-    w = _lines(nonzeros, m)
-    if any(type(e) is not int for e in entries):
-        a = _dense(w, (m, n))  # certify the checked ints: numpy integers would overflow
-    w_cols = [set(col) for col in _lines(nonzeros, n, by_column=True)]
-    eye_m, eye_n = _nonzeros(identity(m)), _nonzeros(identity(n))
-    u, u_inv = _lines(eye_m, m), _lines(eye_m, m, by_column=True)
-    v, v_inv = _lines(eye_n, n, by_column=True), _lines(eye_n, n)
+    w = [dict(row) for row in a.rows]
+    w_cols = [set(col) for col in a.cols]
+    u, u_inv, v, v_inv = ([dict(line) for line in sparse_identity(k).rows] for k in (m, m, n, n))
 
     def put(i, j, s):
         # w[i, j] = s, keeping the column index
@@ -339,27 +414,29 @@ def smith_normal_form(a) -> SmithDecomposition:
             _axpy(u_inv[offender], -1, u_inv[t])
         t += 1
 
-    d = _dense(w, (m, n))
-    u, v = _dense(u, (m, m)), _dense(v, (n, n), by_column=True)
-    _certify(u, a, v, d)
-    return SmithDecomposition(
-        U=u, D=d, V=v, u_inv=_dense(u_inv, (m, m), by_column=True), v_inv=_dense(v_inv, (n, n))
+    f = Factors(
+        U=SparseMatrix((m, m), tuple(u)), D=SparseMatrix((m, n), tuple(w)),
+        V=SparseMatrix((n, n), _cols=tuple(v)), u_inv=SparseMatrix((m, m), _cols=tuple(u_inv)),
+        v_inv=SparseMatrix((n, n), tuple(v_inv)),
     )
+    _certify(f.U, a, f.V, f.D)
+    return SmithDecomposition(f)
 
 
 def kernel_basis(a) -> np.ndarray:
     """Columns form a basis of the integer kernel lattice of `a`."""
     snf = smith_normal_form(a)
-    return snf.V[:, snf.rank:]
+    return snf.sparse.V.T[snf.rank:].T.toarray()
 
 
 def solve_integer(a, b):
     """One integer solution x of a @ x = b, or None when there is none.
 
     `b` may be a vector (shape (m,)) or a matrix of stacked right-hand
-    sides; the solution comes back in the matching shape.
+    sides; the solution comes back in the matching shape.  `a` is a
+    SparseMatrix or anything `as_matrix` takes.
     """
-    a = as_matrix(a)
+    a = SparseMatrix.of(a)
     vec = False
     b = _integral(b)
     if b.ndim == 1:
@@ -368,19 +445,17 @@ def solve_integer(a, b):
     if b.shape[0] != a.shape[0]:
         raise ValueError("right-hand side length mismatch")
     snf = smith_normal_form(a)
-    c = matmul(snf.U, b)
-    r = snf.rank
-    y = zeros(a.shape[1], b.shape[1])
-    for i in range(c.shape[0]):
-        for j in range(c.shape[1]):
-            if i < r:
-                d = snf.D[i, i]
-                if c[i, j] % d != 0:
-                    return None
-                y[i, j] = c[i, j] // d
-            elif c[i, j] != 0:
-                return None
-    x = matmul(snf.V, y)
+    f, r = snf.sparse, snf.rank
+    c = (f.U @ SparseMatrix.of(b)).rows
+    if any(c[r:]):
+        return None
+    y = []
+    for i, row in enumerate(c[:r]):
+        d = f.D.rows[i][i]
+        if any(e % d for e in row.values()):
+            return None
+        y.append({j: e // d for j, e in row.items()})
+    x = (f.V.T[:r].T @ SparseMatrix((r, b.shape[1]), tuple(y))).toarray()
     return x[:, 0] if vec else x
 
 

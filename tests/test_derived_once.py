@@ -2,6 +2,7 @@
 derive from, and shared read-only."""
 
 import gc
+import random
 import sys
 import weakref
 
@@ -13,6 +14,7 @@ import capstar.bridge as bridge
 import capstar.chains as chains
 import capstar.complexes as complexes
 import capstar.products as products
+import capstar.verify as verify
 from capstar import intlinalg as la
 from capstar.bm import (
     OpenSpaceModel,
@@ -243,6 +245,55 @@ def test_bm_cross_check_reuses_the_relative_groups(monkeypatch, homology_snf_cal
     assert absolute_calls == [0]
 
 
+def test_bm_supported_cap_subdivides_each_level_once(monkeypatch):
+    made = []
+    subdivide = complexes.barycentric_subdivide
+
+    def counted(x):
+        made.append((x, subdivide(x)))
+        return made[-1][1]
+
+    monkeypatch.setattr(products, "barycentric_subdivide", counted)
+    x, z, u, alpha = _circle_cap_instance()
+    model = OpenSpaceModel(ambient=x, boundary=x.subcomplex([(3,)]))
+    assert bm_supported_cap(model, z, u, alpha, presubdivide=2).class_in_z.coords == (1,)
+    # the relative cap and the absolute cross-check both go down two
+    # levels, and share one subdivision, with its chain maps, per level
+    assert len(made) == 4
+    levels = {id(parent) for parent, _ in made}
+    assert len(levels) == len({id(sd.complex) for _, sd in made}) == 2
+    for level in levels:
+        first, again = [sd for parent, sd in made if id(parent) == level]
+        assert again.complex is first.complex
+        assert bridge.subdivision_chain_map(again) is bridge.subdivision_chain_map(first)
+        assert bridge.last_vertex_chain_map(again) is bridge.last_vertex_chain_map(first)
+
+
+def test_supported_draws_build_one_nonmeeting_complement_per_support(monkeypatch):
+    built, assembled = [], []
+    complement, assemble = complexes.nonmeeting_complement, bridge._assemble
+
+    def counted(x, z):
+        built.append((id(x), id(z), id(complement(x, z))))
+        return complement(x, z)
+
+    def counted_assembly(x, y):
+        assembled.append(None if y is None else len(y.simplices))
+        return assemble(x, y)
+
+    monkeypatch.setattr(verify, "nonmeeting_complement", counted)
+    monkeypatch.setattr(bridge, "_assemble", counted_assembly)
+    x = torus()
+    rng = random.Random(3)
+    for z in (x.subcomplex_closure([(0,)]), x.subcomplex_closure([(1, 2)])):
+        for _ in range(3):
+            verify._random_cocycle_vanishing_off_star(rng, x, z, 1)
+            verify._random_supported_cochain(rng, x, z, 0)
+    # six draws per support, one complement and one relative complex each
+    assert len(built) == 12 and len(set(built)) == 2
+    assert len(assembled) == 2 and None not in assembled
+
+
 def test_support_caches_die_with_the_subcomplex():
     x = torus()
     z = x.subcomplex_closure([(0,)])
@@ -265,23 +316,39 @@ def test_kept_kernel_is_the_kernel_basis(surfaces, pairs):
         lo, hi = k.degree_span()
         for n in range(lo - 1, hi + 2):
             kept, fresh = homology(k, n)._kernel, la.kernel_basis(k.d(n))
-            assert kept.shape == fresh.shape and np.array_equal(kept, fresh)
-            with pytest.raises(ValueError):
-                kept[..., :1] *= 2
+            assert kept.shape == fresh.shape and np.array_equal(kept.toarray(), fresh)
+            with pytest.raises(TypeError, match="does not support item assignment"):
+                kept[0, 0] = 2
 
 
-def test_kept_coordinate_rows_own_their_data(surfaces, pairs):
+def test_kept_coordinate_rows_own_their_data(surfaces, pairs, monkeypatch):
+    factors = []
+    snf = chains.smith_normal_form
+
+    def kept(a):
+        out = snf(a)
+        factors.append(out.sparse)
+        return out
+
+    monkeypatch.setattr(chains, "smith_normal_form", kept)
     ks = [f(x) for x in surfaces.values() for f in (chain_complex_of, cochain_complex)]
     ks += [f(m.ambient, m.boundary) for m in pairs.values()
            for f in (chain_complex_of, cochain_complex)]
     for k in ks:
+        # a fresh complex, so that its groups are computed here
+        k = chains.chain_complex(k.diff_degree, k.ranks, k.sparse)
         lo, hi = k.degree_span()
         for n in range(lo - 1, hi + 2):
+            factors.clear()
             h = homology(k, n)
             coords = h._coords
-            # one dim x rank C_n matrix, not a view into a Smith factor
-            assert coords.base is None and coords.flags.owndata
-            assert not coords.flags.writeable
+            # one dim x rank C_n matrix, sharing no line with a Smith factor
+            lines = {id(line) for f in factors for m in f for line in m.rows + m.cols}
+            assert lines and not lines & {id(row) for row in coords.rows}
+            with pytest.raises(TypeError, match="does not support item assignment"):
+                coords[0, 0] = 1
+            with pytest.raises(AttributeError):
+                coords._rows = ()
             assert coords.shape == (h.dim, k.rank(n))
             reps = np.stack(h.cycle_basis, axis=1) if h.dim else la.zeros(k.rank(n), 0)
-            assert np.array_equal(la.matmul(coords, reps), la.identity(h.dim))
+            assert np.array_equal(la.matmul(coords.toarray(), reps), la.identity(h.dim))

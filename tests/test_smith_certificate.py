@@ -24,15 +24,15 @@ def test_large_reduction_passes_its_certificate():
 
 def test_corrupted_large_reduction_is_rejected(monkeypatch):
     a = _large_matrix()
-    identity = la.identity
+    identity = la.sparse_identity
     # U (and V) no longer start at the identity, so U A V != D
-    monkeypatch.setattr(la, "identity", lambda n: 2 * identity(n))
+    monkeypatch.setattr(la, "sparse_identity", lambda n: identity(n).scaled(2))
     with pytest.raises(AssertionError, match="smith reduction lost the factorization"):
         la.smith_normal_form(a)
 
 
 def test_corrupted_small_reduction_is_rejected(monkeypatch):
-    identity = la.identity
-    monkeypatch.setattr(la, "identity", lambda n: 2 * identity(n))
+    identity = la.sparse_identity
+    monkeypatch.setattr(la, "sparse_identity", lambda n: identity(n).scaled(2))
     with pytest.raises(AssertionError, match="smith reduction lost the factorization"):
         la.smith_normal_form(la.as_matrix([[2, 4], [6, 8]]))
