@@ -16,7 +16,7 @@ sequences), and `toarray` exports one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -136,8 +136,8 @@ class SparseMatrix:
     the zero matrix of its shape."""
 
     shape: tuple
-    _rows: tuple = None
-    _cols: tuple = None
+    _rows: tuple = field(default=None, repr=False)
+    _cols: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
         if self._rows is None and self._cols is None:
