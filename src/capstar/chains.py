@@ -319,7 +319,7 @@ def homology(k: ChainComplexZ, degree: int) -> HomologyGroup:
     v_inv = snf_a.sparse.v_inv
     kernel = snf_a.sparse.V.T[r_a:]  # rows: a basis of the cycles
     coords_b = v_inv @ b
-    if any(coords_b.rows[:r_a]):
+    if coords_b[:r_a].any():
         raise InternalCheckError("boundaries are not cycles; d o d != 0")
     snf_c = smith_normal_form(coords_b[r_a:])
     r_c = snf_c.rank
@@ -507,11 +507,9 @@ def induced_map_on_homology(f: ChainMap, degree: int) -> InducedMap:
     hs = homology(f.source, degree)
     ht = homology(f.target, degree + f.shift)
     m = f.sparse_matrix(degree)
-    cols = [ht.coords_of(m.apply(g)) for g in hs.cycle_basis]
     mat = la.zeros(ht.dim, hs.dim)
-    for j, c in enumerate(cols):
-        for i, v in enumerate(c):
-            mat[i, j] = v
+    for j, g in enumerate(hs.cycle_basis):
+        mat[:, j] = ht.coords_of(m.apply(g))
     return InducedMap(source_group=hs, target_group=ht, matrix=mat)
 
 

@@ -17,6 +17,7 @@ sequences), and `toarray` exports one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -127,17 +128,19 @@ def _transposed(lines, count: int) -> tuple:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class SparseMatrix:
-    """An exact integer matrix kept as its nonzeros: `rows[i]` is the dict
-    {column: entry} of row i, `cols[j]` the dict {row: entry} of column j,
-    with Python int entries and no stored zeros.  One of the two views
-    is given, the other is built on first use; `T` swaps them.  A
-    matrix is never edited: no dict in either view changes once it is
-    there, so matrices may share them.  Built with neither view, it is
-    the zero matrix of its shape."""
+    """An exact integer matrix kept as its nonzeros: `rows[i]` maps the
+    columns of row i to its entries, `cols[j]` the rows of column j,
+    with Python int entries and no stored zeros.  One or both views are
+    kept as dicts, the other built on first use; `T` swaps them.  A
+    matrix is never edited: `rows` and `cols` are read-only mappings and
+    this module only reads the dicts, so matrices may share them, and
+    whoever builds one from dicts hands them over.  Built with neither
+    view, it is the zero matrix of its shape."""
 
     shape: tuple
     _rows: tuple = field(default=None, repr=False)
     _cols: tuple = field(default=None, repr=False)
+    _checked: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         if self._rows is None and self._cols is None:
@@ -145,51 +148,91 @@ class SparseMatrix:
 
     @classmethod
     def of(cls, a, shape=None) -> "SparseMatrix":
-        """`a` itself, or the matrix `as_matrix(a, shape)` read once; each
-        nonzero entry is checked to be an integer."""
+        """`a` itself once it is checked, or the matrix `as_matrix(a,
+        shape)` read once; either way each entry is checked to be an
+        integer, and a SparseMatrix's lines to fit its shape."""
         if isinstance(a, SparseMatrix):
+            a.check()
             return a
         a = as_matrix(a, shape)
         rows = tuple({} for _ in range(a.shape[0]))
         r, c = np.nonzero(a != 0)
         for i, j, e in zip(r.tolist(), c.tolist(), a[r, c].tolist()):
             rows[i][j] = _entry(e)
-        return cls(a.shape, rows)
+        return cls(a.shape, rows, _checked=True)
+
+    def check(self) -> None:
+        """Raise ValidationError unless the shape is two sizes and the kept
+        view (the rows, when both are kept) is a tuple of one line per row
+        (column) with int indices inside the shape and nonzero Python int
+        entries, the other view, if kept, its transpose; one pass over the
+        nonzeros, on the first call only."""
+        if self._checked:
+            return
+        shape = self.shape
+        if len(shape) != 2 or any(type(k) is not int or k < 0 for k in shape):
+            raise ValidationError(f"shape {shape!r} is not two sizes")
+        lines, (count, width) = ((self._rows, shape) if self._rows is not None
+                                 else (self._cols, shape[::-1]))
+        if type(lines) is not tuple or len(lines) != count:
+            raise ValidationError(f"the shape asks for a tuple of {count} lines")
+        for line in lines:
+            for k, e in line.items():
+                if type(k) is not int or not 0 <= k < width:
+                    raise ValidationError(f"index {k!r} is not an int inside the shape")
+                if type(e) is not int or not e:
+                    raise ValidationError(f"entry {e!r} is not a nonzero integer")
+        if self._cols is not None and self._cols is not lines and (
+                _transposed(lines, width) != self._cols):
+            raise ValidationError("the row and column views disagree")
+        object.__setattr__(self, "_checked", True)
 
     @property
-    def rows(self) -> tuple:
+    def _row_dicts(self) -> tuple:
         if self._rows is None:
             object.__setattr__(self, "_rows", _transposed(self._cols, self.shape[0]))
         return self._rows
 
     @property
-    def cols(self) -> tuple:
+    def _col_dicts(self) -> tuple:
         if self._cols is None:
             object.__setattr__(self, "_cols", _transposed(self._rows, self.shape[1]))
         return self._cols
 
     @property
+    def rows(self) -> tuple:
+        """The rows, as read-only mappings."""
+        return tuple(map(MappingProxyType, self._row_dicts))
+
+    @property
+    def cols(self) -> tuple:
+        """The columns, as read-only mappings."""
+        return tuple(map(MappingProxyType, self._col_dicts))
+
+    @property
     def T(self) -> "SparseMatrix":
-        return SparseMatrix(self.shape[::-1], self._cols, self._rows)
+        return SparseMatrix(self.shape[::-1], self._cols, self._rows, self._checked)
 
     def __getitem__(self, index) -> "SparseMatrix":
         """The rows at `index`, a slice or a list of row numbers."""
-        rows = self.rows[index] if isinstance(index, slice) else tuple(self.rows[i] for i in index)
-        return SparseMatrix((len(rows), self.shape[1]), rows)
+        lines = self._row_dicts
+        rows = lines[index] if isinstance(index, slice) else tuple(lines[i] for i in index)
+        return SparseMatrix((len(rows), self.shape[1]), rows, _checked=self._checked)
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         """Row i of the product combines the rows of `other` that row i
         of `self` meets, so the cost follows the nonzeros."""
         if self.shape[1] != other.shape[0]:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        rows = other.rows
+        rows = other._row_dicts
         return SparseMatrix((self.shape[0], other.shape[1]),
-                            tuple(_times(row, rows) for row in self.rows))
+                            tuple(_times(row, rows) for row in self._row_dicts),
+                            _checked=self._checked and other._checked)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        return self.shape == other.shape and self.rows == other.rows
+        return self.shape == other.shape and self._row_dicts == other._row_dicts
 
     def any(self) -> bool:
         return any(self._rows if self._rows is not None else self._cols)
@@ -198,13 +241,13 @@ class SparseMatrix:
         if c == 1:
             return self
         return SparseMatrix(self.shape, tuple(
-            {j: c * e for j, e in row.items()} if c else {} for row in self.rows))
+            {j: c * e for j, e in row.items()} if c else {} for row in self._row_dicts))
 
     def apply(self, vec) -> np.ndarray:
         """self @ vec for a vector of Python ints, reading only the
         columns that its nonzeros meet."""
         out = [0] * self.shape[0]
-        cols = self.cols
+        cols = self._col_dicts
         for j in np.flatnonzero(vec != 0).tolist():
             x = vec[j]
             for i, e in cols[j].items():
@@ -214,7 +257,7 @@ class SparseMatrix:
     def toarray(self) -> np.ndarray:
         """The dense object matrix."""
         out = zeros(*self.shape)
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(self._row_dicts):
             for j, e in row.items():
                 out[i, j] = e
         return out
@@ -269,16 +312,17 @@ class SmithDecomposition:
         return len(self.invariant_factors())
 
     def invariant_factors(self) -> tuple[int, ...]:
-        return tuple(row[i] for i, row in enumerate(self.sparse.D.rows) if i in row)
+        return tuple(row[i] for i, row in enumerate(self.sparse.D._row_dicts) if i in row)
 
 
 def _certify(u, a, v, d) -> None:
     """Exact check of U @ A @ V == D, one row at a time: row i of U A V
     is row i of U times A, times V, each product on the nonzeros.  The
-    operands are sparse, or anything `SparseMatrix.of` reads."""
-    u, a, v, d = map(SparseMatrix.of, (u, a, v, d))
-    a_rows, v_rows = a.rows, v.rows
-    for u_row, d_row in zip(u.rows, d.rows):
+    operands are sparse, as the reduction made them, or anything
+    `SparseMatrix.of` reads."""
+    u, a, v, d = (m if isinstance(m, SparseMatrix) else SparseMatrix.of(m) for m in (u, a, v, d))
+    a_rows, v_rows = a._row_dicts, v._row_dicts
+    for u_row, d_row in zip(u._row_dicts, d._row_dicts):
         if _times(_times(u_row, a_rows), v_rows) != d_row:
             raise AssertionError("smith reduction lost the factorization")
 
@@ -296,9 +340,10 @@ def smith_normal_form(a) -> SmithDecomposition:
     """
     a = SparseMatrix.of(a)
     m, n = a.shape
-    w = [dict(row) for row in a.rows]
-    w_cols = [set(col) for col in a.cols]
-    u, u_inv, v, v_inv = ([dict(line) for line in sparse_identity(k).rows] for k in (m, m, n, n))
+    w = [dict(row) for row in a._row_dicts]
+    w_cols = [set(col) for col in a._col_dicts]
+    u, u_inv, v, v_inv = ([dict(line) for line in sparse_identity(k)._row_dicts]
+                          for k in (m, m, n, n))
 
     def put(i, j, s):
         # w[i, j] = s, keeping the column index
@@ -446,12 +491,12 @@ def solve_integer(a, b):
         raise ValueError("right-hand side length mismatch")
     snf = smith_normal_form(a)
     f, r = snf.sparse, snf.rank
-    c = (f.U @ SparseMatrix.of(b)).rows
+    c = (f.U @ SparseMatrix.of(b))._row_dicts
     if any(c[r:]):
         return None
     y = []
     for i, row in enumerate(c[:r]):
-        d = f.D.rows[i][i]
+        d = f.D._row_dicts[i][i]
         if any(e % d for e in row.values()):
             return None
         y.append({j: e // d for j, e in row.items()})

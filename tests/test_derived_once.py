@@ -104,6 +104,20 @@ def test_differentials_are_read_only():
     assert homology(chain_complex_of(x), 1).group_str() == "Z^2"
 
 
+def test_sparse_lines_are_read_only():
+    x = torus()
+    k = chain_complex_of(x)
+    f = bridge.last_vertex_chain_map(complexes.barycentric_subdivide(x))
+    snf = la.smith_normal_form(k.sparse_d(1))
+    for m in [k.sparse_d(1), f.sparse_matrix(1), *snf.sparse]:
+        for line in (m.rows[0], m.cols[0]):
+            with pytest.raises(TypeError, match="does not support item assignment"):
+                line[0] = 5
+            with pytest.raises(AttributeError):
+                line.clear()
+    assert homology(chain_complex_of(x), 1).group_str() == "Z^2"
+
+
 def test_cycle_representatives_are_read_only():
     k = chain_complex_of(torus())
     h = homology(k, 1)
@@ -317,8 +331,10 @@ def test_kept_kernel_is_the_kernel_basis(surfaces, pairs):
         for n in range(lo - 1, hi + 2):
             kept, fresh = homology(k, n)._kernel, la.kernel_basis(k.d(n))
             assert kept.shape == fresh.shape and np.array_equal(kept.toarray(), fresh)
-            with pytest.raises(TypeError, match="does not support item assignment"):
-                kept[0, 0] = 2
+            # every line of either view refuses an edit
+            for line in kept.rows + kept.cols:
+                with pytest.raises(TypeError, match="does not support item assignment"):
+                    line[0] = 2
 
 
 def test_kept_coordinate_rows_own_their_data(surfaces, pairs, monkeypatch):
@@ -343,10 +359,11 @@ def test_kept_coordinate_rows_own_their_data(surfaces, pairs, monkeypatch):
             h = homology(k, n)
             coords = h._coords
             # one dim x rank C_n matrix, sharing no line with a Smith factor
-            lines = {id(line) for f in factors for m in f for line in m.rows + m.cols}
-            assert lines and not lines & {id(row) for row in coords.rows}
-            with pytest.raises(TypeError, match="does not support item assignment"):
-                coords[0, 0] = 1
+            lines = {id(line) for f in factors for m in f for line in m._row_dicts + m._col_dicts}
+            assert lines and not lines & {id(row) for row in coords._row_dicts}
+            for line in coords.rows + coords.cols:
+                with pytest.raises(TypeError, match="does not support item assignment"):
+                    line[0] = 1
             with pytest.raises(AttributeError):
                 coords._rows = ()
             assert coords.shape == (h.dim, k.rank(n))

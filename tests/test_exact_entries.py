@@ -10,7 +10,7 @@ import pytest
 
 from capstar import intlinalg as la
 from capstar.bridge import SimplicialChain, chain_complex_of, vector_to_chain
-from capstar.chains import chain_complex, homology
+from capstar.chains import chain_complex, chain_map, homology
 from capstar.errors import ValidationError
 from capstar.fixtures import circle
 
@@ -82,6 +82,50 @@ def test_smith_normal_form_refuses_non_integers():
         la.smith_normal_form([[2, 0.5]])
     with pytest.raises(ValidationError, match="must be integers"):
         la.smith_normal_form(np.array([[1.0]]))
+
+
+@pytest.mark.parametrize(
+    "lines, match",
+    [
+        (({0: 0.5},), "not a nonzero integer"),
+        (({0: 1.0},), "not a nonzero integer"),
+        (({0: Fraction(1, 1)},), "not a nonzero integer"),
+        (({0: np.int64(1)},), "not a nonzero integer"),
+        (({0: True},), "not a nonzero integer"),
+        (({0: 0},), "not a nonzero integer"),
+        (({1: 1},), "inside the shape"),
+        (({-1: 1},), "inside the shape"),
+        (({np.int64(0): 1},), "inside the shape"),
+        (({0: 1}, {}), "a tuple of 1 lines"),
+        ([{0: 1}], "a tuple of 1 lines"),
+    ],
+    ids=repr,
+)
+def test_sparse_input_is_checked(lines, match):
+    a = la.SparseMatrix((1, 1), lines)
+    with pytest.raises(ValidationError, match=match):
+        la.smith_normal_form(a)
+    with pytest.raises(ValidationError, match=match):
+        la.solve_integer(a, [1])
+    with pytest.raises(ValidationError, match=match):
+        chain_complex(-1, {0: 1, 1: 1}, {1: a})
+    k = chain_complex(-1, {0: 1}, {})
+    with pytest.raises(ValidationError, match=match):
+        chain_map(k, k, {0: a})
+
+
+def test_sparse_input_shape_and_views_are_checked():
+    with pytest.raises(ValidationError, match="not two sizes"):
+        la.smith_normal_form(la.SparseMatrix((1, 1.0), ({0: 1},)))
+    with pytest.raises(ValidationError, match="views disagree"):
+        la.smith_normal_form(la.SparseMatrix((1, 2), ({0: 1},), ({0: 1}, {0: 2})))
+    with pytest.raises(ValidationError, match="views disagree"):
+        la.smith_normal_form(la.SparseMatrix((1, 2), ({0: 1},), ({}, {0: 1})))
+    with pytest.raises(ValidationError, match="views disagree"):
+        la.smith_normal_form(la.SparseMatrix((2, 2), ({1: 1}, {}), ({1: 1}, {})))
+    both = la.SparseMatrix((2, 2), _cols=({1: 3}, {0: -1}))
+    both.rows
+    assert la.smith_normal_form(both).invariant_factors() == (1, 3)
 
 
 @pytest.mark.parametrize(
