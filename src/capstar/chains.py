@@ -507,9 +507,11 @@ def induced_map_on_homology(f: ChainMap, degree: int) -> InducedMap:
     hs = homology(f.source, degree)
     ht = homology(f.target, degree + f.shift)
     m = f.sparse_matrix(degree)
+    cols = [ht.coords_of(m.apply(g)) for g in hs.cycle_basis]
     mat = la.zeros(ht.dim, hs.dim)
-    for j, g in enumerate(hs.cycle_basis):
-        mat[:, j] = ht.coords_of(m.apply(g))
+    for j, c in enumerate(cols):
+        for i, v in enumerate(c):
+            mat[i, j] = v
     return InducedMap(source_group=hs, target_group=ht, matrix=mat)
 
 

@@ -170,13 +170,16 @@ class SparseMatrix:
         if self._checked:
             return
         shape = self.shape
-        if len(shape) != 2 or any(type(k) is not int or k < 0 for k in shape):
+        if type(shape) is not tuple or len(shape) != 2 or any(
+                type(k) is not int or k < 0 for k in shape):
             raise ValidationError(f"shape {shape!r} is not two sizes")
         lines, (count, width) = ((self._rows, shape) if self._rows is not None
                                  else (self._cols, shape[::-1]))
         if type(lines) is not tuple or len(lines) != count:
             raise ValidationError(f"the shape asks for a tuple of {count} lines")
         for line in lines:
+            if not isinstance(line, (dict, MappingProxyType)):
+                raise ValidationError(f"line {line!r} is not a dict")
             for k, e in line.items():
                 if type(k) is not int or not 0 <= k < width:
                     raise ValidationError(f"index {k!r} is not an int inside the shape")

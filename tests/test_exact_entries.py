@@ -98,6 +98,7 @@ def test_smith_normal_form_refuses_non_integers():
         (({np.int64(0): 1},), "inside the shape"),
         (({0: 1}, {}), "a tuple of 1 lines"),
         ([{0: 1}], "a tuple of 1 lines"),
+        (([(0, 1)],), "not a dict"),
     ],
     ids=repr,
 )
@@ -117,6 +118,8 @@ def test_sparse_input_is_checked(lines, match):
 def test_sparse_input_shape_and_views_are_checked():
     with pytest.raises(ValidationError, match="not two sizes"):
         la.smith_normal_form(la.SparseMatrix((1, 1.0), ({0: 1},)))
+    with pytest.raises(ValidationError, match="not two sizes"):
+        la.smith_normal_form(la.SparseMatrix([1, 1], ({0: 1},)))
     with pytest.raises(ValidationError, match="views disagree"):
         la.smith_normal_form(la.SparseMatrix((1, 2), ({0: 1},), ({0: 1}, {0: 2})))
     with pytest.raises(ValidationError, match="views disagree"):
