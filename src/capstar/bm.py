@@ -11,19 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import intlinalg as la
 from .bridge import (
     SimplicialChain,
     SimplicialCochain,
+    _coordinates,
+    _lift,
     boundary_of,
     chain_complex_of,
-    chain_to_vector,
     inclusion_chain_map,
     relative_chain_complex,
     subdivision_chain_map,
-    vector_to_chain,
 )
 from .chains import (
     HomologyGroup,
@@ -80,17 +78,17 @@ class ExactnessReport:
 
 def _exact_at(prev_matrix, here: HomologyGroup, next_matrix, nxt: HomologyGroup) -> bool:
     """Exactness at `here`: image of the incoming map equals the kernel
-    of the outgoing map, as subgroups in canonical coordinates."""
+    of the outgoing map, as subgroups in canonical coordinates.  The
+    maps are SparseMatrix or anything `SparseMatrix.of` reads."""
     n = here.dim
-    rel_here = here.relation_matrix()
-    image_gens = np.concatenate([prev_matrix, rel_here], axis=1)
+    rel_here = here._relations()
+    image_gens = la._hstack(la.SparseMatrix.of(prev_matrix), rel_here)
     # kernel of (next o quotient): x with next_matrix @ x in relations of nxt
-    rel_next = nxt.relation_matrix()
-    stacked = np.concatenate([next_matrix, -rel_next], axis=1)
-    ker = la.kernel_basis(stacked)
-    ker_x = ker[:n, :] if ker.shape[0] else la.zeros(n, ker.shape[1])
-    kernel_gens = np.concatenate([ker_x, rel_here], axis=1)
-    return la.lattices_equal(image_gens, kernel_gens)
+    stacked = la._hstack(la.SparseMatrix.of(next_matrix), nxt._relations().scaled(-1))
+    ker = la._kernel(stacked)
+    ker_x = la.SparseMatrix((n, ker.shape[1]), _cols=tuple(
+        {i: e for i, e in col.items() if i < n} for col in ker._col_dicts))
+    return la.lattices_equal(image_gens, la._hstack(ker_x, rel_here))
 
 
 def pair_long_exact_sequence(x: SimplicialComplex, y: Subcomplex) -> ExactnessReport:
@@ -110,21 +108,21 @@ def pair_long_exact_sequence(x: SimplicialComplex, y: Subcomplex) -> ExactnessRe
     top = x.dimension
     # (label, group, outgoing map) from H_top(Y) down to H_0(X, Y),
     # between the zero map in from H_{top+1}(X, Y) = 0 and H_{-1}(Y) = 0
-    seq = [(None, None, la.zeros(homology(cy, top).dim, 0))]
+    seq = [(None, None, la.SparseMatrix((homology(cy, top).dim, 0)))]
     for n in range(top, -1, -1):
         # the connecting map, in canonical coordinates: lift a relative
         # cycle to X along the projection's transpose, take its boundary in Y
         hrel, below = homology(rel, n), homology(cy, n - 1)
-        conn = la.zeros(below.dim, hrel.dim)
-        for j, g in enumerate(hrel.cycle_basis):
-            db = boundary_of(vector_to_chain(x, n, g, y))
+        conn = []
+        for g in hrel._gens._row_dicts:
+            db = boundary_of(_lift(x, n, g, y))
             if any(s not in y for s in db.coefficients):
                 raise InternalCheckError("relative cycle boundary escaped the subcomplex")
-            vec = chain_to_vector(SimplicialChain(y_complex, n - 1, db.coefficients))
-            conn[:, j] = below.coords_of(vec)
-        seq += [(f"H_{n}(Y)", homology(cy, n), induced_map_on_homology(incl, n).matrix),
-                (f"H_{n}(X)", homology(cx, n), induced_map_on_homology(proj, n).matrix),
-                (f"H_{n}(X,Y)", hrel, conn)]
+            c = below.coords_of(_coordinates(SimplicialChain(y_complex, n - 1, db.coefficients)))
+            conn.append({i: v for i, v in enumerate(c) if v})
+        seq += [(f"H_{n}(Y)", homology(cy, n), induced_map_on_homology(incl, n).sparse),
+                (f"H_{n}(X)", homology(cx, n), induced_map_on_homology(proj, n).sparse),
+                (f"H_{n}(X,Y)", hrel, la.SparseMatrix((below.dim, hrel.dim), _cols=tuple(conn)))]
     seq.append((None, homology(cy, -1), None))
     nodes = [(label, _exact_at(into, here, out, nxt))
              for (_, _, into), (label, here, out), (_, nxt, _) in zip(seq, seq[1:], seq[2:])]

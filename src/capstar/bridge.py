@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Mapping
 
-import numpy as np
-
 from . import intlinalg as la
 from .chains import ChainComplexZ, ChainMap, chain_complex, chain_map, dual_hom_z
 from .complexes import (
@@ -43,7 +41,6 @@ __all__ = [
     "relative_cochain_complex",
     "chain_to_vector",
     "vector_to_chain",
-    "cochain_to_vector",
     "vector_to_cochain",
     "boundary_of",
     "coboundary_of",
@@ -81,7 +78,9 @@ class SimplicialChain:
     and as a functional on cochains (its value on each dual basis
     cochain); `SimplicialCochain` and `CochainFunctional` name it too.
     Coefficients are ints, bools or numpy integers; anything else, a
-    float or a Fraction included, raises ValidationError.
+    float or a Fraction included, raises ValidationError.  Chains are
+    sparse and never load numpy; of the conversions below, only the
+    dense export `chain_to_vector` does.
     """
 
     complex: SimplicialComplex
@@ -269,11 +268,18 @@ def inclusion_chain_map(inner: SimplicialComplex, outer: SimplicialComplex) -> C
 # -- vector conversions -------------------------------------------------
 
 
-def chain_to_vector(c: SimplicialChain, y: Subcomplex | None = None) -> np.ndarray:
+def _coordinates(c: SimplicialChain, y: Subcomplex | None = None) -> list:
     """Coordinates of `c` in the basis of C(X)/C(Y): its coefficients on
     the simplices outside `y` (on all of them when `y` is None)."""
     coeffs = c.coefficients
-    return np.array([coeffs.get(s, 0) for s in _basis(c.complex, y, c.degree)], dtype=object)
+    return [coeffs.get(s, 0) for s in _basis(c.complex, y, c.degree)]
+
+
+def chain_to_vector(c: SimplicialChain, y: Subcomplex | None = None):
+    """`_coordinates(c, y)` as a dense numpy vector."""
+    import numpy as np
+
+    return np.array(_coordinates(c, y), dtype=object)
 
 
 def vector_to_chain(x: SimplicialComplex, degree: int, v,
@@ -283,8 +289,14 @@ def vector_to_chain(x: SimplicialComplex, degree: int, v,
     return SimplicialChain(x, degree, dict(zip(_basis(x, y, degree), v)))
 
 
-cochain_to_vector = chain_to_vector
 vector_to_cochain = vector_to_chain
+
+
+def _lift(x: SimplicialComplex, degree: int, coords: dict,
+          y: Subcomplex | None = None) -> SimplicialChain:
+    """`vector_to_chain` for sparse coordinates {position: value}."""
+    basis = _basis(x, y, degree)
+    return SimplicialChain(x, degree, {basis[i]: c for i, c in sorted(coords.items())})
 
 
 def boundary_of(c: SimplicialChain) -> SimplicialChain:
@@ -380,12 +392,23 @@ def last_vertex_chain_map(sd: SubdivisionResult) -> ChainMap:
     return sd._derived["last vertex map"]
 
 
+def _through(lines, c: SimplicialChain) -> dict:
+    """The sparse coordinates sum over s of c(s) * lines[index of s]: a
+    matrix applied to `c` through its columns, or its transpose through
+    its rows, at a cost that follows the support of `c`."""
+    out = {}
+    for s, coeff in c.coefficients.items():
+        for i, e in lines[c.complex.index_of(s)].items():
+            out[i] = out.get(i, 0) + coeff * e
+    return out
+
+
 def apply_chain_map(f: ChainMap, chain: SimplicialChain,
                     source: SimplicialComplex, target: SimplicialComplex) -> SimplicialChain:
     if chain.complex != source:
         raise ValidationError("chain does not live on the map's source complex")
-    w = f.sparse_matrix(chain.degree).apply(chain_to_vector(chain))
-    return vector_to_chain(target, chain.degree + f.shift, w)
+    w = _through(f.sparse_matrix(chain.degree)._col_dicts, chain)
+    return _lift(target, chain.degree + f.shift, w)
 
 
 def cochain_pullback(sd: SubdivisionResult, u: SimplicialCochain) -> SimplicialCochain:
@@ -394,8 +417,7 @@ def cochain_pullback(sd: SubdivisionResult, u: SimplicialCochain) -> SimplicialC
     if u.complex != sd.parent:
         raise ValidationError("cochain does not live on the parent complex")
     m = last_vertex_chain_map(sd).sparse_matrix(u.degree)
-    vals = m.T.apply(chain_to_vector(u))
-    return vector_to_chain(sd.complex, u.degree, vals)
+    return _lift(sd.complex, u.degree, _through(m._row_dicts, u))
 
 
 # -- the evaluation pairing ---------------------------------------------

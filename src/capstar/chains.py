@@ -22,9 +22,7 @@ degree, then shared by every caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import InitVar, dataclass, field
 
 from . import intlinalg as la
 from .errors import InternalCheckError, ValidationError
@@ -79,7 +77,7 @@ class ChainComplexZ:
             return la.SparseMatrix((self.rank(n + self.diff_degree), self.rank(n)))
         return m
 
-    def d(self, n: int) -> np.ndarray:
+    def d(self, n: int):
         """`sparse_d(n)` as a read-only dense matrix, built on request."""
         m = self.sparse_d(n).toarray()
         m.flags.writeable = False
@@ -137,7 +135,7 @@ class ChainMap:
             return la.SparseMatrix((self.target.rank(n + self.shift), self.source.rank(n)))
         return m
 
-    def matrix(self, n: int) -> np.ndarray:
+    def matrix(self, n: int):
         """`sparse_matrix(n)` as a dense matrix, built on request."""
         return self.sparse_matrix(n).toarray()
 
@@ -203,29 +201,44 @@ class HomologyGroup:
 
     Coordinates (and `cycle_basis`) list the free generators first and
     the torsion generators after, torsion orders increasing along the
-    divisibility chain.
+    divisibility chain.  The generators are kept sparse, as the rows of
+    `_gens`; `cycle_basis` is their tuple of read-only dense vectors,
+    built on first request.  A group built from a `cycle_basis` keeps
+    that tuple as given.
     """
 
     degree: int
     betti: int
     torsion: tuple
-    cycle_basis: tuple  # column vectors in chain coordinates
+    cycle_basis: InitVar[tuple] = None  # replaced by the property below
+    # rows: the generators in chain coordinates, dim x rank of the degree
+    _gens: la.SparseMatrix = field(repr=False, compare=False, default=None)
     _cycle_test: la.SparseMatrix = field(repr=False, compare=False, default=None)
     # rows: the canonical coordinates of a cycle, dim x rank of the degree
     _coords: la.SparseMatrix = field(repr=False, compare=False, default=None)
     # columns: a basis of the cycles, V[:, r:] of the first Smith decomposition
     _kernel: la.SparseMatrix = field(repr=False, compare=False, default=None)
 
+    def __post_init__(self, cycle_basis):
+        if cycle_basis is not None:
+            object.__setattr__(self, "_basis", tuple(cycle_basis))
+            object.__setattr__(self, "_gens", la.SparseMatrix.of(self._basis))
+
+    def _cycle_basis(self) -> tuple:
+        if "_basis" not in self.__dict__:
+            gens = self._gens.toarray()
+            # every caller shares this group: no in-place edit may change it
+            gens.flags.writeable = False
+            object.__setattr__(self, "_basis", tuple(gens))
+        return self._basis
+
     def __eq__(self, other):
         if not isinstance(other, HomologyGroup):
             return NotImplemented
         if (self.degree, self.betti, self.torsion) != (other.degree, other.betti, other.torsion):
             return False
-        if len(self.cycle_basis) != len(other.cycle_basis):
-            return False
-        return all(
-            np.array_equal(a, b) for a, b in zip(self.cycle_basis, other.cycle_basis)
-        )
+        a, b = self._gens, other._gens
+        return a.shape[0] == b.shape[0] and (not a.shape[0] or a == b)
 
     @property
     def dim(self) -> int:
@@ -245,30 +258,36 @@ class HomologyGroup:
         return " + ".join(parts) if parts else "0"
 
     def coords_of(self, cycle) -> tuple:
-        """Canonical coordinates of a cycle's homology class."""
-        z = la._integral(cycle).reshape(-1)
-        if self._cycle_test.shape[1] != z.shape[0]:
+        """Canonical coordinates of a cycle's homology class; `cycle` is a
+        vector of integers (a list, or a numpy array read flat)."""
+        z = la._vector(cycle)
+        if self._cycle_test.shape[1] != len(z):
             raise ValidationError("cycle has the wrong length")
-        if self._cycle_test.apply(z).any():
+        if any(self._cycle_test.apply(z)):
             raise ValidationError("vector is not a cycle")
         return self.reduce_coords(self._coords.apply(z))
 
     def class_of(self, cycle) -> "HomologyClass":
         return HomologyClass(group=self, coords=self.coords_of(cycle))
 
-    def relation_matrix(self) -> np.ndarray:
-        """Relations among the canonical coordinates (torsion orders)."""
-        n = self.dim
-        rel = la.zeros(n, len(self.torsion))
-        for j, t in enumerate(self.torsion):
-            rel[self.betti + j, j] = t
-        return rel
+    def _relations(self) -> la.SparseMatrix:
+        """Relations among the canonical coordinates (torsion orders), as
+        columns."""
+        return la.SparseMatrix((self.dim, len(self.torsion)), _cols=tuple(
+            {self.betti + j: t} for j, t in enumerate(self.torsion)))
+
+    def relation_matrix(self):
+        """`_relations()` as a dense matrix."""
+        return self._relations().toarray()
 
     def reduce_coords(self, coords) -> tuple:
         out = [int(c) for c in coords]
         for j, t in enumerate(self.torsion):
             out[self.betti + j] %= t
         return tuple(out)
+
+
+HomologyGroup.cycle_basis = property(HomologyGroup._cycle_basis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,14 +346,11 @@ def homology(k: ChainComplexZ, degree: int) -> HomologyGroup:
     free_idx = list(range(r_c, n - r_a))
     tors_idx = [i for i in range(r_c) if factors[i] > 1]
     keep = free_idx + tors_idx
-    gens = (snf_c.sparse.u_inv.T[keep] @ kernel).toarray()
-    # every caller shares this group: no in-place edit may change it
-    gens.flags.writeable = False
     k._derived[degree] = HomologyGroup(
         degree=degree,
         betti=len(free_idx),
         torsion=tuple(factors[i] for i in tors_idx),
-        cycle_basis=tuple(gens),
+        _gens=snf_c.sparse.u_inv.T[keep] @ kernel,
         _cycle_test=a,
         _coords=snf_c.sparse.U[keep] @ v_inv[r_a:],
         _kernel=kernel.T,
@@ -470,18 +486,26 @@ def cone_dual_iso(u: ChainMap) -> ChainMap:
 class InducedMap:
     source_group: HomologyGroup
     target_group: HomologyGroup
-    matrix: np.ndarray  # canonical target coords x canonical source coords
+    sparse: la.SparseMatrix  # canonical target coords x canonical source coords
+
+    @property
+    def matrix(self):
+        """`sparse` as a dense matrix, built on request."""
+        return self.sparse.toarray()
+
+    def _augmented(self) -> la.SparseMatrix:
+        """The matrix with the target's torsion relations as extra columns."""
+        return la._hstack(self.sparse, self.target_group._relations())
 
     def apply(self, cls: HomologyClass) -> HomologyClass:
         if cls.group != self.source_group:
             raise ValidationError("class does not live in the source group")
-        vec = la.matmul(self.matrix, np.array(cls.coords, dtype=object))
+        vec = self.sparse.apply(cls.coords)
         return HomologyClass(self.target_group, self.target_group.reduce_coords(vec))
 
     def is_surjective(self) -> bool:
         t = self.target_group
-        aug = np.concatenate([self.matrix, t.relation_matrix()], axis=1)
-        snf = smith_normal_form(aug)
+        snf = smith_normal_form(self._augmented())
         return snf.rank == t.dim and all(f == 1 for f in snf.invariant_factors())
 
     def is_isomorphism(self) -> bool:
@@ -494,12 +518,11 @@ class InducedMap:
         t = self.target_group
         if target_class.group != t:
             raise ValidationError("class does not live in the target group")
-        aug = np.concatenate([self.matrix, t.relation_matrix()], axis=1)
-        rhs = np.array(target_class.coords, dtype=object)
-        sol = la.solve_integer(aug, rhs)
+        rhs = la.SparseMatrix.of([[c] for c in target_class.coords], (t.dim, 1))
+        sol = la._solve(self._augmented(), rhs)
         if sol is None:
             return None
-        coords = sol[: self.source_group.dim]
+        coords = (row.get(0, 0) for row in sol._row_dicts[: self.source_group.dim])
         return HomologyClass(self.source_group, self.source_group.reduce_coords(coords))
 
 
@@ -507,12 +530,11 @@ def induced_map_on_homology(f: ChainMap, degree: int) -> InducedMap:
     hs = homology(f.source, degree)
     ht = homology(f.target, degree + f.shift)
     m = f.sparse_matrix(degree)
-    cols = [ht.coords_of(m.apply(g)) for g in hs.cycle_basis]
-    mat = la.zeros(ht.dim, hs.dim)
-    for j, c in enumerate(cols):
-        for i, v in enumerate(c):
-            mat[i, j] = v
-    return InducedMap(source_group=hs, target_group=ht, matrix=mat)
+    rank = hs._gens.shape[1]
+    cols = (ht.coords_of(m.apply([g.get(j, 0) for j in range(rank)])) for g in hs._gens._row_dicts)
+    mat = la.SparseMatrix((ht.dim, hs.dim), _cols=tuple(
+        {i: v for i, v in enumerate(c) if v} for c in cols))
+    return InducedMap(source_group=hs, target_group=ht, sparse=mat)
 
 
 def is_quasi_isomorphism(f: ChainMap) -> tuple[bool, list]:

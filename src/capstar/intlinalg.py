@@ -11,16 +11,22 @@ five factors all live there, so their cost follows the nonzeros of the
 boundary matrices; the exact U @ A @ V == D certificate runs on them,
 row by row, on every call at every size.  The public functions also
 take dense matrices (numpy arrays of dtype=object, or nested
-sequences), and `toarray` exports one.
+sequences).  numpy is loaded only by the dense exports: `as_matrix`,
+`zeros`, `identity`, `SparseMatrix.toarray`, `matmul`, `kernel_basis`,
+`solve_integer` and the `U/D/V/u_inv/v_inv` properties of a
+`SmithDecomposition`, and `lattice_contains`, which reads its vectors
+as `solve_integer` reads a right-hand side.  Everything else, the
+private sparse cores that the rest of capstar calls included, runs
+without it, and reads a numpy array or scalar it is handed through
+`sys.modules`.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import ValidationError
 
@@ -40,60 +46,70 @@ __all__ = [
 ]
 
 
-def _exact(a: np.ndarray) -> np.ndarray:
-    """`a` as an object array of Python ints; any integer or bool dtype."""
+def _is_array(a) -> bool:
+    """Whether `a` is a numpy array; without numpy loaded, none is."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(a, np.ndarray)
+
+
+def _exact(a):
+    """The numpy array `a` as an object array of Python ints; any integer
+    or bool dtype."""
     if a.dtype == object:
         return a
     if a.dtype.kind == "b":
-        a = a.astype(np.int8)
+        a = a.astype("int8")
     if a.dtype.kind not in "iu":
         raise ValidationError(f"entries must be integers, not {a.dtype}")
     return a.astype(object)
 
 
 def _entry(x) -> int:
-    if not isinstance(x, (int, np.integer, np.bool_)):
-        raise ValidationError(f"entry {x!r} is not an integer")
+    if not isinstance(x, int):
+        np = sys.modules.get("numpy")
+        if np is None or not isinstance(x, (np.integer, np.bool_)):
+            raise ValidationError(f"entry {x!r} is not an integer")
     return int(x)
 
 
-def _integral(b) -> np.ndarray:
+def _integral(b):
     """A right-hand side (a vector or stacked columns) as an object array
     of Python ints; an object array's entries are checked one by one."""
+    import numpy as np
+
     if isinstance(b, np.ndarray) and b.dtype != object:
         return _exact(b)
     b = np.asarray(b, dtype=object)
     return np.array([_entry(x) for x in b.flat], dtype=object).reshape(b.shape)
 
 
-def as_matrix(rows, shape=None) -> np.ndarray:
+def _vector(v) -> list:
+    """A vector as a list of Python ints: a numpy array of any integer
+    dtype and shape, read flat, or a sequence, each entry checked."""
+    if _is_array(v):
+        v = _exact(v).flat
+    return [_entry(x) for x in v]
+
+
+def as_matrix(rows, shape=None):
     """Build an object-dtype integer matrix from nested sequences.
 
     `shape` is required when `rows` is empty in one dimension.  Entries
     must be ints, bools or numpy integers: a float, even 1.0, a Fraction
     or a string raises ValidationError rather than being truncated.
     """
-    if isinstance(rows, np.ndarray) and rows.ndim == 2:
+    if _is_array(rows) and rows.ndim == 2:
         return _exact(rows)
-    rows = [[_entry(x) for x in r] for r in rows]
-    if not rows:
-        if shape is None:
-            shape = (0, 0)
-        return np.zeros(shape, dtype=object)
-    a = np.empty((len(rows), len(rows[0])), dtype=object)
-    for i, r in enumerate(rows):
-        if len(r) != a.shape[1]:
-            raise ValueError("ragged matrix rows")
-        for j, x in enumerate(r):
-            a[i, j] = x
-    return a
+    return SparseMatrix.of(rows, shape).toarray()
 
 
-def zeros(m: int, n: int) -> np.ndarray:
+def zeros(m: int, n: int):
+    import numpy as np
+
     return np.zeros((m, n), dtype=object)
 
 
-def identity(n: int) -> np.ndarray:
+def identity(n: int):
     return sparse_identity(n).toarray()
 
 
@@ -148,18 +164,27 @@ class SparseMatrix:
 
     @classmethod
     def of(cls, a, shape=None) -> "SparseMatrix":
-        """`a` itself once it is checked, or the matrix `as_matrix(a,
-        shape)` read once; either way each entry is checked to be an
-        integer, and a SparseMatrix's lines to fit its shape."""
+        """`a` itself once it is checked, or the matrix of a 2-d numpy
+        array or of nested sequences (`shape` sizes an empty one) read
+        once; either way each entry is checked to be an integer, and a
+        SparseMatrix's lines to fit its shape."""
         if isinstance(a, SparseMatrix):
             a.check()
             return a
-        a = as_matrix(a, shape)
-        rows = tuple({} for _ in range(a.shape[0]))
-        r, c = np.nonzero(a != 0)
-        for i, j, e in zip(r.tolist(), c.tolist(), a[r, c].tolist()):
-            rows[i][j] = _entry(e)
-        return cls(a.shape, rows, _checked=True)
+        if _is_array(a) and a.ndim == 2:
+            a = _exact(a)
+            rows = tuple({} for _ in range(a.shape[0]))
+            r, c = (a != 0).nonzero()
+            for i, j, e in zip(r.tolist(), c.tolist(), a[r, c].tolist()):
+                rows[i][j] = _entry(e)
+            return cls(a.shape, rows, _checked=True)
+        rows = [[_entry(x) for x in r] for r in a]
+        if not rows:
+            return cls(tuple(shape or (0, 0)), _checked=True)
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise ValueError("ragged matrix rows")
+        return cls((len(rows), len(rows[0])),
+                   tuple({j: x for j, x in enumerate(r) if x} for r in rows), _checked=True)
 
     def check(self) -> None:
         """Raise ValidationError unless the shape is two sizes and the kept
@@ -246,19 +271,19 @@ class SparseMatrix:
         return SparseMatrix(self.shape, tuple(
             {j: c * e for j, e in row.items()} if c else {} for row in self._row_dicts))
 
-    def apply(self, vec) -> np.ndarray:
-        """self @ vec for a vector of Python ints, reading only the
-        columns that its nonzeros meet."""
+    def apply(self, vec) -> list:
+        """self @ vec for a list of Python ints, reading only the columns
+        that its nonzeros meet."""
         out = [0] * self.shape[0]
         cols = self._col_dicts
-        for j in np.flatnonzero(vec != 0).tolist():
-            x = vec[j]
-            for i, e in cols[j].items():
-                out[i] += x * e
-        return np.array(out, dtype=object)
+        for j, x in enumerate(vec):
+            if x:
+                for i, e in cols[j].items():
+                    out[i] += x * e
+        return out
 
-    def toarray(self) -> np.ndarray:
-        """The dense object matrix."""
+    def toarray(self):
+        """The dense object matrix (a numpy array)."""
         out = zeros(*self.shape)
         for i, row in enumerate(self._row_dicts):
             for j, e in row.items():
@@ -271,14 +296,23 @@ def sparse_identity(n: int) -> SparseMatrix:
     return SparseMatrix((n, n), tuple({i: 1} for i in range(n)))
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact a @ b in Python ints, whatever the operands' integer dtype,
-    on the sparse product.  A vector `b` gives a vector back."""
+def _hstack(*blocks: SparseMatrix) -> SparseMatrix:
+    """The blocks, which have the same number of rows, side by side."""
+    cols = tuple(col for m in blocks for col in m._col_dicts)
+    return SparseMatrix((blocks[0].shape[0], len(cols)), _cols=cols)
+
+
+def matmul(a, b):
+    """Exact a @ b of numpy arrays in Python ints, whatever the operands'
+    integer dtype, on the sparse product.  A vector `b` gives a vector
+    back."""
+    import numpy as np
+
     a, b = _exact(a), _exact(b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
     if b.ndim == 1:
-        return SparseMatrix.of(a).apply(b)
+        return np.array(SparseMatrix.of(a).apply(b.tolist()), dtype=object)
     return (SparseMatrix.of(a) @ SparseMatrix.of(b)).toarray()
 
 
@@ -471,30 +505,26 @@ def smith_normal_form(a) -> SmithDecomposition:
     return SmithDecomposition(f)
 
 
-def kernel_basis(a) -> np.ndarray:
+def _kernel(a) -> SparseMatrix:
     """Columns form a basis of the integer kernel lattice of `a`."""
     snf = smith_normal_form(a)
-    return snf.sparse.V.T[snf.rank:].T.toarray()
+    return snf.sparse.V.T[snf.rank:].T
 
 
-def solve_integer(a, b):
-    """One integer solution x of a @ x = b, or None when there is none.
+def kernel_basis(a):
+    """Columns form a basis of the integer kernel lattice of `a`: the
+    dense `_kernel(a)`."""
+    return _kernel(a).toarray()
 
-    `b` may be a vector (shape (m,)) or a matrix of stacked right-hand
-    sides; the solution comes back in the matching shape.  `a` is a
-    SparseMatrix or anything `as_matrix` takes.
-    """
-    a = SparseMatrix.of(a)
-    vec = False
-    b = _integral(b)
-    if b.ndim == 1:
-        vec = True
-        b = b.reshape(-1, 1)
+
+def _solve(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix | None:
+    """One integer solution x of a @ x = b, or None when there is none;
+    the columns of `b` are the right-hand sides."""
     if b.shape[0] != a.shape[0]:
         raise ValueError("right-hand side length mismatch")
     snf = smith_normal_form(a)
     f, r = snf.sparse, snf.rank
-    c = (f.U @ SparseMatrix.of(b))._row_dicts
+    c = (f.U @ b)._row_dicts
     if any(c[r:]):
         return None
     y = []
@@ -503,26 +533,40 @@ def solve_integer(a, b):
         if any(e % d for e in row.values()):
             return None
         y.append({j: e // d for j, e in row.items()})
-    x = (f.V.T[:r].T @ SparseMatrix((r, b.shape[1]), tuple(y))).toarray()
-    return x[:, 0] if vec else x
+    return f.V.T[:r].T @ SparseMatrix((r, b.shape[1]), tuple(y))
+
+
+def solve_integer(a, b):
+    """One integer solution x of a @ x = b, or None when there is none.
+
+    `b` may be a vector (shape (m,)) or a matrix of stacked right-hand
+    sides; the solution comes back as a dense array in the matching
+    shape.  `a` is a SparseMatrix or anything `as_matrix` takes.
+    """
+    a = SparseMatrix.of(a)
+    b = _integral(b)
+    vec = b.ndim == 1
+    x = _solve(a, SparseMatrix.of(b.reshape(-1, 1) if vec else b))
+    if x is None:
+        return None
+    return x.toarray()[:, 0] if vec else x.toarray()
+
+
+def _contains(gens: SparseMatrix, vectors: SparseMatrix) -> bool:
+    return not vectors.shape[1] or _solve(gens, vectors) is not None
 
 
 def lattice_contains(gens, vectors) -> bool:
     """True when every column of `vectors` lies in the lattice spanned
     by the columns of `gens`."""
-    gens = as_matrix(gens)
+    gens = SparseMatrix.of(gens)
     vectors = _integral(vectors)
-    if vectors.ndim == 1:
-        vectors = vectors.reshape(-1, 1)
-    if vectors.shape[1] == 0:
-        return True
-    return solve_integer(gens, vectors) is not None
+    return _contains(gens, SparseMatrix.of(vectors.reshape(-1, 1) if vectors.ndim == 1 else vectors))
 
 
 def lattices_equal(gens_a, gens_b) -> bool:
     """Column lattices agree as subgroups of the ambient Z^n."""
-    gens_a = as_matrix(gens_a)
-    gens_b = as_matrix(gens_b)
+    gens_a, gens_b = SparseMatrix.of(gens_a), SparseMatrix.of(gens_b)
     if gens_a.shape[0] != gens_b.shape[0]:
         raise ValueError("ambient rank mismatch")
-    return lattice_contains(gens_a, gens_b) and lattice_contains(gens_b, gens_a)
+    return _contains(gens_a, gens_b) and _contains(gens_b, gens_a)

@@ -15,9 +15,9 @@ from .bridge import (
     CochainFunctional,
     SimplicialChain,
     SimplicialCochain,
+    _coordinates,
     apply_chain_map,
     boundary_of,
-    chain_to_vector,
     coboundary_of,
     cochain_pullback,
     inclusion_chain_map,
@@ -243,7 +243,7 @@ def relative_supported_cap(x: SimplicialComplex, y: Subcomplex, z: Subcomplex,
     incl = relative_inclusion_chain_map(z_complex, z_boundary, n_complex, star_boundary)
     induced = induced_map_on_homology(incl, deg)
     h_z_pair, h_pair = induced.source_group, induced.target_group
-    class_in_pair = h_pair.class_of(chain_to_vector(beta, star_boundary))
+    class_in_pair = h_pair.class_of(_coordinates(beta, star_boundary))
     iso = induced.is_isomorphism()
     diagnostics = CapDiagnostics(
         degree=deg,

@@ -1,0 +1,186 @@
+"""numpy stays off capstar's import path: importing capstar and running
+every CLI command shape loads no numpy.  Only the dense exports load it,
+and they still return numpy arrays; numpy integers and bools are still
+read as coefficients and entries, and floats still refused."""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from capstar import intlinalg as la
+from capstar.bridge import (
+    SimplicialChain,
+    chain_complex_of,
+    chain_to_vector,
+    last_vertex_chain_map,
+    subdivision_chain_map,
+)
+from capstar.chains import HomologyGroup, homology, induced_map_on_homology
+from capstar.complexes import barycentric_subdivide
+from capstar.errors import ValidationError
+from capstar.fixtures import circle, klein_bottle, torus
+
+ROOT = Path(__file__).resolve().parent.parent
+
+EXTRA_FILES = {
+    "u.json": {"degree": 1, "values": {"1,2": 1}},
+    "a.json": {"degree": 1, "values": {"1,2": 1, "2,3": 1, "1,3": -1}},
+    "z.json": {"name": "z", "simplices": [[1]]},
+    "cup-u.json": {"degree": 1, "values": {"0,1": 1, "2,3": -2}},
+    "cup-v.json": {"degree": 1, "values": {"1,3": 1}},
+    "rel-u.json": {"degree": 1, "values": {"a,m": 1}},
+    "rel-a.json": {"degree": 1, "values": {"a,m": 1, "b,m": -1}},
+    "rel-z.json": {"name": "mid", "simplices": [["m"]]},
+}
+
+
+def _commands(d):
+    """The nine command shapes of the benchmark's `cli` workload."""
+    cap = ["cap", f"{d}/circle.json", "--cochain", f"{d}/u.json", "--chain", f"{d}/a.json",
+           "--support", f"{d}/z.json"]
+    return [
+        ["validate", f"{d}/torus7.json"],
+        ["homology", f"{d}/klein.json"],
+        ["homology", f"{d}/cylinder.json", "--rel", f"{d}/cylinder-boundary.json", "--bm"],
+        ["cup", f"{d}/torus7.json", "--u", f"{d}/cup-u.json", "--v", f"{d}/cup-v.json"],
+        cap,
+        ["cap", f"{d}/interval.json", "--cochain", f"{d}/rel-u.json", "--chain",
+         f"{d}/rel-a.json", "--support", f"{d}/rel-z.json", "--rel",
+         f"{d}/interval-boundary.json"],
+        cap + ["--presubdivide", "1"],
+        ["subdivide", f"{d}/torus7.json", "--times", "2"],
+        ["verify", f"{d}/rp2.json", "--trials", "5", "--seed", "3"],
+    ]
+
+
+# Run in a fresh interpreter: writes the fixture files into argv[1], runs
+# each command through `capstar.cli.main` and prints the exit codes and
+# whether numpy got loaded.
+CHILD = """
+import contextlib, io, json, runpy, sys
+sys.argv = ["write_fixture_files.py", sys.argv[1]]
+with contextlib.redirect_stdout(io.StringIO()):
+    runpy.run_path("scripts/write_fixture_files.py", run_name="__main__")
+from capstar.cli import main
+codes = []
+for cmd in json.loads(sys.stdin.read()):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(cmd))
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def _fresh_python(args, stdin=""):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env, input=stdin,
+                          capture_output=True, text=True, check=False, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_importing_capstar_loads_no_numpy():
+    out = _fresh_python(["-c", "import sys, capstar, capstar.io, capstar.verify, capstar.cli; "
+                               "print('numpy' in sys.modules)"])
+    assert out.strip() == "False"
+
+
+def test_every_cli_command_shape_runs_without_numpy(tmp_path):
+    for fname, payload in EXTRA_FILES.items():
+        (tmp_path / fname).write_text(json.dumps(payload))
+    cmds = _commands(tmp_path)
+    out = json.loads(_fresh_python(["-c", CHILD, str(tmp_path)], json.dumps(cmds)))
+    assert out == {"codes": [0] * len(cmds), "numpy": False}
+
+
+# -- the dense exports ----------------------------------------------------
+
+
+def _read_only_object_array(a, shape):
+    return (isinstance(a, np.ndarray) and a.dtype == object and a.shape == shape
+            and not a.flags.writeable and all(type(e) is int for e in a.flat))
+
+
+def test_dense_exports_are_numpy_arrays():
+    x = torus()
+    k = chain_complex_of(x)
+    h1 = homology(k, 1)
+    assert len(h1.cycle_basis) == 2
+    assert all(_read_only_object_array(g, (k.rank(1),)) for g in h1.cycle_basis)
+    assert h1.cycle_basis is homology(k, 1).cycle_basis
+    assert _read_only_object_array(k.d(1), (k.rank(0), k.rank(1)))
+
+    sd = barycentric_subdivide(x)
+    ind = induced_map_on_homology(last_vertex_chain_map(sd).compose(subdivision_chain_map(sd)), 1)
+    assert isinstance(ind.matrix, np.ndarray) and ind.matrix.tolist() == [[1, 0], [0, 1]]
+
+    snf = la.smith_normal_form([[2, 4], [6, 8]])
+    for m in (snf.U, snf.D, snf.V, snf.u_inv, snf.v_inv):
+        assert isinstance(m, np.ndarray) and m.dtype == object and m.shape == (2, 2)
+    kb = la.kernel_basis([[1, 1]])
+    assert isinstance(kb, np.ndarray) and kb.shape == (2, 1)
+    x_vec = la.solve_integer([[2, 0], [0, 3]], [4, 9])
+    assert isinstance(x_vec, np.ndarray) and x_vec.tolist() == [2, 3]
+    x_mat = la.solve_integer([[2, 0], [0, 3]], [[4], [9]])
+    assert isinstance(x_mat, np.ndarray) and x_mat.tolist() == [[2], [3]]
+    prod = la.matmul(la.as_matrix([[1, 2]]), la.as_matrix([[3], [4]]))
+    assert isinstance(prod, np.ndarray) and prod.tolist() == [[11]]
+    vec = chain_to_vector(SimplicialChain(circle(), 1, {(1, 2): 3}))
+    assert isinstance(vec, np.ndarray) and vec.dtype == object and vec.tolist() == [3, 0, 0]
+
+
+# -- compatibility edges ----------------------------------------------------
+
+
+def test_keyword_built_groups_compare_as_before():
+    k = chain_complex_of(torus())
+    h1 = homology(k, 1)
+    same = HomologyGroup(degree=1, betti=2, torsion=(), cycle_basis=h1.cycle_basis)
+    assert same == h1 and h1 == same
+    assert same.cycle_basis is not None and len(same.cycle_basis) == 2
+    assert same.group_str() == "Z^2"
+    swapped = HomologyGroup(degree=1, betti=2, torsion=(), cycle_basis=h1.cycle_basis[::-1])
+    assert swapped != h1
+    wrong = HomologyGroup(degree=1, betti=3, torsion=(), cycle_basis=h1.cycle_basis)
+    assert wrong != h1
+    empty = HomologyGroup(degree=2, betti=0, torsion=(), cycle_basis=())
+    assert empty.cycle_basis == () and empty.group_str() == "0"
+    assert empty == HomologyGroup(degree=2, betti=0, torsion=(), cycle_basis=())
+    assert empty == homology(chain_complex_of(circle()), 2)
+    assert HomologyGroup(degree=1, betti=0, torsion=(2,), cycle_basis=()).group_str() == "Z/2"
+
+
+def test_numpy_integers_and_bools_are_still_read():
+    c = SimplicialChain(circle(), 1, {(1, 2): np.int64(2), (1, 3): np.True_, (2, 3): np.uint8(0)})
+    assert c.coefficients == {(1, 2): 2, (1, 3): 1}
+    assert all(type(v) is int for v in c.coefficients.values())
+    assert la.as_matrix([[np.int32(3), np.bool_(True)]]).tolist() == [[3, 1]]
+    m = la.SparseMatrix.of([[np.int64(-2), np.False_], [np.True_, 0]])
+    assert m.rows == ({0: -2}, {0: 1}) and all(type(e) is int for r in m.rows for e in r.values())
+    m = la.SparseMatrix.of(np.array([[0, 5]], dtype=np.int16))
+    assert m.shape == (1, 2) and m.rows == ({1: 5},)
+    h1 = homology(chain_complex_of(klein_bottle()), 1)
+    g = h1.cycle_basis[0]
+    assert h1.coords_of([np.int64(e) for e in g]) == h1.coords_of(g.astype(np.int32))
+    assert h1.coords_of(g.astype(np.int32))[0] == 1
+
+
+@pytest.mark.parametrize("bad", [1.0, np.float64(1.0)], ids=repr)
+def test_floats_are_still_refused_with_the_same_text(bad):
+    with pytest.raises(ValidationError, match=f"^{re.escape(f'entry {bad!r} is not an integer')}$"):
+        SimplicialChain(circle(), 1, {(1, 2): bad})
+    with pytest.raises(ValidationError, match="is not an integer"):
+        la.as_matrix([[bad]])
+    with pytest.raises(ValidationError, match="is not an integer"):
+        la.SparseMatrix.of([[1, bad]])
+    with pytest.raises(ValidationError, match="is not an integer"):
+        homology(chain_complex_of(circle()), 1).coords_of([bad, bad, -bad])
+    with pytest.raises(ValidationError, match="^entries must be integers, not float64$"):
+        la.SparseMatrix.of(np.array([[1.0]]))
+    with pytest.raises(ValidationError, match="^entries must be integers, not float64$"):
+        homology(chain_complex_of(circle()), 1).coords_of(np.array([1.0, 1.0, -1.0]))
