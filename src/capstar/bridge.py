@@ -58,13 +58,15 @@ __all__ = [
 def _validated_support(complex: SimplicialComplex, degree: int, coefficients: Mapping) -> dict:
     out = {}
     for s, c in coefficients.items():
-        s = tuple(s)
-        c = la._entry(c)
+        if type(s) is not tuple:
+            s = tuple(s)
+        if type(c) is not int:
+            c = la._entry(c)
         if c == 0:
             continue
         if len(s) - 1 != degree:
             raise ValidationError(f"simplex {s!r} is not {degree}-dimensional")
-        if s not in complex:
+        if s not in complex._index:
             raise ValidationError(f"simplex {s!r} not in complex")
         out[s] = c
     return out
@@ -305,7 +307,8 @@ def boundary_of(c: SimplicialChain) -> SimplicialChain:
         for i in range(len(s)):
             face = s[:i] + s[i + 1:]
             if face:
-                out[face] = out.get(face, 0) + coeff * ((-1) ** i)
+                out[face] = out.get(face, 0) + coeff
+            coeff = -coeff
     return SimplicialChain(c.complex, c.degree - 1, out)
 
 

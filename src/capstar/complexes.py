@@ -60,13 +60,12 @@ class SimplicialComplex:
     _derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        rank = {v: i for i, v in enumerate(self.vertex_order)}
+        rank = dict(zip(self.vertex_order, range(len(self.vertex_order))))
         if len(rank) != len(self.vertex_order):
             raise ValidationError("duplicate vertex token in vertex order")
         index = {}
-        for d, simplices in enumerate(self.simplices_by_dim):
-            for i, s in enumerate(simplices):
-                index[s] = i
+        for simplices in self.simplices_by_dim:
+            index.update(zip(simplices, range(len(simplices))))
         object.__setattr__(self, "_rank", rank)
         object.__setattr__(self, "_index", index)
 
@@ -190,25 +189,22 @@ def _levels(simplices, rank) -> tuple:
     ranks of its vertices."""
     by_dim = {}
     for s in simplices:
-        by_dim.setdefault(len(s) - 1, []).append(s)
-    return tuple(
-        tuple(sorted(by_dim.get(d, ()), key=lambda s: tuple(rank[v] for v in s)))
-        for d in range(max(by_dim, default=-1) + 1)
-    )
+        by_dim.setdefault(len(s) - 1, {})[tuple(map(rank.__getitem__, s))] = s
+    levels = [by_dim.get(d, {}) for d in range(max(by_dim, default=-1) + 1)]
+    return tuple(tuple(map(level.__getitem__, sorted(level))) for level in levels)
 
 
-def _normalize_tuple(vertices, rank) -> Simplex:
-    vs = list(vertices)
-    if not vs:
+def _bad_simplex(vertices, rank):
+    """Raise the error for an empty simplex or its first bad vertex."""
+    if not vertices:
         raise ValidationError("empty vertex tuple")
     seen = set()
-    for v in vs:
+    for v in vertices:
         if v in seen:
             raise ValidationError(f"duplicate vertex {v!r} within one simplex")
         seen.add(v)
         if v not in rank:
             raise ValidationError(f"vertex {v!r} not in the declared order")
-    return tuple(sorted(vs, key=rank.__getitem__))
 
 
 def from_maximal_simplices(maximal, order=None, name: str = "") -> SimplicialComplex:
@@ -216,6 +212,7 @@ def from_maximal_simplices(maximal, order=None, name: str = "") -> SimplicialCom
 
     `order` fixes the global vertex order; when omitted it defaults to
     the deterministic token order (ints numerically, then strings).
+    The closure runs on the sorted rank tuples of the simplices.
     """
     maximal = [tuple(s) for s in maximal]
     if order is None:
@@ -224,16 +221,29 @@ def from_maximal_simplices(maximal, order=None, name: str = "") -> SimplicialCom
             tokens.update(s)
         order = default_token_order(tokens)
     order = tuple(order)
-    rank = {v: i for i, v in enumerate(order)}
+    rank = dict(zip(order, range(len(order))))
     if len(rank) != len(order):
         raise ValidationError("duplicate vertex token in vertex order")
 
-    closed = set()
+    by_len = {}
     for s in maximal:
-        s = _normalize_tuple(s, rank)
-        for k in range(1, len(s) + 1):
-            closed.update(combinations(s, k))
-    return SimplicialComplex(vertex_order=order, simplices_by_dim=_levels(closed, rank), name=name)
+        try:
+            r = tuple(sorted(map(rank.__getitem__, s)))
+        except (KeyError, TypeError):
+            r = ()
+        if not r or len(set(r)) != len(s):
+            _bad_simplex(s, rank)
+        by_len.setdefault(len(r), []).append(r)
+    # the k-faces of all n-simplices at once, from k columns of their ranks
+    levels = [set() for _ in range(max(by_len, default=0))]
+    for n, ranked in by_len.items():
+        for k in range(1, n + 1):
+            for cols in combinations(zip(*ranked), k):
+                levels[k - 1].update(zip(*cols))
+    # each sorted level back to tokens, a column of vertices at a time
+    token = order.__getitem__
+    by_dim = tuple(tuple(zip(*[map(token, c) for c in zip(*sorted(level))])) for level in levels)
+    return SimplicialComplex(vertex_order=order, simplices_by_dim=by_dim, name=name)
 
 
 def closed_star(x: SimplicialComplex, z: Subcomplex) -> Subcomplex:
@@ -243,7 +253,7 @@ def closed_star(x: SimplicialComplex, z: Subcomplex) -> Subcomplex:
         raise ValidationError("subcomplex does not belong to the given complex")
     if "star" not in z._derived:
         zv = z.vertices()
-        meeting = [s for s in x.all_simplices() if any(v in zv for v in s)]
+        meeting = [s for s in x.all_simplices() if not zv.isdisjoint(s)]
         z._derived["star"] = x.subcomplex_closure(meeting)
     return z._derived["star"]
 
@@ -256,7 +266,7 @@ def nonmeeting_complement(x: SimplicialComplex, z: Subcomplex) -> Subcomplex:
     if "complement" not in z._derived:
         zv = z.vertices()
         z._derived["complement"] = x.subcomplex(
-            s for s in x.all_simplices() if not any(v in zv for v in s))
+            s for s in x.all_simplices() if zv.isdisjoint(s))
     return z._derived["complement"]
 
 

@@ -45,24 +45,32 @@ def _as_token(v, what: str):
     return v
 
 
+def _check_tokens(tokens: list, what: str):
+    """Raise for the first token that is not an int or a nonempty string;
+    `_as_token` looks at each token only when one is not a plain int or str."""
+    if not {int, str}.issuperset(map(type, tokens)) or "" in tokens:
+        for v in tokens:
+            _as_token(v, what)
+
+
 def parse_complex(data: dict) -> SimplicialComplex:
     _check_keys(data, _COMPLEX_KEYS, "complex")
     if "name" not in data or not isinstance(data["name"], str):
         raise ValidationError("complex file needs a string 'name'")
     if "simplices" not in data or not isinstance(data["simplices"], list):
         raise ValidationError("complex file needs a list 'simplices'")
-    simplices = []
-    for s in data["simplices"]:
+    simplices = data["simplices"]
+    for s in simplices:
         if not isinstance(s, list) or not s:
             raise ValidationError(f"simplex entries must be nonempty lists, got {s!r}")
-        simplices.append([_as_token(v, "simplices") for v in s])
+        _check_tokens(s, "simplices")
     order = None
     if "vertex_order" in data:
-        if not isinstance(data["vertex_order"], list):
+        order = data["vertex_order"]
+        if not isinstance(order, list):
             raise ValidationError("vertex_order must be a list of tokens")
-        order = [_as_token(v, "vertex_order") for v in data["vertex_order"]]
-        mentioned = {v for s in simplices for v in s}
-        missing = mentioned - set(order)
+        _check_tokens(order, "vertex_order")
+        missing = set().union(*simplices).difference(order)
         if missing:
             raise ValidationError(f"vertex_order is missing tokens: {sorted(map(str, missing))}")
     return from_maximal_simplices(simplices, order=order, name=data["name"])
@@ -112,6 +120,16 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _key_tokens(x: SimplicialComplex) -> dict:
+    """Key text -> token, built once per complex: `str(v)` for int tokens,
+    then str tokens, which win a clash as in `_resolve_token`."""
+    if "tokens" not in x._derived:
+        tokens = {str(v): v for v in x.vertex_order if type(v) is int}
+        tokens.update((v, v) for v in x.vertex_order if type(v) is str)
+        x._derived["tokens"] = tokens
+    return x._derived["tokens"]
+
+
 def _parse_valued(data: dict, x: SimplicialComplex, what: str):
     _check_keys(data, _VALUED_KEYS, what)
     if "degree" not in data or not _is_int(data["degree"]):
@@ -121,21 +139,25 @@ def _parse_valued(data: dict, x: SimplicialComplex, what: str):
     degree = data["degree"]
     if degree < 0:
         raise ValidationError(f"{what} file has a negative degree {degree}")
+    token, index, rank = _key_tokens(x).__getitem__, x._index, x._rank.__getitem__
     out = {}
     for key, coeff in data["values"].items():
-        if not _is_int(coeff):
+        if type(coeff) is not int and not _is_int(coeff):
             raise ValidationError(f"{what}: coefficient for {key!r} must be an integer")
         parts = key.split(",")
-        simplex = tuple(_resolve_token(p, x) for p in parts)
+        try:
+            simplex = tuple(map(token, parts))
+        except KeyError:
+            simplex = tuple(_resolve_token(p, x) for p in parts)
         if len(simplex) - 1 != degree:
             raise ValidationError(
                 f"{what}: key {key!r} names a {len(simplex) - 1}-simplex, expected degree {degree}"
             )
-        if simplex not in x:
+        if simplex not in index:
+            # the complex holds each simplex in increasing vertex order only
+            if tuple(sorted(simplex, key=rank)) in index:
+                raise ValidationError(f"{what}: key {key!r} is not in increasing vertex order")
             raise ValidationError(f"{what}: {key!r} is not a simplex of the complex")
-        ranks = [x.rank_of(v) for v in simplex]
-        if ranks != sorted(ranks):
-            raise ValidationError(f"{what}: key {key!r} is not in increasing vertex order")
         if simplex in out:
             raise ValidationError(f"{what}: {key!r} names the same simplex as an earlier key")
         out[simplex] = coeff

@@ -1,0 +1,81 @@
+"""The face closure in rank space agrees with the token-by-token closure
+kept in `reference_closure`: the same vertex order, the same levels and
+the same order within each level, on random maximal-simplex lists and on
+every fixture complex and pair at sd^0..sd^2 (whose subdivisions and
+star views run through `_levels`)."""
+
+import json
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import reference_closure as ref
+from capstar.complexes import barycentric_subdivide, closed_star, induced_subdivision
+from capstar.fixtures import pair_models, surfaces
+from capstar.io import parse_complex, serialize_complex
+
+INTS = list(range(-3, 9))
+STRS = ["a", "b", "c", "v10", "v2", "5", "-1", "b(1.2)"]
+POOLS = {"int": INTS, "str": STRS, "mixed": INTS[:6] + STRS[:5]}
+
+
+@st.composite
+def complex_files(draw):
+    pool = POOLS[draw(st.sampled_from(sorted(POOLS)))]
+    simplex = st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.sampled_from(pool), min_size=n, max_size=n, unique=True))
+    simplices = draw(st.lists(simplex, max_size=12))
+    data = {"name": "random", "simplices": simplices}
+    if draw(st.booleans()):
+        mentioned = {v for s in simplices for v in s}
+        extra = draw(st.lists(st.sampled_from(pool), max_size=3))
+        data["vertex_order"] = draw(st.permutations(sorted(mentioned | set(extra), key=repr)))
+    return data
+
+
+def assert_same_complex(got, want):
+    assert got.vertex_order == want.vertex_order
+    assert got.simplices_by_dim == want.simplices_by_dim
+    assert got.name == want.name
+    assert got._index == want._index
+    assert [type(v) for v in got.vertex_order] == [type(v) for v in want.vertex_order]
+
+
+@given(complex_files())
+def test_random_closure_matches_the_reference(data):
+    want = ref.from_maximal_simplices(
+        data["simplices"], order=data.get("vertex_order"), name=data["name"])
+    assert_same_complex(parse_complex(data), want)
+
+
+def _ladder(x, y):
+    """(complex, subcomplex or None) at sd^0, sd^1 and sd^2."""
+    out = [(x, y)]
+    for _ in range(2):
+        sd = barycentric_subdivide(x)
+        x, y = sd.complex, None if y is None else induced_subdivision(sd, y)
+        out.append((x, y))
+    return out
+
+
+FIXTURES = {**{n: (x, None) for n, x in surfaces().items()},
+            **{n: (m.ambient, m.boundary) for n, m in pair_models().items()}}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_fixture_closure_matches_the_reference(name):
+    for x, y in _ladder(*FIXTURES[name]):
+        # subdivision's levels
+        assert x.simplices_by_dim == ref._levels(x.all_simplices(), x._rank)
+        # parse of the serialised file
+        data = json.loads(serialize_complex(x))
+        want = ref.from_maximal_simplices(
+            data["simplices"], order=data["vertex_order"], name=data["name"])
+        assert_same_complex(parse_complex(data), want)
+        assert parse_complex(data) == x
+        # star and boundary views as complexes of their own
+        first = x.subcomplex_closure([x.simplices_of_dim(0)[0]])
+        for sub in [closed_star(x, first)] + ([] if y is None else [y]):
+            view = sub.as_complex("view")
+            assert view.simplices_by_dim == ref._levels(sub.simplices, x._rank)

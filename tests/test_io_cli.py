@@ -100,7 +100,7 @@ def test_cochain_keys_resolve_integer_tokens():
 
 def test_cochain_key_order_enforced():
     x = circle()
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="increasing vertex order"):
         parse_cochain({"degree": 1, "values": {"2,1": 3}}, x)
 
 
@@ -246,6 +246,18 @@ def test_cli_rejects_a_simplex_named_twice(tmp_path):
         code, _, err = run_cli(*args)
         assert code == 1, args
         assert "'01,2' names the same simplex as an earlier key" in err
+
+
+def test_cli_rejects_a_permuted_chain_key(tmp_path):
+    # "1,3,0" lists the triangle's vertices out of order: say so, rather
+    # than that the triangle is missing
+    xp = write_complex(tmp_path, torus())
+    up = write_json(tmp_path, {"degree": 0, "values": {"1": 1}}, "u.json")
+    ap = write_json(tmp_path, {"degree": 2, "values": {"0,1,3": 1, "1,3,0": 1}}, "a.json")
+    code, out, err = run_cli("cap", xp, "--cochain", up, "--chain", ap)
+    assert code == 1
+    assert out == ""
+    assert err.strip() == "error: chain: key '1,3,0' is not in increasing vertex order"
 
 
 def test_cli_cap_relative_interval(tmp_path):
