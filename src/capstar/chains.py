@@ -56,7 +56,8 @@ class ChainComplexZ:
     ranks: dict  # degree -> rank (> 0 entries only)
     sparse: dict  # degree -> nonzero SparseMatrix out of that degree
     # data derived on first use: the homology group at each degree
-    # (keyed by the degree) and the integer dual (keyed by "dual")
+    # (keyed by the degree), the integer dual (keyed by "dual") and, until
+    # its second reader in `homology` takes it, a decomposition ("snf", j)
     _derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     def rank(self, n: int) -> int:
@@ -324,23 +325,32 @@ class HomologyClass:
 
 
 def homology(k: ChainComplexZ, degree: int) -> HomologyGroup:
-    """Isomorphism type + representatives at one degree, via two Smith
-    decompositions (cycles, then boundaries in kernel coordinates);
-    computed on the first call for `k` and `degree`, then shared."""
+    """Isomorphism type + representatives at one degree, computed on the
+    first call for `k` and `degree`, then shared.  The Smith decomposition
+    of the outgoing differential gives the cycles, a second one the
+    boundaries in kernel coordinates.  Where the outgoing differential is
+    zero, v_inv is the identity, and the second is the first of degree j,
+    that of the incoming d_j: if d_j is nonzero, whichever of the two
+    degrees comes first keeps it on `k` as ("snf", j) until the other
+    takes it."""
     if degree in k._derived:
         return k._derived[degree]
     eps = k.diff_degree
     n = k.rank(degree)
     a = k.sparse_d(degree)  # out of the degree
     b = k.sparse_d(degree - eps)  # into the degree
-    snf_a = smith_normal_form(a)
+    snf_a = k._derived.pop(("snf", degree), None) or smith_normal_form(a)
+    if degree in k.sparse and degree + eps not in k.sparse and degree + eps not in k._derived:
+        k._derived[("snf", degree)] = snf_a
     r_a = snf_a.rank
     v_inv = snf_a.sparse.v_inv
     kernel = snf_a.sparse.V.T[r_a:]  # rows: a basis of the cycles
     coords_b = v_inv @ b
     if coords_b[:r_a].any():
         raise InternalCheckError("boundaries are not cycles; d o d != 0")
-    snf_c = smith_normal_form(coords_b[r_a:])
+    snf_c = k._derived.pop(("snf", degree - eps), None) or smith_normal_form(coords_b[r_a:])
+    if degree not in k.sparse and degree - eps in k.sparse and degree - eps not in k._derived:
+        k._derived[("snf", degree - eps)] = snf_c
     r_c = snf_c.rank
     factors = snf_c.invariant_factors()
     free_idx = list(range(r_c, n - r_a))

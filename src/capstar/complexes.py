@@ -316,7 +316,12 @@ def barycentric_subdivide(x: SimplicialComplex) -> SubdivisionResult:
     # parent -> the sd simplices whose last vertex is its barycenter; a
     # parent comes after its faces, so theirs are listed already
     flags_ending = {}
-    for s in sorted(x.all_simplices(), key=lambda s: (len(s), x.sort_key(s))):
+    # by dimension, then by vertex ranks: (len(s), *ranks) sorts natively
+    try:
+        ranked = {(len(s), *map(x._rank.__getitem__, s)): s for s in x.all_simplices()}
+    except KeyError as missing:
+        x.rank_of(missing.args[0])
+    for s in map(ranked.__getitem__, sorted(ranked)):
         tok = barycenter_token(s)
         if len(s) > 1 and x.has_vertex(tok):
             raise ValidationError(

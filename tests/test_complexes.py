@@ -1,6 +1,10 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import reference_subdivision
 from capstar.complexes import (
+    SimplicialComplex,
     barycentric_subdivide,
     closed_star,
     from_maximal_simplices,
@@ -174,3 +178,34 @@ def test_moebius_boundary_is_one_circle(surfaces):
         nxt = [v for v in adj[cur] if v != prev]
         prev, cur = cur, nxt[0]
     assert len(seen) == 5
+
+
+# -- the order in which subdivision visits the parent simplices -----------
+
+
+@st.composite
+def hand_built_complexes(draw):
+    """A complex built by hand: a closed random complex whose levels are
+    shuffled, and whose vertex order may be shuffled too, so that its
+    simplices need not be listed, or spelled, in rank order."""
+    simplex = st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True)
+    x = from_maximal_simplices(draw(st.lists(simplex, min_size=1, max_size=6)))
+    order = draw(st.permutations(x.vertex_order)) if draw(st.booleans()) else x.vertex_order
+    levels = tuple(tuple(draw(st.permutations(level))) for level in x.simplices_by_dim)
+    return SimplicialComplex(vertex_order=tuple(order), simplices_by_dim=levels)
+
+
+@given(hand_built_complexes())
+def test_subdivision_order_matches_the_sorted_order(x):
+    new, old = barycentric_subdivide(x), reference_subdivision.barycentric_subdivide(x)
+    assert new.complex.vertex_order == old.complex.vertex_order
+    assert new.complex.simplices_by_dim == old.complex.simplices_by_dim
+    assert list(new.barycenter_of.items()) == list(old.barycenter_of.items())
+    assert list(new.parent_of.items()) == list(old.parent_of.items())
+
+
+def test_subdivision_of_a_vertex_outside_the_order_is_rejected():
+    x = SimplicialComplex(vertex_order=(1, 2), simplices_by_dim=(((2,), (1,), (3,)),))
+    for subdivide in (barycentric_subdivide, reference_subdivision.barycentric_subdivide):
+        with pytest.raises(ValidationError, match=r"^unknown vertex token 3$"):
+            subdivide(x)

@@ -356,7 +356,11 @@ def test_kept_coordinate_rows_own_their_data(surfaces, pairs, monkeypatch):
         lo, hi = k.degree_span()
         for n in range(lo - 1, hi + 2):
             factors.clear()
+            kept = {key: snf for key, snf in k._derived.items() if isinstance(key, tuple)}
             h = homology(k, n)
+            # the decompositions it read: those it ran and those it took from `k`
+            factors += [snf.sparse for key, snf in kept.items() if key not in k._derived]
+            assert len(factors) == 2
             coords = h._coords
             # one dim x rank C_n matrix, sharing no line with a Smith factor
             lines = {id(line) for f in factors for m in f for line in m._row_dicts + m._col_dicts}
@@ -369,3 +373,47 @@ def test_kept_coordinate_rows_own_their_data(surfaces, pairs, monkeypatch):
             assert coords.shape == (h.dim, k.rank(n))
             reps = np.stack(h.cycle_basis, axis=1) if h.dim else la.zeros(k.rank(n), 0)
             assert np.array_equal(la.matmul(coords.toarray(), reps), la.identity(h.dim))
+
+
+def test_each_boundary_matrix_is_reduced_once(homology_snf_calls):
+    k = chain_complex_of(torus())
+    d1, d2 = k.sparse_d(1).shape, k.sparse_d(2).shape
+    for n in range(3):
+        homology(k, n)
+    # d_0 (zero), d_1 (shared by degrees 0 and 1), d_2 in kernel
+    # coordinates, d_2, and d_3 (zero) in kernel coordinates
+    assert len(homology_snf_calls) == 5 and homology_snf_calls.count(d1) == 1
+    assert homology_snf_calls.count(d2) == 1
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_d1_is_reduced_once_whichever_degree_comes_first(homology_snf_calls, first):
+    k = chain_complex_of(torus())
+    homology(k, first)
+    assert ("snf", 1) in k._derived
+    homology(k, 1 - first)
+    assert ("snf", 1) not in k._derived
+    assert homology_snf_calls.count(k.sparse_d(1).shape) == 1
+
+
+@pytest.mark.parametrize("order", [(1, 2), (2, 1)])
+def test_cochain_complex_reduces_its_top_coboundary_once(homology_snf_calls, order):
+    k = cochain_complex(torus())
+    assert 1 in k.sparse and 2 not in k.sparse
+    for n in order:
+        homology(k, n)
+    assert homology_snf_calls.count(k.sparse_d(1).shape) == 1
+    assert ("snf", 1) not in k._derived
+
+
+def test_no_decomposition_outlives_its_second_reader(surfaces, pairs):
+    ks = [f(x) for x in surfaces.values() for f in (chain_complex_of, cochain_complex)]
+    ks += [f(m.ambient, m.boundary) for m in pairs.values()
+           for f in (chain_complex_of, cochain_complex)]
+    for k in ks:
+        k = chains.chain_complex(k.diff_degree, k.ranks, k.sparse)
+        lo, hi = k.degree_span()
+        for n in range(lo - 1, hi + 2):
+            homology(k, n)
+        assert not [v for v in k._derived.values()
+                    if isinstance(v, la.SmithDecomposition)]

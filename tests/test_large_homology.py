@@ -4,9 +4,9 @@ the next size, Klein sd^2 (3,456 cells), and sd^3 of the torus (9,072
 cells) and of the Klein bottle (20,736 cells), which dense matrices put
 out of reach (Klein sd^3's dense d_2 alone has 72M entries).  The time
 bound is generous: on 2 vCPUs torus and RP^2 at sd^2 together take
-about 0.3 s, Klein sd^2 about 0.5 s, torus sd^3 about 1.3 s and Klein
-sd^3 about 4.5 s, against about 70 s for torus and RP^2 at sd^2 with the
-cubic kernel.  It is a gate like any other check."""
+about 0.3 s, Klein sd^2 about 0.4 s, torus sd^3 about 1.0-1.2 s and Klein
+sd^3 about 3.3-3.7 s, against about 70 s for torus and RP^2 at sd^2 with
+the cubic kernel.  It is a gate like any other check."""
 
 import time
 
