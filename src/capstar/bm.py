@@ -9,8 +9,6 @@ supported cap of the pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import intlinalg as la
 from .bridge import (
     SimplicialChain,
@@ -36,6 +34,7 @@ from .complexes import (
 )
 from .errors import InternalCheckError, ValidationError
 from .products import RelativeSupportedCapResult, relative_supported_cap, supported_cap
+from .records import Record
 
 __all__ = [
     "OpenSpaceModel",
@@ -48,17 +47,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OpenSpaceModel:
+class OpenSpaceModel(Record):
     """Pair model (ambient, boundary) of the open complement
     ambient - boundary."""
 
-    ambient: SimplicialComplex
-    boundary: Subcomplex
+    _fields = ("ambient", "boundary")
 
-    def __post_init__(self):
-        if self.boundary.parent != self.ambient:
+    def __init__(self, ambient: SimplicialComplex, boundary: Subcomplex):
+        if boundary.parent != ambient:
             raise ValidationError("boundary is not a subcomplex of the ambient complex")
+        vars(self).update(ambient=ambient, boundary=boundary)
 
 
 def bm_homology(model: OpenSpaceModel, degree: int) -> HomologyGroup:
@@ -70,10 +68,12 @@ def bm_homology(model: OpenSpaceModel, degree: int) -> HomologyGroup:
 # -- long exact sequence of the pair ------------------------------------
 
 
-@dataclass(frozen=True)
-class ExactnessReport:
-    nodes: tuple  # (label, exact?) per checked node
-    passed: bool
+class ExactnessReport(Record):
+    _fields = ("nodes", "passed")
+
+    def __init__(self, nodes: tuple, passed: bool):
+        # nodes: (label, exact?) per checked node
+        vars(self).update(nodes=nodes, passed=passed)
 
 
 def _exact_at(prev_matrix, here: HomologyGroup, next_matrix, nxt: HomologyGroup) -> bool:
@@ -136,10 +136,12 @@ def pair_long_exact_sequence(x: SimplicialComplex, y: Subcomplex) -> ExactnessRe
 # -- subdivision invariance ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
-    rows: tuple  # (degree, original type, subdivided type, iso?)
-    passed: bool
+class InvarianceReport(Record):
+    _fields = ("rows", "passed")
+
+    def __init__(self, rows: tuple, passed: bool):
+        # rows: (degree, original type, subdivided type, iso?)
+        vars(self).update(rows=rows, passed=passed)
 
 
 def subdivision_invariance_check(model: OpenSpaceModel, times: int = 1) -> InvarianceReport:

@@ -16,7 +16,6 @@ kept on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Mapping
 
@@ -30,6 +29,7 @@ from .complexes import (
     last_vertex_approximation,
 )
 from .errors import ValidationError
+from .records import Record
 
 __all__ = [
     "SimplicialChain",
@@ -72,8 +72,7 @@ def _validated_support(complex: SimplicialComplex, degree: int, coefficients: Ma
     return out
 
 
-@dataclass(frozen=True)
-class SimplicialChain:
+class SimplicialChain(Record):
     """Sparse integer vector in one degree of a fixed complex.
 
     One type serves as a chain, as a cochain (its value on each simplex)
@@ -85,15 +84,19 @@ class SimplicialChain:
     dense export `chain_to_vector` does.
     """
 
-    complex: SimplicialComplex
-    degree: int
-    coefficients: dict
+    _fields = ("complex", "degree", "coefficients")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coefficients",
-            _validated_support(self.complex, self.degree, self.coefficients),
-        )
+    def __init__(self, complex: SimplicialComplex, degree: int, coefficients: Mapping):
+        vars(self).update(complex=complex, degree=degree,
+                          coefficients=_validated_support(complex, degree, coefficients))
+
+    @classmethod
+    def _trusted(cls, complex: SimplicialComplex, degree: int, coefficients: dict):
+        """The chain of `coefficients` as they are: nonzero Python ints on
+        `degree`-simplices of `complex`, which the caller has checked."""
+        chain = cls.__new__(cls)
+        vars(chain).update(complex=complex, degree=degree, coefficients=coefficients)
+        return chain
 
     @property
     def values(self) -> dict:

@@ -22,11 +22,10 @@ degree, then shared by every caller.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
-
 from . import intlinalg as la
 from .errors import InternalCheckError, ValidationError
 from .intlinalg import smith_normal_form
+from .records import Record
 
 __all__ = [
     "ChainComplexZ",
@@ -48,17 +47,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ChainComplexZ:
+class ChainComplexZ(Record):
     """Graded free Z-modules with differentials of degree +1 or -1."""
 
-    diff_degree: int
-    ranks: dict  # degree -> rank (> 0 entries only)
-    sparse: dict  # degree -> nonzero SparseMatrix out of that degree
-    # data derived on first use: the homology group at each degree
-    # (keyed by the degree), the integer dual (keyed by "dual") and, until
-    # its second reader in `homology` takes it, a decomposition ("snf", j)
-    _derived: dict = field(default_factory=dict, repr=False, compare=False)
+    _fields = ("diff_degree", "ranks", "sparse")
+
+    def __init__(self, diff_degree: int, ranks: dict, sparse: dict, _derived: dict = None):
+        # ranks: degree -> rank (> 0 entries only); sparse: degree ->
+        # nonzero SparseMatrix out of that degree; _derived: data derived
+        # on first use, kept out of equality: the homology group at each
+        # degree (keyed by the degree), the integer dual (keyed by "dual")
+        # and, until its second reader in `homology` takes it, a
+        # decomposition ("snf", j)
+        vars(self).update(diff_degree=diff_degree, ranks=ranks, sparse=sparse,
+                          _derived={} if _derived is None else _derived)
 
     def rank(self, n: int) -> int:
         return self.ranks.get(n, 0)
@@ -120,15 +122,15 @@ def chain_complex(diff_degree: int, ranks: dict, differentials: dict) -> ChainCo
     return k
 
 
-@dataclass(frozen=True)
-class ChainMap:
+class ChainMap(Record):
     """Graded map f with f d = sign * d f, degree shift in stored indices."""
 
-    source: ChainComplexZ
-    target: ChainComplexZ
-    sparse: dict  # degree n -> nonzero SparseMatrix source_n -> target_{n+shift}
-    shift: int = 0
-    sign: int = 1
+    _fields = ("source", "target", "sparse", "shift", "sign")
+
+    def __init__(self, source: ChainComplexZ, target: ChainComplexZ, sparse: dict,
+                 shift: int = 0, sign: int = 1):
+        # sparse: degree n -> nonzero SparseMatrix source_n -> target_{n+shift}
+        vars(self).update(source=source, target=target, sparse=sparse, shift=shift, sign=sign)
 
     def sparse_matrix(self, n: int) -> la.SparseMatrix:
         m = self.sparse.get(n)
@@ -196,8 +198,7 @@ def identity_map(k: ChainComplexZ) -> ChainMap:
 # -- homology ---------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class HomologyGroup:
+class HomologyGroup(Record):
     """Z^betti + sum Z/t_i with explicit cycle representatives.
 
     Coordinates (and `cycle_basis`) list the free generators first and
@@ -208,29 +209,29 @@ class HomologyGroup:
     that tuple as given.
     """
 
-    degree: int
-    betti: int
-    torsion: tuple
-    cycle_basis: InitVar[tuple] = None  # replaced by the property below
-    # rows: the generators in chain coordinates, dim x rank of the degree
-    _gens: la.SparseMatrix = field(repr=False, compare=False, default=None)
-    _cycle_test: la.SparseMatrix = field(repr=False, compare=False, default=None)
-    # rows: the canonical coordinates of a cycle, dim x rank of the degree
-    _coords: la.SparseMatrix = field(repr=False, compare=False, default=None)
-    # columns: a basis of the cycles, V[:, r:] of the first Smith decomposition
-    _kernel: la.SparseMatrix = field(repr=False, compare=False, default=None)
+    _fields = ("degree", "betti", "torsion")
 
-    def __post_init__(self, cycle_basis):
+    def __init__(self, degree: int, betti: int, torsion: tuple, cycle_basis: tuple = None,
+                 _gens: la.SparseMatrix = None, _cycle_test: la.SparseMatrix = None,
+                 _coords: la.SparseMatrix = None, _kernel: la.SparseMatrix = None):
+        # _gens, rows: the generators in chain coordinates, dim x rank of
+        # the degree; _coords, rows: the canonical coordinates of a cycle,
+        # dim x rank of the degree; _kernel, columns: a basis of the
+        # cycles, V[:, r:] of the first Smith decomposition
+        fields = vars(self)
+        fields.update(degree=degree, betti=betti, torsion=torsion, _gens=_gens,
+                      _cycle_test=_cycle_test, _coords=_coords, _kernel=_kernel)
         if cycle_basis is not None:
-            object.__setattr__(self, "_basis", tuple(cycle_basis))
-            object.__setattr__(self, "_gens", la.SparseMatrix.of(self._basis))
+            fields["_basis"] = tuple(cycle_basis)
+            fields["_gens"] = la.SparseMatrix.of(self._basis)
 
-    def _cycle_basis(self) -> tuple:
+    @property
+    def cycle_basis(self) -> tuple:
         if "_basis" not in self.__dict__:
             gens = self._gens.toarray()
             # every caller shares this group: no in-place edit may change it
             gens.flags.writeable = False
-            object.__setattr__(self, "_basis", tuple(gens))
+            vars(self)["_basis"] = tuple(gens)
         return self._basis
 
     def __eq__(self, other):
@@ -288,13 +289,12 @@ class HomologyGroup:
         return tuple(out)
 
 
-HomologyGroup.cycle_basis = property(HomologyGroup._cycle_basis)
+class HomologyClass(Record):
+    _fields = ("group", "coords")
 
-
-@dataclass(frozen=True, eq=False)
-class HomologyClass:
-    group: HomologyGroup
-    coords: tuple
+    def __init__(self, group: HomologyGroup, coords: tuple):
+        fields = vars(self)
+        fields["group"], fields["coords"] = group, coords
 
     def __eq__(self, other):
         if not isinstance(other, HomologyClass):
@@ -345,7 +345,8 @@ def homology(k: ChainComplexZ, degree: int) -> HomologyGroup:
     r_a = snf_a.rank
     v_inv = snf_a.sparse.v_inv
     kernel = snf_a.sparse.V.T[r_a:]  # rows: a basis of the cycles
-    coords_b = v_inv @ b
+    # where the outgoing differential is zero, v_inv is the identity
+    coords_b = v_inv @ b if degree in k.sparse else b
     if coords_b[:r_a].any():
         raise InternalCheckError("boundaries are not cycles; d o d != 0")
     snf_c = k._derived.pop(("snf", degree - eps), None) or smith_normal_form(coords_b[r_a:])
@@ -417,11 +418,15 @@ def shift(k: ChainComplexZ, n: int) -> ChainComplexZ:
     return chain_complex(eps, ranks, diffs)
 
 
-@dataclass(frozen=True)
-class ConeResult:
-    complex: ChainComplexZ
-    include_target: ChainMap  # L -> Cone, degree 0
-    project_source: ChainMap  # Cone -> K, shifts by the diff degree, sign -1
+class ConeResult(Record):
+    _fields = ("complex", "include_target", "project_source")
+
+    def __init__(self, complex: ChainComplexZ, include_target: ChainMap,
+                 project_source: ChainMap):
+        # include_target: L -> Cone, degree 0; project_source: Cone -> K,
+        # shifts by the diff degree, sign -1
+        vars(self).update(complex=complex, include_target=include_target,
+                          project_source=project_source)
 
 
 def cone(u: ChainMap) -> ConeResult:
@@ -492,11 +497,14 @@ def cone_dual_iso(u: ChainMap) -> ChainMap:
 # -- induced maps and reports -----------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class InducedMap:
-    source_group: HomologyGroup
-    target_group: HomologyGroup
-    sparse: la.SparseMatrix  # canonical target coords x canonical source coords
+class InducedMap(Record):
+    _fields = ("source_group", "target_group", "sparse")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, source_group: HomologyGroup, target_group: HomologyGroup,
+                 sparse: la.SparseMatrix):
+        # sparse: canonical target coords x canonical source coords
+        vars(self).update(source_group=source_group, target_group=target_group, sparse=sparse)
 
     @property
     def matrix(self):
@@ -567,10 +575,12 @@ def is_quasi_isomorphism(f: ChainMap) -> tuple[bool, list]:
     return ok, report
 
 
-@dataclass(frozen=True)
-class UctReport:
-    rows: tuple  # (dual degree, computed type, predicted type, ok)
-    passed: bool
+class UctReport(Record):
+    _fields = ("rows", "passed")
+
+    def __init__(self, rows: tuple, passed: bool):
+        # rows: (dual degree, computed type, predicted type, ok)
+        vars(self).update(rows=rows, passed=passed)
 
 
 def uct_check(k: ChainComplexZ) -> UctReport:

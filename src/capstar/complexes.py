@@ -8,11 +8,11 @@ is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
+from .records import Record
 
 __all__ = [
     "Simplex",
@@ -46,28 +46,27 @@ def default_token_order(tokens: Iterable) -> tuple:
     return tuple(ints) + tuple(strs)
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(Record):
     """Face-closed finite set of simplices over an ordered vertex set."""
 
-    vertex_order: tuple
-    simplices_by_dim: tuple  # tuple of tuples, index = dimension, each sorted
-    name: str = ""
-    _rank: Mapping = field(default=None, repr=False, compare=False)
-    _index: Mapping = field(default=None, repr=False, compare=False)
-    # data derived from this complex on first use (its chain
-    # complex, its barycentric subdivision); lives and dies with the complex
-    _derived: dict = field(default_factory=dict, repr=False, compare=False)
+    _fields = ("vertex_order", "simplices_by_dim", "name")
 
-    def __post_init__(self):
-        rank = dict(zip(self.vertex_order, range(len(self.vertex_order))))
-        if len(rank) != len(self.vertex_order):
+    def __init__(self, vertex_order: tuple, simplices_by_dim: tuple, name: str = "",
+                 _rank: Mapping = None, _index: Mapping = None, _derived: dict = None):
+        # simplices_by_dim: tuple of tuples, index = dimension, each
+        # sorted.  `_rank` and `_index` are always built here, whatever is
+        # passed.  _derived: data derived from this complex on first use
+        # (its chain complex, its barycentric subdivision), kept out of
+        # equality; it lives and dies with the complex
+        rank = dict(zip(vertex_order, range(len(vertex_order))))
+        if len(rank) != len(vertex_order):
             raise ValidationError("duplicate vertex token in vertex order")
         index = {}
-        for simplices in self.simplices_by_dim:
+        for simplices in simplices_by_dim:
             index.update(zip(simplices, range(len(simplices))))
-        object.__setattr__(self, "_rank", rank)
-        object.__setattr__(self, "_index", index)
+        vars(self).update(vertex_order=vertex_order, simplices_by_dim=simplices_by_dim,
+                          name=name, _rank=rank, _index=index,
+                          _derived={} if _derived is None else _derived)
 
     # -- basic queries -------------------------------------------------
     @property
@@ -138,27 +137,27 @@ class SimplicialComplex:
         return Subcomplex(parent=self, simplices=frozenset(closed))
 
 
-@dataclass(frozen=True)
-class Subcomplex:
+class Subcomplex(Record):
     """A face-closed subset of a parent complex's simplices."""
 
-    parent: SimplicialComplex
-    simplices: frozenset
-    # data derived from this subcomplex on first use: the pair (parent, self)'s
-    # chain complex, its closed star and non-meeting complement in the parent
-    # and its `as_complex` views by name; lives and dies with the subcomplex
-    _derived: dict = field(default_factory=dict, repr=False, compare=False)
+    _fields = ("parent", "simplices")
 
-    def __post_init__(self):
-        for s in self.simplices:
-            if s not in self.parent:
+    def __init__(self, parent: SimplicialComplex, simplices: frozenset, _derived: dict = None):
+        # _derived: data derived from this subcomplex on first use, kept
+        # out of equality: the pair (parent, self)'s chain complex, its
+        # closed star and non-meeting complement in the parent and its
+        # `as_complex` views by name; it lives and dies with the subcomplex
+        for s in simplices:
+            if s not in parent:
                 raise ValidationError(f"simplex {s!r} not in parent complex")
             for k in range(1, len(s)):
                 for f in combinations(s, k):
-                    if f not in self.simplices:
+                    if f not in simplices:
                         raise ValidationError(
                             f"subcomplex not face-closed: missing {f!r} under {s!r}"
                         )
+        vars(self).update(parent=parent, simplices=simplices,
+                          _derived={} if _derived is None else _derived)
 
     def __contains__(self, simplex) -> bool:
         return tuple(simplex) in self.simplices
@@ -276,8 +275,7 @@ def subcomplex_intersection(a: Subcomplex, b: Subcomplex) -> Subcomplex:
     return Subcomplex(parent=a.parent, simplices=a.simplices & b.simplices)
 
 
-@dataclass(frozen=True)
-class SubdivisionResult:
+class SubdivisionResult(Record):
     """One barycentric subdivision together with its bookkeeping.
 
     Vertices of `complex` are in bijection with the simplices of
@@ -285,14 +283,17 @@ class SubdivisionResult:
     faces of the parent.
     """
 
-    parent: SimplicialComplex
-    complex: SimplicialComplex
-    barycenter_of: Mapping  # parent simplex -> new vertex token
-    parent_of: Mapping  # new vertex token -> parent simplex
-    # the induced subdivisions built so far, keyed by the simplices of
-    # the subcomplex of `parent` they subdivide, and the subdivision and
-    # last-vertex chain maps
-    _derived: dict = field(default_factory=dict, repr=False, compare=False)
+    _fields = ("parent", "complex", "barycenter_of", "parent_of")
+
+    def __init__(self, parent: SimplicialComplex, complex: SimplicialComplex,
+                 barycenter_of: Mapping, parent_of: Mapping, _derived: dict = None):
+        # barycenter_of: parent simplex -> new vertex token; parent_of: new
+        # vertex token -> parent simplex; _derived, kept out of equality:
+        # the induced subdivisions built so far, keyed by the simplices of
+        # the subcomplex of `parent` they subdivide, and the subdivision
+        # and last-vertex chain maps
+        vars(self).update(parent=parent, complex=complex, barycenter_of=barycenter_of,
+                          parent_of=parent_of, _derived={} if _derived is None else _derived)
 
 
 def barycenter_token(simplex: Simplex):

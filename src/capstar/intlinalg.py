@@ -24,11 +24,11 @@ without it, and reads a numpy array or scalar it is handed through
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import ValidationError
+from .records import Record
 
 __all__ = [
     "SparseMatrix",
@@ -142,8 +142,7 @@ def _transposed(lines, count: int) -> tuple:
     return out
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class SparseMatrix:
+class SparseMatrix(Record):
     """An exact integer matrix kept as its nonzeros: `rows[i]` maps the
     columns of row i to its entries, `cols[j]` the rows of column j,
     with Python int entries and no stored zeros.  One or both views are
@@ -153,14 +152,20 @@ class SparseMatrix:
     whoever builds one from dicts hands them over.  Built with neither
     view, it is the zero matrix of its shape."""
 
-    shape: tuple
-    _rows: tuple = field(default=None, repr=False)
-    _cols: tuple = field(default=None, repr=False)
-    _checked: bool = field(default=False, repr=False)
+    __slots__ = ("shape", "_rows", "_cols", "_checked")
+    _fields = ("shape",)
 
-    def __post_init__(self):
-        if self._rows is None and self._cols is None:
-            object.__setattr__(self, "_rows", tuple({} for _ in range(self.shape[0])))
+    def __init__(self, shape, _rows=None, _cols=None, _checked=False):
+        if _rows is None and _cols is None:
+            _rows = tuple({} for _ in range(shape[0]))
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "_rows", _rows)
+        object.__setattr__(self, "_cols", _cols)
+        object.__setattr__(self, "_checked", _checked)
+
+    def __reduce__(self):
+        # copy and pickle would otherwise set the slots through __setattr__
+        return SparseMatrix, (self.shape, self._rows, self._cols, self._checked)
 
     @classmethod
     def of(cls, a, shape=None) -> "SparseMatrix":
@@ -326,8 +331,7 @@ class Factors(NamedTuple):
     v_inv: SparseMatrix
 
 
-@dataclass(frozen=True, eq=False)
-class SmithDecomposition:
+class SmithDecomposition(Record):
     """U @ A @ V == D with U, V unimodular and D diagonal, d1 | d2 | ...
 
     `u_inv` and `v_inv` are the exact inverses, tracked during the
@@ -336,7 +340,11 @@ class SmithDecomposition:
     their dense object arrays, built on each request.
     """
 
-    sparse: Factors
+    _fields = ("sparse",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, sparse: Factors):
+        vars(self).update(sparse=sparse)
 
     U = property(lambda self: self.sparse.U.toarray())
     D = property(lambda self: self.sparse.D.toarray())

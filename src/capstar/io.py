@@ -131,6 +131,9 @@ def _key_tokens(x: SimplicialComplex) -> dict:
 
 
 def _parse_valued(data: dict, x: SimplicialComplex, what: str):
+    """The degree and the nonzero coefficients of a chain or cochain file,
+    each key checked to name a simplex of `x` of that degree, once: the
+    chain is built from them without a second check."""
     _check_keys(data, _VALUED_KEYS, what)
     if "degree" not in data or not _is_int(data["degree"]):
         raise ValidationError(f"{what} file needs an integer 'degree'")
@@ -142,8 +145,10 @@ def _parse_valued(data: dict, x: SimplicialComplex, what: str):
     token, index, rank = _key_tokens(x).__getitem__, x._index, x._rank.__getitem__
     out = {}
     for key, coeff in data["values"].items():
-        if type(coeff) is not int and not _is_int(coeff):
-            raise ValidationError(f"{what}: coefficient for {key!r} must be an integer")
+        if type(coeff) is not int:
+            if not _is_int(coeff):
+                raise ValidationError(f"{what}: coefficient for {key!r} must be an integer")
+            coeff = int(coeff)
         parts = key.split(",")
         try:
             simplex = tuple(map(token, parts))
@@ -161,17 +166,17 @@ def _parse_valued(data: dict, x: SimplicialComplex, what: str):
         if simplex in out:
             raise ValidationError(f"{what}: {key!r} names the same simplex as an earlier key")
         out[simplex] = coeff
+    if 0 in out.values():
+        out = {s: c for s, c in out.items() if c}
     return degree, out
 
 
 def parse_cochain(data: dict, x: SimplicialComplex) -> SimplicialCochain:
-    degree, values = _parse_valued(data, x, "cochain")
-    return SimplicialCochain(x, degree, values)
+    return SimplicialCochain._trusted(x, *_parse_valued(data, x, "cochain"))
 
 
 def parse_chain(data: dict, x: SimplicialComplex) -> SimplicialChain:
-    degree, values = _parse_valued(data, x, "chain")
-    return SimplicialChain(x, degree, values)
+    return SimplicialChain._trusted(x, *_parse_valued(data, x, "chain"))
 
 
 def serialize_cochain(u) -> str:

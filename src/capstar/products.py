@@ -9,8 +9,6 @@ notes on `dual_cap`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bridge import (
     CochainFunctional,
     SimplicialChain,
@@ -34,6 +32,7 @@ from .complexes import (
     subcomplex_intersection,
 )
 from .errors import InternalCheckError, RetractConditionError, ValidationError
+from .records import Record
 
 __all__ = [
     "cup",
@@ -116,30 +115,39 @@ def dual_cap(f: CochainFunctional, u: SimplicialCochain,
     return CochainFunctional(star.as_complex(), vdeg, out)
 
 
-@dataclass(frozen=True)
-class CapDiagnostics:
-    degree: int
-    inclusion_is_isomorphism: bool
-    star_group: str
-    support_group: str
+class CapDiagnostics(Record):
+    _fields = ("degree", "inclusion_is_isomorphism", "star_group", "support_group")
+
+    def __init__(self, degree: int, inclusion_is_isomorphism: bool, star_group: str,
+                 support_group: str):
+        vars(self).update(degree=degree, inclusion_is_isomorphism=inclusion_is_isomorphism,
+                          star_group=star_group, support_group=support_group)
 
 
-@dataclass(frozen=True)
-class SupportedCapResult:
-    star: Subcomplex
-    chain_image: SimplicialChain  # alpha cap u, on the star's complex
-    class_in_z: HomologyClass
-    diagnostics: CapDiagnostics
+class SupportedCapResult(Record):
+    _fields = ("star", "chain_image", "class_in_z", "diagnostics")
+
+    def __init__(self, star: Subcomplex, chain_image: SimplicialChain,
+                 class_in_z: HomologyClass, diagnostics: CapDiagnostics):
+        # chain_image: alpha cap u, on the star's complex
+        vars(self).update(star=star, chain_image=chain_image, class_in_z=class_in_z,
+                          diagnostics=diagnostics)
 
 
-@dataclass(frozen=True)
-class RelativeSupportedCapResult:
-    star: Subcomplex  # N, the closed star of Z in X
-    star_boundary: Subcomplex  # N', the closed star of Y cap Z inside Y
-    chain_image: SimplicialChain  # alpha cap u on the star's complex
-    class_in_pair: HomologyClass  # in H(N, N')
-    class_in_z: HomologyClass | None  # in H(Z, Z cap Y) when transportable
-    diagnostics: CapDiagnostics
+class RelativeSupportedCapResult(Record):
+    _fields = ("star", "star_boundary", "chain_image", "class_in_pair", "class_in_z",
+               "diagnostics")
+
+    def __init__(self, star: Subcomplex, star_boundary: Subcomplex,
+                 chain_image: SimplicialChain, class_in_pair: HomologyClass,
+                 class_in_z: HomologyClass | None, diagnostics: CapDiagnostics):
+        # star: N, the closed star of Z in X; star_boundary: N', the closed
+        # star of Y cap Z inside Y; chain_image: alpha cap u on the star's
+        # complex; class_in_pair: in H(N, N'); class_in_z: in H(Z, Z cap Y)
+        # when transportable
+        vars(self).update(star=star, star_boundary=star_boundary, chain_image=chain_image,
+                          class_in_pair=class_in_pair, class_in_z=class_in_z,
+                          diagnostics=diagnostics)
 
 
 def _check_supported_cocycle(x, z, u):

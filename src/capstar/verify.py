@@ -9,7 +9,6 @@ prove the checks can fail.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 
 from . import intlinalg as la
@@ -45,15 +44,16 @@ from .complexes import (
 from .errors import RetractConditionError, ValidationError
 from .intlinalg import smith_normal_form
 from .products import cap, cup, supported_cap
+from .records import Record
 
 __all__ = ["CheckResult", "run_suite"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(Record):
+    _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        vars(self).update(name=name, passed=passed, detail=detail)
 
 
 def _cap_or_zero(alpha: SimplicialChain, u: SimplicialCochain) -> SimplicialChain:

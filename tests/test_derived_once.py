@@ -417,3 +417,18 @@ def test_no_decomposition_outlives_its_second_reader(surfaces, pairs):
             homology(k, n)
         assert not [v for v in k._derived.values()
                     if isinstance(v, la.SmithDecomposition)]
+
+
+@pytest.mark.parametrize("build, degree", [(chain_complex_of, 0), (cochain_complex, 2)])
+def test_a_zero_outgoing_differential_hands_on_the_incoming_one(monkeypatch, build, degree):
+    # v_inv is the identity there, so the boundaries need no change of coordinates
+    seen = []
+    snf = chains.smith_normal_form
+    monkeypatch.setattr(chains, "smith_normal_form", lambda a: seen.append(a) or snf(a))
+    k = build(torus())
+    k = chains.chain_complex(k.diff_degree, k.ranks, k.sparse)
+    assert degree not in k.sparse
+    homology(k, degree)
+    incoming = k.sparse_d(degree - k.diff_degree)
+    assert len(seen) == 2 and seen[1].shape == incoming.shape
+    assert all(a is b for a, b in zip(seen[1]._row_dicts, incoming._row_dicts))

@@ -1,7 +1,8 @@
-"""numpy stays off capstar's import path: importing capstar and running
-every CLI command shape loads no numpy.  Only the dense exports load it,
-and they still return numpy arrays; numpy integers and bools are still
-read as coefficients and entries, and floats still refused."""
+"""numpy and dataclasses stay off capstar's import path: importing
+capstar and running every CLI command shape loads neither.  Only the
+dense exports load numpy, and they still return numpy arrays; numpy
+integers and bools are still read as coefficients and entries, and
+floats still refused."""
 
 import json
 import os
@@ -61,7 +62,7 @@ def _commands(d):
 
 # Run in a fresh interpreter: writes the fixture files into argv[1], runs
 # each command through `capstar.cli.main` and prints the exit codes and
-# whether numpy got loaded.
+# whether numpy or dataclasses got loaded.
 CHILD = """
 import contextlib, io, json, runpy, sys
 sys.argv = ["write_fixture_files.py", sys.argv[1]]
@@ -72,7 +73,8 @@ codes = []
 for cmd in json.loads(sys.stdin.read()):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(main(cmd))
-print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
+                  "dataclasses": "dataclasses" in sys.modules}))
 """
 
 
@@ -86,8 +88,8 @@ def _fresh_python(args, stdin=""):
 
 def test_importing_capstar_loads_no_numpy():
     out = _fresh_python(["-c", "import sys, capstar, capstar.io, capstar.verify, capstar.cli; "
-                               "print('numpy' in sys.modules)"])
-    assert out.strip() == "False"
+                               "print('numpy' in sys.modules, 'dataclasses' in sys.modules)"])
+    assert out.strip() == "False False"
 
 
 def test_every_cli_command_shape_runs_without_numpy(tmp_path):
@@ -95,7 +97,7 @@ def test_every_cli_command_shape_runs_without_numpy(tmp_path):
         (tmp_path / fname).write_text(json.dumps(payload))
     cmds = _commands(tmp_path)
     out = json.loads(_fresh_python(["-c", CHILD, str(tmp_path)], json.dumps(cmds)))
-    assert out == {"codes": [0] * len(cmds), "numpy": False}
+    assert out == {"codes": [0] * len(cmds), "numpy": False, "dataclasses": False}
 
 
 # -- the dense exports ----------------------------------------------------

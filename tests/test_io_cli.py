@@ -351,3 +351,28 @@ def test_verify_corruption_hook_fails():
     results = run_suite(sphere(), trials=5, seed=0, _corrupt="boundary")
     by_name = {r.name: r.passed for r in results}
     assert by_name["boundary-squares-to-zero"] is False
+
+
+def test_parsed_chains_are_checked_once(monkeypatch):
+    import capstar.bridge as bridge
+    from capstar.bridge import SimplicialChain
+    from capstar.io import parse_chain
+
+    x = circle()
+    checked = bridge._validated_support
+    calls = []
+    monkeypatch.setattr(bridge, "_validated_support",
+                        lambda *args: calls.append(args) or checked(*args))
+    expected = SimplicialChain(x, 1, {(1, 2): 0, (2, 3): 5, (1, 3): -1})
+    data = {"degree": 1, "values": {"1,2": 0, "2,3": 5, "1,3": -1}}
+    for parse in (parse_chain, parse_cochain):
+        c = parse(data, x)
+        assert c == expected and list(c.coefficients) == [(2, 3), (1, 3)] and c.complex is x
+    assert len(calls) == 1
+    # a zero coefficient still names its simplex, once
+    with pytest.raises(ValidationError, match="names the same simplex as an earlier key"):
+        parse_chain({"degree": 1, "values": {"1,2": 0, " 1,2": 1}}, x)
+    # a chain built directly is still checked
+    with pytest.raises(ValidationError, match=r"^simplex \(1, 4\) not in complex$"):
+        SimplicialChain(x, 1, {(1, 4): 1})
+    assert len(calls) == 2
