@@ -69,11 +69,7 @@ def bm_homology(model: OpenSpaceModel, degree: int) -> HomologyGroup:
 
 
 class ExactnessReport(Record):
-    _fields = ("nodes", "passed")
-
-    def __init__(self, nodes: tuple, passed: bool):
-        # nodes: (label, exact?) per checked node
-        vars(self).update(nodes=nodes, passed=passed)
+    _fields = ("nodes", "passed")  # nodes: (label, exact?) per checked node
 
 
 def _exact_at(prev_matrix, here: HomologyGroup, next_matrix, nxt: HomologyGroup) -> bool:
@@ -137,11 +133,7 @@ def pair_long_exact_sequence(x: SimplicialComplex, y: Subcomplex) -> ExactnessRe
 
 
 class InvarianceReport(Record):
-    _fields = ("rows", "passed")
-
-    def __init__(self, rows: tuple, passed: bool):
-        # rows: (degree, original type, subdivided type, iso?)
-        vars(self).update(rows=rows, passed=passed)
+    _fields = ("rows", "passed")  # rows: (degree, original type, subdivided type, iso?)
 
 
 def subdivision_invariance_check(model: OpenSpaceModel, times: int = 1) -> InvarianceReport:

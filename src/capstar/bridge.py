@@ -411,10 +411,17 @@ def _through(lines, c: SimplicialChain) -> dict:
 
 def apply_chain_map(f: ChainMap, chain: SimplicialChain,
                     source: SimplicialComplex, target: SimplicialComplex) -> SimplicialChain:
+    """The image of `chain` under a map of the absolute chains C(source)
+    -> C(target); a map of relative chains raises ValidationError, since
+    its matrix does not index simplices by their place in `source`."""
     if chain.complex != source:
         raise ValidationError("chain does not live on the map's source complex")
-    w = _through(f.sparse_matrix(chain.degree)._col_dicts, chain)
-    return _lift(target, chain.degree + f.shift, w)
+    n, m = chain.degree, chain.degree + f.shift
+    if (f.source.rank(n) != len(source.simplices_of_dim(n))
+            or f.target.rank(m) != len(target.simplices_of_dim(m))):
+        raise ValidationError("chain map is not on the absolute chains of source and target")
+    w = _through(f.sparse_matrix(n)._col_dicts, chain)
+    return _lift(target, m, w)
 
 
 def cochain_pullback(sd: SubdivisionResult, u: SimplicialCochain) -> SimplicialCochain:

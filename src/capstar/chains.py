@@ -104,9 +104,16 @@ class ChainComplexZ(Record):
 def chain_complex(diff_degree: int, ranks: dict, differentials: dict) -> ChainComplexZ:
     if diff_degree not in (1, -1):
         raise ValidationError("diff_degree must be +1 or -1")
-    ranks = {int(n): int(r) for n, r in ranks.items() if r}
+    given, ranks = ranks, {}
+    for n, r in given.items():
+        n, r = la._entry(n), la._entry(r)
+        if r < 0:
+            raise ValidationError(f"rank {r} at degree {n} is negative")
+        if r:
+            ranks[n] = r
     diffs = {}
     for n, m in differentials.items():
+        n = la._entry(n)
         expected = (ranks.get(n + diff_degree, 0), ranks.get(n, 0))
         m = la.SparseMatrix.of(m, shape=expected)
         if m.shape != expected:
@@ -114,7 +121,7 @@ def chain_complex(diff_degree: int, ranks: dict, differentials: dict) -> ChainCo
                 f"differential at degree {n} has shape {m.shape}, expected {expected}"
             )
         if m.any():
-            diffs[int(n)] = m
+            diffs[n] = m
     k = ChainComplexZ(diff_degree=diff_degree, ranks=ranks, sparse=diffs)
     for n in ranks:
         if (k.sparse_d(n + diff_degree) @ k.sparse_d(n)).any():
@@ -125,12 +132,9 @@ def chain_complex(diff_degree: int, ranks: dict, differentials: dict) -> ChainCo
 class ChainMap(Record):
     """Graded map f with f d = sign * d f, degree shift in stored indices."""
 
+    # sparse: degree n -> nonzero SparseMatrix source_n -> target_{n+shift}
     _fields = ("source", "target", "sparse", "shift", "sign")
-
-    def __init__(self, source: ChainComplexZ, target: ChainComplexZ, sparse: dict,
-                 shift: int = 0, sign: int = 1):
-        # sparse: degree n -> nonzero SparseMatrix source_n -> target_{n+shift}
-        vars(self).update(source=source, target=target, sparse=sparse, shift=shift, sign=sign)
+    _defaults = {"shift": 0, "sign": 1}
 
     def sparse_matrix(self, n: int) -> la.SparseMatrix:
         m = self.sparse.get(n)
@@ -333,6 +337,7 @@ def homology(k: ChainComplexZ, degree: int) -> HomologyGroup:
     that of the incoming d_j: if d_j is nonzero, whichever of the two
     degrees comes first keeps it on `k` as ("snf", j) until the other
     takes it."""
+    degree = la._entry(degree)
     if degree in k._derived:
         return k._derived[degree]
     eps = k.diff_degree
@@ -419,14 +424,9 @@ def shift(k: ChainComplexZ, n: int) -> ChainComplexZ:
 
 
 class ConeResult(Record):
+    # include_target: L -> Cone, degree 0; project_source: Cone -> K,
+    # shifts by the diff degree, sign -1
     _fields = ("complex", "include_target", "project_source")
-
-    def __init__(self, complex: ChainComplexZ, include_target: ChainMap,
-                 project_source: ChainMap):
-        # include_target: L -> Cone, degree 0; project_source: Cone -> K,
-        # shifts by the diff degree, sign -1
-        vars(self).update(complex=complex, include_target=include_target,
-                          project_source=project_source)
 
 
 def cone(u: ChainMap) -> ConeResult:
@@ -498,13 +498,9 @@ def cone_dual_iso(u: ChainMap) -> ChainMap:
 
 
 class InducedMap(Record):
+    # sparse: canonical target coords x canonical source coords
     _fields = ("source_group", "target_group", "sparse")
     __eq__, __hash__ = object.__eq__, object.__hash__
-
-    def __init__(self, source_group: HomologyGroup, target_group: HomologyGroup,
-                 sparse: la.SparseMatrix):
-        # sparse: canonical target coords x canonical source coords
-        vars(self).update(source_group=source_group, target_group=target_group, sparse=sparse)
 
     @property
     def matrix(self):
@@ -576,11 +572,7 @@ def is_quasi_isomorphism(f: ChainMap) -> tuple[bool, list]:
 
 
 class UctReport(Record):
-    _fields = ("rows", "passed")
-
-    def __init__(self, rows: tuple, passed: bool):
-        # rows: (dual degree, computed type, predicted type, ok)
-        vars(self).update(rows=rows, passed=passed)
+    _fields = ("rows", "passed")  # rows: (dual degree, computed type, predicted type, ok)
 
 
 def uct_check(k: ChainComplexZ) -> UctReport:

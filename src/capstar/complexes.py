@@ -52,10 +52,10 @@ class SimplicialComplex(Record):
     _fields = ("vertex_order", "simplices_by_dim", "name")
 
     def __init__(self, vertex_order: tuple, simplices_by_dim: tuple, name: str = "",
-                 _rank: Mapping = None, _index: Mapping = None, _derived: dict = None):
+                 _derived: dict = None):
         # simplices_by_dim: tuple of tuples, index = dimension, each
-        # sorted.  `_rank` and `_index` are always built here, whatever is
-        # passed.  _derived: data derived from this complex on first use
+        # sorted.  `_rank` and `_index` are built here.  _derived: data
+        # derived from this complex on first use
         # (its chain complex, its barycentric subdivision), kept out of
         # equality; it lives and dies with the complex
         rank = dict(zip(vertex_order, range(len(vertex_order))))

@@ -343,9 +343,6 @@ class SmithDecomposition(Record):
     _fields = ("sparse",)
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, sparse: Factors):
-        vars(self).update(sparse=sparse)
-
     U = property(lambda self: self.sparse.U.toarray())
     D = property(lambda self: self.sparse.D.toarray())
     V = property(lambda self: self.sparse.V.toarray())

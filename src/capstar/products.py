@@ -22,7 +22,7 @@ from .bridge import (
     relative_inclusion_chain_map,
     subdivision_chain_map,
 )
-from .chains import HomologyClass, induced_map_on_homology
+from .chains import induced_map_on_homology
 from .complexes import (
     SimplicialComplex,
     Subcomplex,
@@ -118,36 +118,19 @@ def dual_cap(f: CochainFunctional, u: SimplicialCochain,
 class CapDiagnostics(Record):
     _fields = ("degree", "inclusion_is_isomorphism", "star_group", "support_group")
 
-    def __init__(self, degree: int, inclusion_is_isomorphism: bool, star_group: str,
-                 support_group: str):
-        vars(self).update(degree=degree, inclusion_is_isomorphism=inclusion_is_isomorphism,
-                          star_group=star_group, support_group=support_group)
-
 
 class SupportedCapResult(Record):
+    # chain_image: alpha cap u, on the star's complex
     _fields = ("star", "chain_image", "class_in_z", "diagnostics")
-
-    def __init__(self, star: Subcomplex, chain_image: SimplicialChain,
-                 class_in_z: HomologyClass, diagnostics: CapDiagnostics):
-        # chain_image: alpha cap u, on the star's complex
-        vars(self).update(star=star, chain_image=chain_image, class_in_z=class_in_z,
-                          diagnostics=diagnostics)
 
 
 class RelativeSupportedCapResult(Record):
+    # star: N, the closed star of Z in X; star_boundary: N', the closed
+    # star of Y cap Z inside Y; chain_image: alpha cap u on the star's
+    # complex; class_in_pair: in H(N, N'); class_in_z: in H(Z, Z cap Y)
+    # when transportable, else None
     _fields = ("star", "star_boundary", "chain_image", "class_in_pair", "class_in_z",
                "diagnostics")
-
-    def __init__(self, star: Subcomplex, star_boundary: Subcomplex,
-                 chain_image: SimplicialChain, class_in_pair: HomologyClass,
-                 class_in_z: HomologyClass | None, diagnostics: CapDiagnostics):
-        # star: N, the closed star of Z in X; star_boundary: N', the closed
-        # star of Y cap Z inside Y; chain_image: alpha cap u on the star's
-        # complex; class_in_pair: in H(N, N'); class_in_z: in H(Z, Z cap Y)
-        # when transportable
-        vars(self).update(star=star, star_boundary=star_boundary, chain_image=chain_image,
-                          class_in_pair=class_in_pair, class_in_z=class_in_z,
-                          diagnostics=diagnostics)
 
 
 def _check_supported_cocycle(x, z, u):

@@ -1,6 +1,9 @@
 """The frozen base of capstar's records.
 
-`__init__` sets a record's fields once, through `vars(self)` (or
+A record declares its fields once, in `_fields`, and any defaults in
+`_defaults`.  The base `__init__` takes them positionally in that order
+or by name; a record that checks or derives on construction defines its
+own `__init__`.  Either sets the fields once, through `vars(self)` (or
 `object.__setattr__` under `__slots__`); assigning or deleting any
 attribute after that raises AttributeError.  The repr shows `_fields`,
 and a record equals one of its own class with equal `_fields` and
@@ -12,6 +15,27 @@ hashes as their tuple, unless its class defines its own `__eq__`
 class Record:
     __slots__ = ()
     _fields = ()
+    _defaults = {}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        name = type(self).__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} positional arguments "
+                            f"but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for f, v in kwargs.items():
+            if f not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {f!r}")
+            if f in values:
+                raise TypeError(f"{name}() got multiple values for argument {f!r}")
+            values[f] = v
+        for f in fields[len(args):]:
+            if f not in values:
+                if f not in self._defaults:
+                    raise TypeError(f"{name}() missing required argument {f!r}")
+                values[f] = self._defaults[f]
+        vars(self).update(values)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -51,9 +51,7 @@ __all__ = ["CheckResult", "run_suite"]
 
 class CheckResult(Record):
     _fields = ("name", "passed", "detail")
-
-    def __init__(self, name: str, passed: bool, detail: str = ""):
-        vars(self).update(name=name, passed=passed, detail=detail)
+    _defaults = {"detail": ""}
 
 
 def _cap_or_zero(alpha: SimplicialChain, u: SimplicialCochain) -> SimplicialChain:

@@ -1,5 +1,6 @@
-"""numpy and dataclasses stay off capstar's import path: importing
-capstar and running every CLI command shape loads neither.  Only the
+"""numpy, dataclasses and inspect stay off capstar's import path:
+importing capstar and running every CLI command shape loads none of
+them.  Only the
 dense exports load numpy, and they still return numpy arrays; numpy
 integers and bools are still read as coefficients and entries, and
 floats still refused."""
@@ -62,7 +63,7 @@ def _commands(d):
 
 # Run in a fresh interpreter: writes the fixture files into argv[1], runs
 # each command through `capstar.cli.main` and prints the exit codes and
-# whether numpy or dataclasses got loaded.
+# whether numpy, dataclasses or inspect got loaded.
 CHILD = """
 import contextlib, io, json, runpy, sys
 sys.argv = ["write_fixture_files.py", sys.argv[1]]
@@ -74,7 +75,8 @@ for cmd in json.loads(sys.stdin.read()):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(main(cmd))
 print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
-                  "dataclasses": "dataclasses" in sys.modules}))
+                  "dataclasses": "dataclasses" in sys.modules,
+                  "inspect": "inspect" in sys.modules}))
 """
 
 
@@ -88,8 +90,9 @@ def _fresh_python(args, stdin=""):
 
 def test_importing_capstar_loads_no_numpy():
     out = _fresh_python(["-c", "import sys, capstar, capstar.io, capstar.verify, capstar.cli; "
-                               "print('numpy' in sys.modules, 'dataclasses' in sys.modules)"])
-    assert out.strip() == "False False"
+                               "print('numpy' in sys.modules, 'dataclasses' in sys.modules, "
+                               "'inspect' in sys.modules)"])
+    assert out.strip() == "False False False"
 
 
 def test_every_cli_command_shape_runs_without_numpy(tmp_path):
@@ -97,7 +100,8 @@ def test_every_cli_command_shape_runs_without_numpy(tmp_path):
         (tmp_path / fname).write_text(json.dumps(payload))
     cmds = _commands(tmp_path)
     out = json.loads(_fresh_python(["-c", CHILD, str(tmp_path)], json.dumps(cmds)))
-    assert out == {"codes": [0] * len(cmds), "numpy": False, "dataclasses": False}
+    assert out == {"codes": [0] * len(cmds), "numpy": False, "dataclasses": False,
+                   "inspect": False}
 
 
 # -- the dense exports ----------------------------------------------------

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from capstar.bridge import SimplicialChain, SimplicialCochain
+from capstar.bridge import SimplicialChain, SimplicialCochain, chain_complex_of
+from capstar.chains import chain_complex, homology
 from capstar.errors import ValidationError
 from capstar.fixtures import circle
 from capstar.io import parse_chain, parse_cochain, serialize_complex
@@ -74,3 +75,26 @@ def test_cli_verify_negative_trials_exits_one(tmp_path):
     assert code == 1
     assert "PASS" not in out
     assert "trials" in err
+
+
+@pytest.mark.parametrize("ranks", [{0: 2.7}, {0.9: 2}, {"1": 2}], ids=repr)
+def test_chain_complex_rejects_ranks_and_degrees_that_are_not_integers(ranks):
+    with pytest.raises(ValidationError, match="is not an integer"):
+        chain_complex(-1, ranks, {})
+
+
+def test_chain_complex_rejects_a_negative_rank_naming_its_degree():
+    with pytest.raises(ValidationError, match="^rank -3 at degree 1 is negative$"):
+        chain_complex(-1, {0: 1, 1: -3}, {})
+    with pytest.raises(ValidationError, match="is not an integer"):
+        chain_complex(-1, {0: 1}, {0.5: [[0]]})
+
+
+@pytest.mark.parametrize("degree", [1.5, 2.0, "1"], ids=repr)
+def test_homology_rejects_a_degree_that_is_not_an_integer(degree):
+    k = chain_complex_of(circle())
+    with pytest.raises(ValidationError, match="is not an integer"):
+        homology(k, degree)
+    homology(k, 2)  # once degree 2 is known, 2.0 is still refused
+    with pytest.raises(ValidationError, match="is not an integer"):
+        homology(k, degree)

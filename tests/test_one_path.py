@@ -11,6 +11,7 @@ from capstar.bridge import (
     CochainFunctional,
     SimplicialChain,
     SimplicialCochain,
+    apply_chain_map,
     chain_complex_of,
     chain_to_vector,
     inclusion_chain_map,
@@ -21,7 +22,7 @@ from capstar.bridge import (
 )
 from capstar.complexes import SimplicialComplex, barycentric_subdivide, induced_subdivision
 from capstar.errors import ValidationError
-from capstar.fixtures import circle, interval_pair, solid_simplex, torus
+from capstar.fixtures import circle, cylinder_pair, interval_pair, solid_simplex, torus
 from capstar.products import relative_supported_cap, supported_cap
 from capstar.verify import _random_cocycle_vanishing_off_star, _random_cycle, _random_subcomplex
 
@@ -149,3 +150,18 @@ def test_one_sparse_vector_type():
     assert u.evaluate(alpha) == alpha.evaluate(u) == 6
     with pytest.raises(ValidationError):
         u.evaluate(SimplicialChain(x, 0, {(1,): 1}))
+
+
+def test_apply_chain_map_refuses_a_map_of_relative_chains():
+    # the map's matrix indexes simplices outside the rim, not simplices of X
+    for model, s in [(cylinder_pair(), ("a0", "a1")), (interval_pair(), ("m",))]:
+        x, rim = model.ambient, model.boundary
+        sd = barycentric_subdivide(x)
+        chain = SimplicialChain(x, len(s) - 1, {s: 1})
+        with pytest.raises(ValidationError, match="not on the absolute chains"):
+            apply_chain_map(subdivision_chain_map(sd, rim), chain, x, sd.complex)
+    x = cylinder_pair().ambient
+    sd = barycentric_subdivide(x)
+    image = apply_chain_map(subdivision_chain_map(sd), SimplicialChain(x, 1, {("a0", "a1"): 1}),
+                            x, sd.complex)
+    assert image.coefficients == {("a0", "b(a0.a1)"): 1, ("a1", "b(a0.a1)"): -1}

@@ -326,6 +326,25 @@ def test_constructors_still_check_and_normalise():
     assert HomologyGroup(degree=0, betti=0, torsion=())._gens is None
 
 
+STORING = ["CapDiagnostics", "ChainMap", "CheckResult", "ConeResult", "ExactnessReport",
+           "InducedMap", "InvarianceReport", "RelativeSupportedCapResult", "SmithDecomposition",
+           "SupportedCapResult", "UctReport"]
+
+
+@pytest.mark.parametrize("name", STORING)
+def test_records_that_only_store_refuse_a_misused_constructor(name):
+    record = CASES[name]["built"][0]
+    cls, fields = type(record), CASES[name]["fields"]
+    assert "__init__" not in vars(cls)
+    values = [getattr(record, f) for f in fields]
+    first = repr(fields[0])
+    for args, kwargs, named in [([], {}, first), (values, {"unheard_of": 1}, "'unheard_of'"),
+                                (values, {fields[0]: values[0]}, first),
+                                (values + [None], {}, f"{len(fields)} positional")]:
+        with pytest.raises(TypeError, match=f"^{name}\\(\\) .*{re.escape(named)}"):
+            cls(*args, **kwargs)
+
+
 @pytest.mark.parametrize("name", ["SparseMatrix", "SimplicialComplex", "Subcomplex",
                                   "SimplicialChain", "CheckResult"])
 def test_records_copy_and_pickle(name):
