@@ -53,10 +53,15 @@ def _is_array(a) -> bool:
 
 
 def _exact(a):
-    """The numpy array `a` as an object array of Python ints; any integer
-    or bool dtype."""
+    """The numpy array `a` as an object array of Python ints: any integer
+    or bool dtype, or an object array whose entries `_entry` reads; an
+    object array that holds only Python ints is `a` itself."""
     if a.dtype == object:
-        return a
+        if all(type(x) is int for x in a.flat):
+            return a
+        import numpy as np
+
+        return np.array([_entry(x) for x in a.flat], dtype=object).reshape(a.shape)
     if a.dtype.kind == "b":
         a = a.astype("int8")
     if a.dtype.kind not in "iu":
@@ -74,20 +79,17 @@ def _entry(x) -> int:
 
 def _integral(b):
     """A right-hand side (a vector or stacked columns) as an object array
-    of Python ints; an object array's entries are checked one by one."""
+    of Python ints."""
     import numpy as np
 
-    if isinstance(b, np.ndarray) and b.dtype != object:
-        return _exact(b)
-    b = np.asarray(b, dtype=object)
-    return np.array([_entry(x) for x in b.flat], dtype=object).reshape(b.shape)
+    return _exact(b if isinstance(b, np.ndarray) else np.asarray(b, dtype=object))
 
 
 def _vector(v) -> list:
     """A vector as a list of Python ints: a numpy array of any integer
-    dtype and shape, read flat, or a sequence, each entry checked."""
+    dtype and shape, read flat, or a sequence, each entry checked once."""
     if _is_array(v):
-        v = _exact(v).flat
+        return _exact(v).ravel().tolist()
     return [_entry(x) for x in v]
 
 
@@ -181,7 +183,7 @@ class SparseMatrix(Record):
             rows = tuple({} for _ in range(a.shape[0]))
             r, c = (a != 0).nonzero()
             for i, j, e in zip(r.tolist(), c.tolist(), a[r, c].tolist()):
-                rows[i][j] = _entry(e)
+                rows[i][j] = e
             return cls(a.shape, rows, _checked=True)
         rows = [[_entry(x) for x in r] for r in a]
         if not rows:

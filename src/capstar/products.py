@@ -9,6 +9,7 @@ notes on `dual_cap`.
 
 from __future__ import annotations
 
+from . import intlinalg as la
 from .bridge import (
     CochainFunctional,
     SimplicialChain,
@@ -84,15 +85,12 @@ def cap(alpha: SimplicialChain, u: SimplicialCochain) -> SimplicialChain:
     return SimplicialChain(alpha.complex, m - p, out)
 
 
-def dual_cap(f: CochainFunctional, u: SimplicialCochain,
-             star: Subcomplex | None = None) -> CochainFunctional:
+def dual_cap(f: CochainFunctional, u: SimplicialCochain) -> CochainFunctional:
     """Cap on the dual side: <f cap u, v> = (-1)^(|f|*|u|) <f, v cup u>.
 
     The capping cochain is cupped on the right (it eats back faces
     here), which is what makes the evaluation pairing compatible with
-    the chain-level cap on homology.  With a `star` whose complement
-    misses the support of `u`, the result is a functional on the star's
-    cochains, with v extended by zero off the star.
+    the chain-level cap on homology.
     """
     x = f.complex
     m, p = f.degree, u.degree
@@ -105,14 +103,10 @@ def dual_cap(f: CochainFunctional, u: SimplicialCochain,
     out = {}
     for s, c in f.coefficients.items():
         uval = u.coefficients.get(s[vdeg:], 0)
-        if not uval:
-            continue
-        front = s[: vdeg + 1]
-        if star is None or front in star:
+        if uval:
+            front = s[: vdeg + 1]
             out[front] = out.get(front, 0) + sign * c * uval
-    if star is None:
-        return CochainFunctional(x, vdeg, out)
-    return CochainFunctional(star.as_complex(), vdeg, out)
+    return CochainFunctional(x, vdeg, out)
 
 
 class CapDiagnostics(Record):
@@ -136,8 +130,6 @@ class RelativeSupportedCapResult(Record):
 def _check_supported_cocycle(x, z, u):
     if u.complex != x:
         raise ValidationError("cochain does not live on the ambient complex")
-    if z.parent != x:
-        raise ValidationError("support subcomplex does not belong to the ambient complex")
     zv = z.vertices()
     for s in u.coefficients:
         if zv.isdisjoint(s):
@@ -190,8 +182,9 @@ def relative_supported_cap(x: SimplicialComplex, y: Subcomplex, z: Subcomplex,
     """Supported cap for a relative cycle mod `y`: lands in chains on
     the star N modulo N', the closed star of Y cap Z inside Y, and is
     transported to H(Z, Z cap Y) when the inclusion of pairs induces an
-    isomorphism there."""
-    if presubdivide < 0:
+    isomorphism there.  The transported class is accepted only when the
+    inclusion maps it back onto the cap class."""
+    if la._entry(presubdivide) < 0:
         raise ValidationError("presubdivide must be >= 0")
     if alpha.complex != x:
         raise ValidationError("chain does not live on the ambient complex")
@@ -209,10 +202,8 @@ def relative_supported_cap(x: SimplicialComplex, y: Subcomplex, z: Subcomplex,
             )
 
     y_and_z = subcomplex_intersection(y, z)
-    y_complex = y.as_complex("boundary")
-    star_prime_in_y = closed_star(
-        y_complex, Subcomplex(parent=y_complex, simplices=y_and_z.simplices)
-    )
+    yzv = y_and_z.vertices()
+    star_prime_in_y = x.subcomplex_closure(s for s in y.simplices if not yzv.isdisjoint(s))
 
     image = cap(alpha, u)
     for s in image.coefficients:
@@ -245,7 +236,7 @@ def relative_supported_cap(x: SimplicialComplex, y: Subcomplex, z: Subcomplex,
     class_in_z = None
     if iso:
         class_in_z = induced.solve(class_in_pair)
-        if class_in_z is None:
+        if class_in_z is None or induced.apply(class_in_z) != class_in_pair:
             raise InternalCheckError("isomorphism failed to invert on the cap class")
     return RelativeSupportedCapResult(
         star=star,

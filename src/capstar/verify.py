@@ -62,13 +62,13 @@ def _cap_or_zero(alpha: SimplicialChain, u: SimplicialCochain) -> SimplicialChai
     return cap(alpha, u)
 
 
-def _random_chain(rng, x, degree, density=0.6, lo=-3, hi=3) -> SimplicialChain:
-    """Random chain (or cochain): each simplex draws whether it is in the
-    support, then its coefficient."""
+def _random_chain(rng, x, degree) -> SimplicialChain:
+    """Random chain (or cochain): each simplex is in the support with
+    probability 0.6, and then draws its coefficient from -3..3."""
     coeffs = {}
     for s in x.simplices_of_dim(degree):
-        if rng.random() < density:
-            c = rng.randint(lo, hi)
+        if rng.random() < 0.6:
+            c = rng.randint(-3, 3)
             if c:
                 coeffs[s] = c
     return SimplicialChain(x, degree, coeffs)
@@ -149,7 +149,7 @@ def _cone_identity_acyclic(k) -> bool:
 def run_suite(x: SimplicialComplex, trials: int = 100, seed: int = 0,
               _corrupt: str | None = None) -> list[CheckResult]:
     """Run every applicable invariant check against one complex."""
-    if trials < 1:
+    if la._entry(trials) < 1:
         raise ValidationError("trials must be >= 1")
     rng = random.Random(seed)
     results: list[CheckResult] = []

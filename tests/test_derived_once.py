@@ -242,23 +242,6 @@ def test_second_cap_on_the_same_support_runs_no_homology_reduction(homology_snf_
     assert second.class_in_z.coords == (2,)
 
 
-def test_bm_cross_check_reuses_the_relative_groups(monkeypatch, homology_snf_calls):
-    x, z, u, alpha = _circle_cap_instance()
-    absolute_calls = []
-
-    def absolute(*args):
-        before = len(homology_snf_calls)
-        res = supported_cap(*args)
-        absolute_calls.append(len(homology_snf_calls) - before)
-        return res
-
-    monkeypatch.setattr(bm, "supported_cap", absolute)
-    model = OpenSpaceModel(ambient=x, boundary=x.subcomplex([(3,)]))
-    res = bm_supported_cap(model, z, u, alpha)
-    assert res.class_in_z.coords == (1,)
-    assert absolute_calls == [0]
-
-
 def test_bm_supported_cap_subdivides_each_level_once(monkeypatch):
     made = []
     subdivide = complexes.barycentric_subdivide
@@ -271,16 +254,10 @@ def test_bm_supported_cap_subdivides_each_level_once(monkeypatch):
     x, z, u, alpha = _circle_cap_instance()
     model = OpenSpaceModel(ambient=x, boundary=x.subcomplex([(3,)]))
     assert bm_supported_cap(model, z, u, alpha, presubdivide=2).class_in_z.coords == (1,)
-    # the relative cap and the absolute cross-check both go down two
-    # levels, and share one subdivision, with its chain maps, per level
-    assert len(made) == 4
-    levels = {id(parent) for parent, _ in made}
-    assert len(levels) == len({id(sd.complex) for _, sd in made}) == 2
-    for level in levels:
-        first, again = [sd for parent, sd in made if id(parent) == level]
-        assert again.complex is first.complex
-        assert bridge.subdivision_chain_map(again) is bridge.subdivision_chain_map(first)
-        assert bridge.last_vertex_chain_map(again) is bridge.last_vertex_chain_map(first)
+    # one subdivision per level, each of the complex the level before made
+    assert len(made) == 2
+    (first_parent, first), (second_parent, _) = made
+    assert first_parent is x and second_parent is first.complex
 
 
 def test_supported_draws_build_one_nonmeeting_complement_per_support(monkeypatch):

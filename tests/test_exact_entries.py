@@ -221,3 +221,32 @@ def test_coords_of_reads_integer_vectors_of_any_dtype():
     assert h1.coords_of(g) == h1.coords_of(list(g)) == (1,)
     assert h1.coords_of(np.array(list(g), dtype=np.int8)) == (1,)
     assert h1.coords_of(3 * g) == (3,)
+
+
+@pytest.mark.parametrize("entry", [1.5, 1.0, Fraction(1, 2), "1"], ids=repr)
+def test_object_arrays_are_checked_entry_by_entry(entry):
+    with pytest.raises(ValidationError, match="not an integer"):
+        la.as_matrix(np.array([[1, entry]], dtype=object))
+    with pytest.raises(ValidationError, match="not an integer"):
+        la.matmul(np.array([[1, 1]]), np.array([1, entry], dtype=object))
+    with pytest.raises(ValidationError, match="not an integer"):
+        la.matmul(np.array([[1, entry]], dtype=object), np.array([[1], [1]]))
+
+
+def test_object_arrays_of_numpy_integers_become_python_ints():
+    a = la.as_matrix(np.array([[np.int64(2), np.True_]], dtype=object))
+    assert a.tolist() == [[2, 1]] and all(type(x) is int for x in a.flat)
+    out = la.matmul(np.array([[1]]), np.array([np.int64(3)], dtype=object))
+    assert out.tolist() == [3] and type(out[0]) is int
+
+
+def test_coords_of_reads_each_entry_once(monkeypatch):
+    h1 = homology(chain_complex_of(circle()), 1)
+    g = [np.int64(x) for x in h1.cycle_basis[0]]
+    reads = []
+    entry = la._entry
+    monkeypatch.setattr(la, "_entry", lambda x: reads.append(x) or entry(x))
+    for cycle in (g, np.array(g, dtype=object)):
+        reads.clear()
+        assert h1.coords_of(cycle) == (1,)
+        assert len(reads) == len(g)

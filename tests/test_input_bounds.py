@@ -5,14 +5,16 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from capstar.bm import subdivision_invariance_check
 from capstar.bridge import SimplicialChain, SimplicialCochain, chain_complex_of
 from capstar.chains import chain_complex, homology
 from capstar.errors import ValidationError
-from capstar.fixtures import circle
+from capstar.fixtures import circle, interval_pair
 from capstar.io import parse_chain, parse_cochain, serialize_complex
-from capstar.products import cap
+from capstar.products import cap, supported_cap
 from capstar.verify import run_suite
 
 
@@ -98,3 +100,27 @@ def test_homology_rejects_a_degree_that_is_not_an_integer(degree):
     homology(k, 2)  # once degree 2 is known, 2.0 is still refused
     with pytest.raises(ValidationError, match="is not an integer"):
         homology(k, degree)
+
+
+@pytest.mark.parametrize("count", [1.5, 1.0, "1"], ids=repr)
+def test_counts_that_are_not_integers_are_refused(count):
+    x = circle()
+    z = x.subcomplex_closure([(1,)])
+    u = SimplicialCochain(x, 1, {(1, 2): 1})
+    alpha = SimplicialChain(x, 1, {(1, 2): 1, (2, 3): 1, (1, 3): -1})
+    with pytest.raises(ValidationError, match="is not an integer"):
+        supported_cap(x, z, u, alpha, presubdivide=count)
+    with pytest.raises(ValidationError, match="is not an integer"):
+        subdivision_invariance_check(interval_pair(), times=count)
+    with pytest.raises(ValidationError, match="is not an integer"):
+        run_suite(x, trials=count)
+
+
+def test_integer_counts_of_any_integer_type_are_read():
+    x = circle()
+    z = x.subcomplex_closure([(1,)])
+    u = SimplicialCochain(x, 1, {(1, 2): 1})
+    alpha = SimplicialChain(x, 1, {(1, 2): 1, (2, 3): 1, (1, 3): -1})
+    assert supported_cap(x, z, u, alpha, presubdivide=np.int64(1)).class_in_z.coords == (1,)
+    assert subdivision_invariance_check(interval_pair(), times=np.int8(1)).passed
+    assert all(r.passed for r in run_suite(x, trials=np.int64(2)))

@@ -1,0 +1,103 @@
+"""Chain complexes, chain maps, homology coordinates and the relative
+supported cap refuse malformed input with ValidationError."""
+
+import pytest
+
+from capstar.bridge import SimplicialChain, SimplicialCochain, chain_complex_of
+from capstar.chains import chain_complex, chain_map, homology
+from capstar.errors import ValidationError
+from capstar.fixtures import circle, interval_pair
+from capstar.products import relative_supported_cap
+
+
+def _arrow():
+    """Z in degree 1 onto Z in degree 0: d_1 = [1]."""
+    return chain_complex(-1, {0: 1, 1: 1}, {1: [[1]]})
+
+
+def test_chain_complex_refuses_a_differential_degree_other_than_one():
+    for diff_degree in (0, 2, -2):
+        with pytest.raises(ValidationError, match="diff_degree must be \\+1 or -1"):
+            chain_complex(diff_degree, {0: 1}, {})
+
+
+def test_chain_complex_refuses_a_differential_of_the_wrong_shape():
+    with pytest.raises(ValidationError,
+                       match=r"differential at degree 1 has shape \(1, 2\), expected \(1, 1\)"):
+        chain_complex(-1, {0: 1, 1: 1}, {1: [[1, 0]]})
+
+
+def test_chain_map_refuses_complexes_graded_apart():
+    cochains = chain_complex(1, {0: 1}, {})
+    with pytest.raises(ValidationError, match="different differential degrees"):
+        chain_map(_arrow(), cochains, {})
+
+
+@pytest.mark.parametrize("sign", [0, 2, -2])
+def test_chain_map_refuses_a_sign_other_than_one(sign):
+    k = _arrow()
+    with pytest.raises(ValidationError, match="sign must be \\+1 or -1"):
+        chain_map(k, k, {0: [[1]], 1: [[1]]}, sign=sign)
+
+
+def test_chain_map_refuses_a_matrix_of_the_wrong_shape():
+    k = _arrow()
+    with pytest.raises(ValidationError,
+                       match=r"matrix at degree 0 has shape \(2, 1\), expected \(1, 1\)"):
+        chain_map(k, k, {0: [[1], [0]]})
+
+
+def test_chain_map_refuses_a_map_that_does_not_commute():
+    k = _arrow()
+    chain_map(k, k, {0: [[2]], 1: [[2]]})
+    # f_0 d_1 = [2] but d_1 f_1 = [0]
+    with pytest.raises(ValidationError, match="does not commute with differentials at degree 1"):
+        chain_map(k, k, {0: [[2]]})
+    # with sign -1, f d = -d f: the identity commutes only up to that sign
+    with pytest.raises(ValidationError, match="does not commute"):
+        chain_map(k, k, {0: [[1]], 1: [[1]]}, sign=-1)
+    assert chain_map(k, k, {0: [[1]], 1: [[-1]]}, sign=-1).sign == -1
+
+
+def test_coords_of_refuses_a_vector_of_the_wrong_length():
+    h1 = homology(chain_complex_of(circle()), 1)
+    with pytest.raises(ValidationError, match="cycle has the wrong length"):
+        h1.coords_of([1, 1])
+    with pytest.raises(ValidationError, match="cycle has the wrong length"):
+        h1.coords_of([1, -1, 1, 0])
+
+
+def test_coords_of_refuses_a_vector_that_is_not_a_cycle():
+    h1 = homology(chain_complex_of(circle()), 1)
+    with pytest.raises(ValidationError, match="vector is not a cycle"):
+        h1.coords_of([1, 0, 0])
+
+
+def _midpoint_instance():
+    model = interval_pair()
+    x = model.ambient
+    z = x.subcomplex_closure([("m",)])
+    u = SimplicialCochain(x, 1, {("a", "m"): 1})
+    alpha = SimplicialChain(x, 1, {("a", "m"): 1, ("b", "m"): -1})
+    return x, model.boundary, z, u, alpha
+
+
+def test_relative_supported_cap_refuses_a_negative_presubdivide():
+    x, y, z, u, alpha = _midpoint_instance()
+    assert relative_supported_cap(x, y, z, u, alpha).class_in_z.coords == (1,)
+    with pytest.raises(ValidationError, match="presubdivide must be >= 0"):
+        relative_supported_cap(x, y, z, u, alpha, presubdivide=-1)
+
+
+def test_relative_supported_cap_refuses_inputs_on_another_complex():
+    x, y, z, u, alpha = _midpoint_instance()
+    other = circle()
+    with pytest.raises(ValidationError, match="chain does not live on the ambient complex"):
+        relative_supported_cap(x, y, z, u, SimplicialChain(other, 1, {(1, 2): 1}))
+    with pytest.raises(ValidationError, match="cochain does not live on the ambient complex"):
+        relative_supported_cap(x, y, z, SimplicialCochain(other, 1, {(1, 2): 1}), alpha)
+    with pytest.raises(ValidationError,
+                       match="boundary subcomplex does not belong to the ambient complex"):
+        relative_supported_cap(x, other.subcomplex([(1,)]), z, u, alpha)
+    with pytest.raises(ValidationError, match="subcomplex does not belong to the given complex"):
+        relative_supported_cap(x, y, other.subcomplex([(1,)]), u, alpha)
