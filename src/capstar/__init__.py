@@ -56,7 +56,6 @@ from .errors import InternalCheckError, RetractConditionError, ValidationError
 from .intlinalg import SmithDecomposition, smith_normal_form
 from .products import (
     RelativeSupportedCapResult,
-    SupportedCapResult,
     cap,
     cup,
     dual_cap,

@@ -199,8 +199,9 @@ def chain_complex_of(x: SimplicialComplex, y: Subcomplex | None = None) -> Chain
 
 def _matrix(cols, x: SimplicialComplex, y: Subcomplex | None, d: int, image) -> la.SparseMatrix:
     """The sparse matrix into degree d of C(X)/C(Y) whose column j is
-    `image(cols[j])`, a dict {simplex: nonzero coefficient}: a simplex in
-    `y` is zero there, and any other simplex outside `x` raises ValidationError."""
+    `image(cols[j])`, a dict {simplex: nonzero int}: a simplex in `y` is
+    zero there, and any other simplex outside `x` raises ValidationError.
+    Built from the complex's own simplices, it is built checked."""
     row = {s: i for i, s in enumerate(_basis(x, y, d))}
     out = []
     for s in cols:
@@ -212,7 +213,7 @@ def _matrix(cols, x: SimplicialComplex, y: Subcomplex | None, d: int, image) -> 
             elif y is None or t not in y:
                 raise ValidationError(f"simplex {t!r} not in complex")
         out.append(col)
-    return la.SparseMatrix((len(row), len(cols)), _cols=tuple(out))
+    return la.SparseMatrix((len(row), len(cols)), _cols=tuple(out), _checked=True)
 
 
 def _faces(s) -> dict:

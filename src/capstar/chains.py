@@ -210,7 +210,8 @@ class HomologyGroup(Record):
     divisibility chain.  The generators are kept sparse, as the rows of
     `_gens`; `cycle_basis` is their tuple of read-only dense vectors,
     built on first request.  A group built from a `cycle_basis` keeps
-    that tuple as given.
+    that tuple as given, and has no coordinate map; only the zero group
+    may be built without generators.
     """
 
     _fields = ("degree", "betti", "torsion")
@@ -228,6 +229,10 @@ class HomologyGroup(Record):
         if cycle_basis is not None:
             fields["_basis"] = tuple(cycle_basis)
             fields["_gens"] = la.SparseMatrix.of(self._basis)
+        elif _gens is None:
+            if self.dim:
+                raise ValidationError(f"a group of rank {self.dim} needs a cycle basis")
+            fields["_basis"] = ()
 
     @property
     def cycle_basis(self) -> tuple:
@@ -243,8 +248,8 @@ class HomologyGroup(Record):
             return NotImplemented
         if (self.degree, self.betti, self.torsion) != (other.degree, other.betti, other.torsion):
             return False
-        a, b = self._gens, other._gens
-        return a.shape[0] == b.shape[0] and (not a.shape[0] or a == b)
+        gens = [g for g in (self._gens, other._gens) if g is not None and g.shape[0]]
+        return not gens or len(gens) == 2 and gens[0] == gens[1]
 
     @property
     def dim(self) -> int:
@@ -257,15 +262,13 @@ class HomologyGroup(Record):
         return self.betti == other.betti and self.torsion == other.torsion
 
     def group_str(self) -> str:
-        parts = []
-        if self.betti:
-            parts.append(f"Z^{self.betti}")
-        parts.extend(f"Z/{t}" for t in self.torsion)
-        return " + ".join(parts) if parts else "0"
+        return _group_str(self.betti, self.torsion)
 
     def coords_of(self, cycle) -> tuple:
         """Canonical coordinates of a cycle's homology class; `cycle` is a
         vector of integers (a list, or a numpy array read flat)."""
+        if self._coords is None:
+            raise ValidationError("a group built from a cycle basis has no coordinate map")
         z = la._vector(cycle)
         if self._cycle_test.shape[1] != len(z):
             raise ValidationError("cycle has the wrong length")
@@ -282,15 +285,18 @@ class HomologyGroup(Record):
         return la.SparseMatrix((self.dim, len(self.torsion)), _cols=tuple(
             {self.betti + j: t} for j, t in enumerate(self.torsion)))
 
-    def relation_matrix(self):
-        """`_relations()` as a dense matrix."""
-        return self._relations().toarray()
-
     def reduce_coords(self, coords) -> tuple:
         out = [int(c) for c in coords]
         for j, t in enumerate(self.torsion):
             out[self.betti + j] %= t
         return tuple(out)
+
+
+def _group_str(betti: int, torsion: tuple) -> str:
+    """Z^betti + Z/t_1 + ..., or 0."""
+    parts = [f"Z^{betti}"] if betti else []
+    parts.extend(f"Z/{t}" for t in torsion)
+    return " + ".join(parts) if parts else "0"
 
 
 class HomologyClass(Record):
@@ -507,9 +513,14 @@ class InducedMap(Record):
         """`sparse` as a dense matrix, built on request."""
         return self.sparse.toarray()
 
-    def _augmented(self) -> la.SparseMatrix:
-        """The matrix with the target's torsion relations as extra columns."""
-        return la._hstack(self.sparse, self.target_group._relations())
+    @property
+    def _snf(self) -> la.SmithDecomposition:
+        """The Smith decomposition of the matrix with the target's torsion
+        relations as extra columns, built on first use and kept."""
+        if "_kept_snf" not in self.__dict__:
+            vars(self)["_kept_snf"] = smith_normal_form(
+                la._hstack(self.sparse, self.target_group._relations()))
+        return self._kept_snf
 
     def apply(self, cls: HomologyClass) -> HomologyClass:
         if cls.group != self.source_group:
@@ -517,15 +528,12 @@ class InducedMap(Record):
         vec = self.sparse.apply(cls.coords)
         return HomologyClass(self.target_group, self.target_group.reduce_coords(vec))
 
-    def is_surjective(self) -> bool:
-        t = self.target_group
-        snf = smith_normal_form(self._augmented())
-        return snf.rank == t.dim and all(f == 1 for f in snf.invariant_factors())
-
     def is_isomorphism(self) -> bool:
-        # for finitely generated abelian groups of equal type, a
-        # surjection is automatically injective
-        return self.source_group.same_type(self.target_group) and self.is_surjective()
+        # onto when the augmented matrix has one unit invariant factor per
+        # target coordinate; for finitely generated abelian groups of
+        # equal type, a surjection is automatically injective
+        return self.source_group.same_type(self.target_group) and (
+            self._snf.invariant_factors() == (1,) * self.target_group.dim)
 
     def solve(self, target_class: HomologyClass):
         """A preimage class, or None when the class is not in the image."""
@@ -533,7 +541,7 @@ class InducedMap(Record):
         if target_class.group != t:
             raise ValidationError("class does not live in the target group")
         rhs = la.SparseMatrix.of([[c] for c in target_class.coords], (t.dim, 1))
-        sol = la._solve(self._augmented(), rhs)
+        sol = la._solve(self._snf, rhs)
         if sol is None:
             return None
         coords = (row.get(0, 0) for row in sol._row_dicts[: self.source_group.dim])
@@ -597,8 +605,5 @@ def uct_check(k: ChainComplexZ) -> UctReport:
         ok = got.betti == predicted_betti and got.torsion == predicted_torsion
         passed = passed and ok
         if got.dim or predicted_betti or predicted_torsion:
-            pred_str = HomologyGroup(
-                degree=p, betti=predicted_betti, torsion=predicted_torsion, cycle_basis=()
-            ).group_str()
-            rows.append((p, got.group_str(), pred_str, ok))
+            rows.append((p, got.group_str(), _group_str(predicted_betti, predicted_torsion), ok))
     return UctReport(rows=tuple(rows), passed=passed)

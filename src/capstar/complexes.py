@@ -143,10 +143,10 @@ class Subcomplex(Record):
     _fields = ("parent", "simplices")
 
     def __init__(self, parent: SimplicialComplex, simplices: frozenset, _derived: dict = None):
-        # _derived: data derived from this subcomplex on first use, kept
-        # out of equality: the pair (parent, self)'s chain complex, its
-        # closed star and non-meeting complement in the parent and its
-        # `as_complex` views by name; it lives and dies with the subcomplex
+        # _derived: data derived from this subcomplex on first use, kept out
+        # of equality: the pair (parent, self)'s chain complex, its closed
+        # star, non-meeting complement and supported-cap pairs (one per Y),
+        # its `as_complex` views by name; it lives and dies with the subcomplex
         for s in simplices:
             if s not in parent:
                 raise ValidationError(f"simplex {s!r} not in parent complex")

@@ -189,7 +189,7 @@ class SparseMatrix(Record):
         if not rows:
             return cls(tuple(shape or (0, 0)), _checked=True)
         if any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged matrix rows")
+            raise ValidationError("ragged matrix rows")
         return cls((len(rows), len(rows[0])),
                    tuple({j: x for j, x in enumerate(r) if x} for r in rows), _checked=True)
 
@@ -524,13 +524,13 @@ def kernel_basis(a):
     return _kernel(a).toarray()
 
 
-def _solve(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix | None:
-    """One integer solution x of a @ x = b, or None when there is none;
-    the columns of `b` are the right-hand sides."""
-    if b.shape[0] != a.shape[0]:
-        raise ValueError("right-hand side length mismatch")
-    snf = smith_normal_form(a)
+def _solve(snf: SmithDecomposition, b: SparseMatrix) -> SparseMatrix | None:
+    """One integer solution x of a @ x = b, where `snf` decomposes `a`,
+    or None when there is none; the columns of `b` are the right-hand
+    sides."""
     f, r = snf.sparse, snf.rank
+    if b.shape[0] != f.D.shape[0]:
+        raise ValueError("right-hand side length mismatch")
     c = (f.U @ b)._row_dicts
     if any(c[r:]):
         return None
@@ -550,17 +550,16 @@ def solve_integer(a, b):
     sides; the solution comes back as a dense array in the matching
     shape.  `a` is a SparseMatrix or anything `as_matrix` takes.
     """
-    a = SparseMatrix.of(a)
     b = _integral(b)
     vec = b.ndim == 1
-    x = _solve(a, SparseMatrix.of(b.reshape(-1, 1) if vec else b))
+    x = _solve(smith_normal_form(a), SparseMatrix.of(b.reshape(-1, 1) if vec else b))
     if x is None:
         return None
     return x.toarray()[:, 0] if vec else x.toarray()
 
 
 def _contains(gens: SparseMatrix, vectors: SparseMatrix) -> bool:
-    return not vectors.shape[1] or _solve(gens, vectors) is not None
+    return not vectors.shape[1] or _solve(smith_normal_form(gens), vectors) is not None
 
 
 def lattice_contains(gens, vectors) -> bool:

@@ -39,7 +39,6 @@ __all__ = [
     "cup",
     "cap",
     "dual_cap",
-    "SupportedCapResult",
     "RelativeSupportedCapResult",
     "supported_cap",
     "relative_supported_cap",
@@ -113,11 +112,6 @@ class CapDiagnostics(Record):
     _fields = ("degree", "inclusion_is_isomorphism", "star_group", "support_group")
 
 
-class SupportedCapResult(Record):
-    # chain_image: alpha cap u, on the star's complex
-    _fields = ("star", "chain_image", "class_in_z", "diagnostics")
-
-
 class RelativeSupportedCapResult(Record):
     # star: N, the closed star of Z in X; star_boundary: N', the closed
     # star of Y cap Z inside Y; chain_image: alpha cap u on the star's
@@ -154,11 +148,12 @@ def _presubdivide(x, y, z, u, alpha, times):
 
 
 def supported_cap(x: SimplicialComplex, z: Subcomplex, u: SimplicialCochain,
-                  alpha: SimplicialChain, presubdivide: int = 0) -> SupportedCapResult:
+                  alpha: SimplicialChain, presubdivide: int = 0) -> RelativeSupportedCapResult:
     """Cap a cycle with a closed cochain vanishing off the star of `z`,
     land in chains on the star, and transport the class back to `z`
     through the inclusion-induced isomorphism: the relative supported
-    cap with an empty boundary subcomplex.
+    cap with an empty boundary subcomplex, so N' is empty and
+    `class_in_pair` lies in H(N).
 
     Raises RetractConditionError when H(Z) -> H(N) fails to be an
     isomorphism in the relevant degree; subdividing first (the
@@ -171,9 +166,7 @@ def supported_cap(x: SimplicialComplex, z: Subcomplex, u: SimplicialCochain,
             f"retract condition failed: H_{diag.degree}(Z) = {diag.support_group} -> "
             f"H_{diag.degree}(N) = {diag.star_group} is not an isomorphism; increase presubdivide"
         )
-    return SupportedCapResult(
-        star=res.star, chain_image=res.chain_image, class_in_z=res.class_in_z, diagnostics=diag
-    )
+    return res
 
 
 def relative_supported_cap(x: SimplicialComplex, y: Subcomplex, z: Subcomplex,
@@ -201,28 +194,32 @@ def relative_supported_cap(x: SimplicialComplex, y: Subcomplex, z: Subcomplex,
                 if y.simplices else "chain is not a cycle"
             )
 
-    y_and_z = subcomplex_intersection(y, z)
-    yzv = y_and_z.vertices()
-    star_prime_in_y = x.subcomplex_closure(s for s in y.simplices if not yzv.isdisjoint(s))
+    # N' in the star's complex and (Z, Z cap Y) -> (N, N'): kept on `z` for each Y
+    key = ("pairs", y.simplices)
+    if key not in z._derived:
+        y_and_z = subcomplex_intersection(y, z)
+        yzv = y_and_z.vertices()
+        n_complex = star.as_complex("star")
+        star_boundary = n_complex.subcomplex_closure(
+            s for s in y.simplices if not yzv.isdisjoint(s))
+        z_complex = z.as_complex("support")
+        z_boundary = Subcomplex(parent=z_complex, simplices=y_and_z.simplices)
+        incl = relative_inclusion_chain_map(z_complex, z_boundary, n_complex, star_boundary)
+        z._derived[key] = (star_boundary, incl)
+    star_boundary, incl = z._derived[key]
 
     image = cap(alpha, u)
     for s in image.coefficients:
         if s not in star:
             raise InternalCheckError(f"cap image escaped the closed star at {s!r}")
     for s in boundary_of(image).coefficients:
-        if s not in star_prime_in_y.simplices:
+        if s not in star_boundary:
             raise InternalCheckError(
                 f"boundary of the cap image escaped the inner star at {s!r}"
             )
 
-    n_complex = star.as_complex("star")
-    star_boundary = Subcomplex(parent=n_complex, simplices=star_prime_in_y.simplices)
-    beta = SimplicialChain(n_complex, image.degree, image.coefficients)
+    beta = SimplicialChain(star_boundary.parent, image.degree, image.coefficients)
     deg = image.degree
-
-    z_complex = z.as_complex("support")
-    z_boundary = Subcomplex(parent=z_complex, simplices=y_and_z.simplices)
-    incl = relative_inclusion_chain_map(z_complex, z_boundary, n_complex, star_boundary)
     induced = induced_map_on_homology(incl, deg)
     h_z_pair, h_pair = induced.source_group, induced.target_group
     class_in_pair = h_pair.class_of(_coordinates(beta, star_boundary))

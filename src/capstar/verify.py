@@ -125,11 +125,9 @@ def _random_supported_cochain(rng, x, z, degree):
 def _is_coboundary(x, w: SimplicialCochain) -> bool:
     if w.is_zero():
         return True
-    if w.degree == 0:
-        return False
     c = cochain_complex(x)
     rhs = la.SparseMatrix.of([[v] for v in _coordinates(w)])
-    return la._solve(c.sparse_d(w.degree - 1), rhs) is not None
+    return la._solve(smith_normal_form(c.sparse_d(w.degree - 1)), rhs) is not None
 
 
 def _enlarged(rng, x, z):

@@ -1,0 +1,198 @@
+"""Each supported cap decomposes what it has not decomposed before, and
+nothing twice: an induced map keeps the one Smith decomposition that
+`is_isomorphism` and `solve` both read, and a support keeps its pairs
+for each boundary subcomplex.  Also the public `HomologyGroup`
+constructor, the rows of a matrix and the matrices capstar builds
+itself."""
+
+import numpy as np
+import pytest
+
+from capstar import chains
+from capstar import intlinalg as la
+from capstar.bridge import (
+    SimplicialChain,
+    SimplicialCochain,
+    chain_complex_of,
+    last_vertex_chain_map,
+    relative_chain_complex,
+    subdivision_chain_map,
+)
+from capstar.chains import (
+    HomologyClass,
+    HomologyGroup,
+    chain_complex,
+    homology,
+    identity_map,
+    induced_map_on_homology,
+    uct_check,
+)
+from capstar.complexes import barycentric_subdivide
+from capstar.errors import ValidationError
+from capstar.fixtures import interval_pair, projective_plane, torus
+from capstar.products import RelativeSupportedCapResult, relative_supported_cap, supported_cap
+
+
+@pytest.fixture
+def snf_calls(monkeypatch):
+    """One entry per Smith decomposition, whichever module runs it."""
+    calls = []
+    snf = la.smith_normal_form
+
+    def counted(a):
+        calls.append(a.shape)
+        return snf(a)
+
+    monkeypatch.setattr(chains, "smith_normal_form", counted)
+    monkeypatch.setattr(la, "smith_normal_form", counted)
+    return calls
+
+
+def _counts(calls, cap, times=3):
+    counts, classes = [], []
+    for _ in range(times):
+        calls.clear()
+        res = cap()
+        counts.append(len(calls))
+        classes.append(res.class_in_z.coords)
+    return counts, classes
+
+
+def _torus_cap():
+    """A one-vertex support, a top-cell cochain at it and the
+    fundamental class of the torus."""
+    x = torus()
+    z = x.subcomplex_closure([x.simplices_of_dim(0)[0]])
+    top = next(s for s in x.simplices_of_dim(2) if z.vertices() & set(s))
+    u = SimplicialCochain(x, 2, {top: 1})
+    fundamental = homology(chain_complex_of(x), 2)._gens.rows[0]
+    alpha = SimplicialChain(x, 2, {x.simplices_of_dim(2)[j]: e for j, e in fundamental.items()})
+    return x, z, u, alpha
+
+
+def test_a_repeated_absolute_cap_decomposes_once_more_each_time(snf_calls):
+    x, z, u, alpha = _torus_cap()
+    counts, classes = _counts(snf_calls, lambda: supported_cap(x, z, u, alpha))
+    assert counts == [5, 1, 1]
+    assert classes == [(-1,)] * 3
+
+
+@pytest.mark.parametrize("support, coords", [([("a", "m")], ()), ([("m",)], (1,))],
+                         ids=["meets-y", "misses-y"])
+def test_repeated_relative_caps_reuse_their_pairs(snf_calls, support, coords):
+    model = interval_pair()
+    x, y = model.ambient, model.boundary
+    z = x.subcomplex_closure(support)
+    u = SimplicialCochain(x, 1, {("a", "m"): 1})
+    alpha = SimplicialChain(x, 1, {("a", "m"): 1, ("b", "m"): -1})
+    counts, classes = _counts(snf_calls, lambda: relative_supported_cap(x, y, z, u, alpha))
+    assert counts == [5, 1, 1]
+    assert classes == [coords] * 3
+    first, second = (relative_supported_cap(x, y, z, u, alpha) for _ in range(2))
+    assert second.star_boundary is first.star_boundary
+    assert second.class_in_pair.group is first.class_in_pair.group
+
+
+def test_is_isomorphism_then_solve_decompose_once(snf_calls):
+    k = chain_complex_of(torus())
+    target = HomologyClass(homology(k, 1), (1, -1))
+    induced = induced_map_on_homology(identity_map(k), 1)
+    snf_calls.clear()
+    assert induced.is_isomorphism()
+    assert induced.solve(target) == target
+    assert induced.is_isomorphism() and induced.solve(target) == target
+    assert len(snf_calls) == 1
+
+
+@pytest.mark.parametrize("factor, iso", [(3, True), (2, False)])
+def test_the_kept_decomposition_reads_torsion(factor, iso):
+    k = chain_complex_of(projective_plane())
+    h1 = homology(k, 1)
+    assert h1.torsion == (2,)
+    induced = induced_map_on_homology(identity_map(k).scale(factor), 1)
+    assert induced.is_isomorphism() is iso
+    target = HomologyClass(h1, (1,))
+    assert induced.solve(target) == (target if iso else None)
+
+
+def test_supported_cap_returns_the_relative_record():
+    x, z, u, alpha = _torus_cap()
+    res = supported_cap(x, z, u, alpha)
+    assert type(res) is RelativeSupportedCapResult
+    n = res.star.as_complex("star")
+    assert res.star_boundary.is_empty() and res.star_boundary.parent is n
+    assert res.chain_image.complex is n
+    assert res.class_in_pair.group is homology(chain_complex_of(n), 0)
+    assert res.class_in_pair.coords == (-1,)
+    assert res == relative_supported_cap(x, x.empty_subcomplex(), z, u, alpha)
+
+
+# -- the public HomologyGroup constructor -------------------------------------
+
+
+def test_a_group_built_from_a_basis_has_no_coordinate_map():
+    h1 = homology(chain_complex_of(torus()), 1)
+    g = HomologyGroup(degree=1, betti=2, torsion=(), cycle_basis=h1.cycle_basis)
+    assert g == h1
+    for read in (g.coords_of, g.class_of):
+        with pytest.raises(ValidationError, match="no coordinate map"):
+            read(h1.cycle_basis[0])
+
+
+def test_a_nonzero_group_needs_a_basis():
+    with pytest.raises(ValidationError, match="^a group of rank 1 needs a cycle basis$"):
+        HomologyGroup(degree=0, betti=1, torsion=())
+    with pytest.raises(ValidationError, match="rank 2"):
+        HomologyGroup(degree=0, betti=1, torsion=(2,))
+    zero = HomologyGroup(degree=3, betti=0, torsion=())
+    assert zero.cycle_basis == () and zero.group_str() == "0"
+    assert zero == homology(chain_complex_of(torus()), 3) == zero
+    assert zero == HomologyGroup(degree=3, betti=0, torsion=(), cycle_basis=())
+
+
+@pytest.mark.parametrize("build", [
+    la.SparseMatrix.of, la.as_matrix, la.smith_normal_form,
+    lambda rows: chain_complex(-1, {0: 2, 1: 2}, {1: rows}),
+], ids=["SparseMatrix.of", "as_matrix", "smith_normal_form", "chain_complex"])
+def test_ragged_rows_raise_validation_error(build):
+    with pytest.raises(ValidationError, match="^ragged matrix rows$"):
+        build([[1, 2], [3]])
+
+
+def test_uct_check_builds_no_group_to_format_its_prediction(monkeypatch):
+    k = chain_complex_of(torus())
+    uct_check(k)
+    built = []
+    init = HomologyGroup.__init__
+    monkeypatch.setattr(HomologyGroup, "__init__",
+                        lambda self, *a, **kw: built.append(a) or init(self, *a, **kw))
+    report = uct_check(k)
+    assert report.passed and built == []
+    assert [row[2] for row in report.rows] == ["Z^1", "Z^2", "Z^1"]
+
+
+# -- matrices capstar builds itself -------------------------------------------
+
+
+def test_matrices_built_from_a_complex_are_not_checked_again(monkeypatch):
+    rechecked = []
+    check = la.SparseMatrix.check
+
+    def counted(self):
+        if not self._checked:
+            rechecked.append(self.shape)
+        check(self)
+
+    monkeypatch.setattr(la.SparseMatrix, "check", counted)
+    x = torus()
+    y = x.subcomplex_closure([(0, 1)])
+    chain_complex_of(x)
+    relative_chain_complex(x, y)
+    sd = barycentric_subdivide(x)
+    subdivision_chain_map(sd, y)
+    last_vertex_chain_map(sd)
+    assert rechecked == []
+    # a matrix built by hand is still checked, as before
+    with pytest.raises(ValidationError, match="not a nonzero integer"):
+        chain_complex(-1, {0: 1, 1: 1}, {1: la.SparseMatrix((1, 1), ({0: np.int64(1)},))})
+    assert rechecked == [(1, 1)]

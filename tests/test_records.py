@@ -1,4 +1,4 @@
-"""The traits of capstar's 20 immutable records, pinned one class at a
+"""The traits of capstar's 19 immutable records, pinned one class at a
 time: how each is built, positionally and by keyword; that it refuses
 to be edited; how it compares and hashes; what its repr shows.
 
@@ -44,9 +44,7 @@ from capstar.intlinalg import SmithDecomposition, SparseMatrix, smith_normal_for
 from capstar.products import (
     CapDiagnostics,
     RelativeSupportedCapResult,
-    SupportedCapResult,
     relative_supported_cap,
-    supported_cap,
 )
 from capstar.verify import CheckResult
 
@@ -156,16 +154,6 @@ def _cases():
                        support_group="Z"),
     ], unequal=[CapDiagnostics(1, False, "Z", "Z")])
 
-    alpha = SimplicialChain(x, 1, {(1, 2): 1, (2, 3): 1, (1, 3): -1})
-    u = SimplicialChain(x, 1, {(1, 2): 1})
-    res = supported_cap(x, y, u, alpha)
-    fields = ("star", "chain_image", "class_in_z", "diagnostics")
-    cases["SupportedCapResult"] = _case("value", fields, [
-        res, SupportedCapResult(res.star, res.chain_image, res.class_in_z, res.diagnostics),
-        SupportedCapResult(star=res.star, chain_image=res.chain_image,
-                           class_in_z=res.class_in_z, diagnostics=res.diagnostics),
-    ], unequal=[SupportedCapResult(y, res.chain_image, res.class_in_z, res.diagnostics)])
-
     model = interval_pair()
     m = model.ambient
     rel = relative_supported_cap(m, model.boundary, m.subcomplex_closure([("m",)]),
@@ -205,7 +193,7 @@ NAMES = sorted(CASES)
 
 
 def test_every_record_class_is_covered():
-    assert len(NAMES) == 20
+    assert len(NAMES) == 19
     for name, case in CASES.items():
         assert all(type(r).__name__ == name for r in case["built"] + case["unequal"]
                    + case["uncompared"])
@@ -328,7 +316,7 @@ def test_constructors_still_check_and_normalise():
 
 STORING = ["CapDiagnostics", "ChainMap", "CheckResult", "ConeResult", "ExactnessReport",
            "InducedMap", "InvarianceReport", "RelativeSupportedCapResult", "SmithDecomposition",
-           "SupportedCapResult", "UctReport"]
+           "UctReport"]
 
 
 @pytest.mark.parametrize("name", STORING)
