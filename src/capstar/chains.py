@@ -132,7 +132,9 @@ def chain_complex(diff_degree: int, ranks: dict, differentials: dict) -> ChainCo
 class ChainMap(Record):
     """Graded map f with f d = sign * d f, degree shift in stored indices."""
 
-    # sparse: degree n -> nonzero SparseMatrix source_n -> target_{n+shift}
+    # sparse: degree n -> nonzero SparseMatrix source_n -> target_{n+shift};
+    # the induced maps on homology, once asked for, are kept out of the
+    # fields, in `_induced`
     _fields = ("source", "target", "sparse", "shift", "sign")
     _defaults = {"shift": 0, "sign": 1}
 
@@ -549,6 +551,11 @@ class InducedMap(Record):
 
 
 def induced_map_on_homology(f: ChainMap, degree: int) -> InducedMap:
+    # built on the first call for a degree and kept on `f`, with the
+    # decomposition it keeps once built
+    degree, kept = la._entry(degree), vars(f).setdefault("_induced", {})
+    if degree in kept:
+        return kept[degree]
     hs = homology(f.source, degree)
     ht = homology(f.target, degree + f.shift)
     m = f.sparse_matrix(degree)
@@ -556,7 +563,8 @@ def induced_map_on_homology(f: ChainMap, degree: int) -> InducedMap:
     cols = (ht.coords_of(m.apply([g.get(j, 0) for j in range(rank)])) for g in hs._gens._row_dicts)
     mat = la.SparseMatrix((ht.dim, hs.dim), _cols=tuple(
         {i: v for i, v in enumerate(c) if v} for c in cols))
-    return InducedMap(source_group=hs, target_group=ht, sparse=mat)
+    kept[degree] = InducedMap(source_group=hs, target_group=ht, sparse=mat)
+    return kept[degree]
 
 
 def is_quasi_isomorphism(f: ChainMap) -> tuple[bool, list]:

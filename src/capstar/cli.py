@@ -75,24 +75,19 @@ def cmd_cap(args) -> int:
     if args.rel:
         y = _subcomplex_from_file(x, args.rel)
         res = relative_supported_cap(x, y, z, u, alpha, presubdivide=args.presubdivide)
-        star = res.star
-        chain_image = res.chain_image
-        deg = chain_image.degree
-        print(f"chain: {chain_image.format()}")
-        _print_star(star)
-        print(f"class in H_{deg}(N,N'): {res.class_in_pair.format()}"
-              f" [{res.class_in_pair.group.group_str()}]")
-        if res.class_in_z is not None:
-            print("class: " + res.class_in_z.format(f"H_{deg}(Z,Z&Y)"))
-        else:
-            print("class: not transported (inclusion of pairs is not an isomorphism; "
-                  "increase --presubdivide)")
     else:
         res = supported_cap(x, z, u, alpha, presubdivide=args.presubdivide)
-        deg = res.chain_image.degree
-        print(f"chain: {res.chain_image.format()}")
-        _print_star(res.star)
-        print("class: " + res.class_in_z.format(f"H_{deg}(Z)"))
+    deg = res.chain_image.degree
+    print(f"chain: {res.chain_image.format()}")
+    _print_star(res.star)
+    if args.rel:
+        print(f"class in H_{deg}(N,N'): {res.class_in_pair.format()}"
+              f" [{res.class_in_pair.group.group_str()}]")
+    if res.class_in_z is not None:
+        print("class: " + res.class_in_z.format(f"H_{deg}(Z,Z&Y)" if args.rel else f"H_{deg}(Z)"))
+    else:
+        print("class: not transported (inclusion of pairs is not an isomorphism; "
+              "increase --presubdivide)")
     return EXIT_OK
 
 

@@ -108,17 +108,14 @@ def dual_cap(f: CochainFunctional, u: SimplicialCochain) -> CochainFunctional:
     return CochainFunctional(x, vdeg, out)
 
 
-class CapDiagnostics(Record):
-    _fields = ("degree", "inclusion_is_isomorphism", "star_group", "support_group")
-
-
 class RelativeSupportedCapResult(Record):
     # star: N, the closed star of Z in X; star_boundary: N', the closed
     # star of Y cap Z inside Y; chain_image: alpha cap u on the star's
     # complex; class_in_pair: in H(N, N'); class_in_z: in H(Z, Z cap Y)
-    # when transportable, else None
+    # when the inclusion of pairs is an isomorphism there, else None;
+    # support_group: H(Z, Z cap Y) in the degree of the chain image
     _fields = ("star", "star_boundary", "chain_image", "class_in_pair", "class_in_z",
-               "diagnostics")
+               "support_group")
 
 
 def _check_supported_cocycle(x, z, u):
@@ -160,11 +157,12 @@ def supported_cap(x: SimplicialComplex, z: Subcomplex, u: SimplicialCochain,
     `presubdivide` count) is the standard fix.
     """
     res = relative_supported_cap(x, x.empty_subcomplex(), z, u, alpha, presubdivide)
-    diag = res.diagnostics
     if res.class_in_z is None:
+        n = res.chain_image.degree
         raise RetractConditionError(
-            f"retract condition failed: H_{diag.degree}(Z) = {diag.support_group} -> "
-            f"H_{diag.degree}(N) = {diag.star_group} is not an isomorphism; increase presubdivide"
+            f"retract condition failed: H_{n}(Z) = {res.support_group.group_str()} -> "
+            f"H_{n}(N) = {res.class_in_pair.group.group_str()} is not an isomorphism; "
+            "increase presubdivide"
         )
     return res
 
@@ -219,19 +217,10 @@ def relative_supported_cap(x: SimplicialComplex, y: Subcomplex, z: Subcomplex,
             )
 
     beta = SimplicialChain(star_boundary.parent, image.degree, image.coefficients)
-    deg = image.degree
-    induced = induced_map_on_homology(incl, deg)
-    h_z_pair, h_pair = induced.source_group, induced.target_group
-    class_in_pair = h_pair.class_of(_coordinates(beta, star_boundary))
-    iso = induced.is_isomorphism()
-    diagnostics = CapDiagnostics(
-        degree=deg,
-        inclusion_is_isomorphism=iso,
-        star_group=h_pair.group_str(),
-        support_group=h_z_pair.group_str(),
-    )
+    induced = induced_map_on_homology(incl, image.degree)
+    class_in_pair = induced.target_group.class_of(_coordinates(beta, star_boundary))
     class_in_z = None
-    if iso:
+    if induced.is_isomorphism():
         class_in_z = induced.solve(class_in_pair)
         if class_in_z is None or induced.apply(class_in_z) != class_in_pair:
             raise InternalCheckError("isomorphism failed to invert on the cap class")
@@ -241,5 +230,5 @@ def relative_supported_cap(x: SimplicialComplex, y: Subcomplex, z: Subcomplex,
         chain_image=beta,
         class_in_pair=class_in_pair,
         class_in_z=class_in_z,
-        diagnostics=diagnostics,
+        support_group=induced.source_group,
     )

@@ -123,11 +123,9 @@ def _random_supported_cochain(rng, x, z, degree):
 
 
 def _is_coboundary(x, w: SimplicialCochain) -> bool:
-    if w.is_zero():
-        return True
-    c = cochain_complex(x)
-    rhs = la.SparseMatrix.of([[v] for v in _coordinates(w)])
-    return la._solve(smith_normal_form(c.sparse_d(w.degree - 1)), rhs) is not None
+    # a cocycle whose class in the kept cohomology group is zero
+    return coboundary_of(w).is_zero() and not any(
+        homology(cochain_complex(x), w.degree).coords_of(_coordinates(w)))
 
 
 def _enlarged(rng, x, z):

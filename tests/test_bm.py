@@ -156,8 +156,8 @@ def test_bm_supported_cap_returns_when_the_retract_condition_fails():
     alpha = vector_to_chain(x, 2, homology(chain_complex_of(x), 2).cycle_basis[0])
     res = bm_supported_cap(model, z, u, alpha)
     assert res.class_in_z is None
-    assert not res.diagnostics.inclusion_is_isomorphism
-    assert (res.diagnostics.support_group, res.diagnostics.star_group) == ("Z^2", "Z^1")
+    assert res.support_group.degree == res.class_in_pair.group.degree == 0
+    assert (res.support_group.group_str(), res.class_in_pair.group.group_str()) == ("Z^2", "Z^1")
 
 
 def test_bm_supported_cap_transports_a_presubdivided_cap():

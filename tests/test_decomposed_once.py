@@ -1,22 +1,29 @@
 """Each supported cap decomposes what it has not decomposed before, and
 nothing twice: an induced map keeps the one Smith decomposition that
-`is_isomorphism` and `solve` both read, and a support keeps its pairs
-for each boundary subcomplex.  Also the public `HomologyGroup`
+`is_isomorphism` and `solve` both read, a chain map keeps its induced
+maps, and a support keeps its pairs for each boundary subcomplex, so a
+repeated cap decomposes nothing.  Also the public `HomologyGroup`
 constructor, the rows of a matrix and the matrices capstar builds
 itself."""
+
+import re
+import weakref
 
 import numpy as np
 import pytest
 
-from capstar import chains
+from capstar import chains, verify
 from capstar import intlinalg as la
 from capstar.bridge import (
     SimplicialChain,
     SimplicialCochain,
     chain_complex_of,
+    coboundary_of,
+    cochain_complex,
     last_vertex_chain_map,
     relative_chain_complex,
     subdivision_chain_map,
+    vector_to_chain,
 )
 from capstar.chains import (
     HomologyClass,
@@ -28,9 +35,10 @@ from capstar.chains import (
     uct_check,
 )
 from capstar.complexes import barycentric_subdivide
-from capstar.errors import ValidationError
+from capstar.errors import RetractConditionError, ValidationError
 from capstar.fixtures import interval_pair, projective_plane, torus
 from capstar.products import RelativeSupportedCapResult, relative_supported_cap, supported_cap
+from capstar.verify import _is_coboundary
 
 
 @pytest.fixture
@@ -45,6 +53,7 @@ def snf_calls(monkeypatch):
 
     monkeypatch.setattr(chains, "smith_normal_form", counted)
     monkeypatch.setattr(la, "smith_normal_form", counted)
+    monkeypatch.setattr(verify, "smith_normal_form", counted)
     return calls
 
 
@@ -71,9 +80,10 @@ def _torus_cap():
 
 
 def test_a_repeated_absolute_cap_decomposes_once_more_each_time(snf_calls):
+    # the name is older than the count: a repeated cap now decomposes nothing
     x, z, u, alpha = _torus_cap()
     counts, classes = _counts(snf_calls, lambda: supported_cap(x, z, u, alpha))
-    assert counts == [5, 1, 1]
+    assert counts == [5, 0, 0]
     assert classes == [(-1,)] * 3
 
 
@@ -86,7 +96,7 @@ def test_repeated_relative_caps_reuse_their_pairs(snf_calls, support, coords):
     u = SimplicialCochain(x, 1, {("a", "m"): 1})
     alpha = SimplicialChain(x, 1, {("a", "m"): 1, ("b", "m"): -1})
     counts, classes = _counts(snf_calls, lambda: relative_supported_cap(x, y, z, u, alpha))
-    assert counts == [5, 1, 1]
+    assert counts == [5, 0, 0]
     assert classes == [coords] * 3
     first, second = (relative_supported_cap(x, y, z, u, alpha) for _ in range(2))
     assert second.star_boundary is first.star_boundary
@@ -125,6 +135,69 @@ def test_supported_cap_returns_the_relative_record():
     assert res.class_in_pair.group is homology(chain_complex_of(n), 0)
     assert res.class_in_pair.coords == (-1,)
     assert res == relative_supported_cap(x, x.empty_subcomplex(), z, u, alpha)
+    assert res.support_group is homology(chain_complex_of(z.as_complex("support")), 0)
+
+
+def test_a_chain_map_keeps_its_induced_maps():
+    k = chain_complex_of(torus())
+    f = identity_map(k)
+    h1 = induced_map_on_homology(f, 1)
+    assert induced_map_on_homology(f, 1) is h1
+    assert induced_map_on_homology(f, np.int64(1)) is h1
+    assert induced_map_on_homology(f, 2) is not h1
+    assert h1.source_group is homology(k, 1)
+    # nothing kept on `f` refers back to it, so it goes with its last reference
+    gone = weakref.ref(f)
+    del f
+    assert gone() is None
+
+
+def test_the_retract_condition_error_names_both_groups():
+    # H_0(Z) = Z^2 for two vertices, H_0(N) = Z for their connected star
+    x = torus()
+    z = x.subcomplex_closure([(0,), (1,)])
+    u = SimplicialCochain(x, 2, {(0, 1, 3): 1})
+    alpha = vector_to_chain(x, 2, homology(chain_complex_of(x), 2).cycle_basis[0])
+    text = ("retract condition failed: H_0(Z) = Z^2 -> H_0(N) = Z^1 is not an isomorphism; "
+            "increase presubdivide")
+    with pytest.raises(RetractConditionError, match=f"^{re.escape(text)}$"):
+        supported_cap(x, z, u, alpha)
+
+
+# -- verify's coboundary test --------------------------------------------------
+
+
+def test_zero_and_coboundaries_are_coboundaries():
+    x = torus()
+    assert _is_coboundary(x, SimplicialCochain(x, 1, {}))
+    assert _is_coboundary(x, coboundary_of(SimplicialCochain(x, 0, {(0,): 2, (3,): -1})))
+    assert _is_coboundary(x, coboundary_of(SimplicialCochain(x, 1, {(0, 1): 1})))
+
+
+def test_a_cocycle_with_a_nonzero_class_is_no_coboundary():
+    x = torus()
+    cocycle = vector_to_chain(x, 1, homology(cochain_complex(x), 1).cycle_basis[0])
+    assert coboundary_of(cocycle).is_zero()
+    assert not _is_coboundary(x, cocycle)
+
+
+def test_a_non_cocycle_is_no_coboundary():
+    x = torus()
+    edge = SimplicialCochain(x, 1, {(0, 1): 1})
+    assert not coboundary_of(edge).is_zero()
+    assert not _is_coboundary(x, edge)
+
+
+def test_is_coboundary_reuses_the_cohomology_group(snf_calls):
+    x = torus()
+    w = coboundary_of(SimplicialCochain(x, 0, {(0,): 1}))
+    assert _is_coboundary(x, w)
+    snf_calls.clear()
+    assert _is_coboundary(x, w)
+    cocycle = vector_to_chain(x, 1, homology(cochain_complex(x), 1).cycle_basis[0])
+    snf_calls.clear()
+    assert not _is_coboundary(x, cocycle)
+    assert snf_calls == []
 
 
 # -- the public HomologyGroup constructor -------------------------------------

@@ -179,7 +179,8 @@ def test_supported_cap_hollow_triangle():
     assert res.chain_image.coefficients == {(2,): 1}
     assert res.class_in_z.group.group_str() == "Z^1"
     assert res.class_in_z.coords == (1,)
-    assert res.diagnostics.inclusion_is_isomorphism
+    assert res.class_in_z.group is res.support_group
+    assert res.class_in_pair.group.group_str() == "Z^1"
 
 
 def test_supported_cap_zero_cochain():

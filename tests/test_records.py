@@ -1,4 +1,4 @@
-"""The traits of capstar's 19 immutable records, pinned one class at a
+"""The traits of capstar's 18 immutable records, pinned one class at a
 time: how each is built, positionally and by keyword; that it refuses
 to be edited; how it compares and hashes; what its repr shows.
 
@@ -42,7 +42,6 @@ from capstar.errors import ValidationError
 from capstar.fixtures import circle, interval_pair
 from capstar.intlinalg import SmithDecomposition, SparseMatrix, smith_normal_form
 from capstar.products import (
-    CapDiagnostics,
     RelativeSupportedCapResult,
     relative_supported_cap,
 )
@@ -147,20 +146,13 @@ def _cases():
         SimplicialChain(complex=x, degree=1, coefficients={(1, 2): 1, (2, 3): 0}),
     ], unequal=[SimplicialChain(x, 1, {(1, 2): 2}), SimplicialChain(x, 0, {})])
 
-    fields = ("degree", "inclusion_is_isomorphism", "star_group", "support_group")
-    cases["CapDiagnostics"] = _case("value", fields, [
-        CapDiagnostics(1, True, "Z", "Z"),
-        CapDiagnostics(degree=1, inclusion_is_isomorphism=True, star_group="Z",
-                       support_group="Z"),
-    ], unequal=[CapDiagnostics(1, False, "Z", "Z")])
-
     model = interval_pair()
     m = model.ambient
     rel = relative_supported_cap(m, model.boundary, m.subcomplex_closure([("m",)]),
                                  SimplicialChain(m, 1, {("a", "m"): 1}),
                                  SimplicialChain(m, 1, {("a", "m"): 1, ("b", "m"): -1}))
     fields = ("star", "star_boundary", "chain_image", "class_in_pair", "class_in_z",
-              "diagnostics")
+              "support_group")
     values = [getattr(rel, f) for f in fields]
     cases["RelativeSupportedCapResult"] = _case("value", fields, [
         rel, RelativeSupportedCapResult(*values),
@@ -193,7 +185,7 @@ NAMES = sorted(CASES)
 
 
 def test_every_record_class_is_covered():
-    assert len(NAMES) == 19
+    assert len(NAMES) == 18
     for name, case in CASES.items():
         assert all(type(r).__name__ == name for r in case["built"] + case["unequal"]
                    + case["uncompared"])
@@ -314,9 +306,8 @@ def test_constructors_still_check_and_normalise():
     assert HomologyGroup(degree=0, betti=0, torsion=())._gens is None
 
 
-STORING = ["CapDiagnostics", "ChainMap", "CheckResult", "ConeResult", "ExactnessReport",
-           "InducedMap", "InvarianceReport", "RelativeSupportedCapResult", "SmithDecomposition",
-           "UctReport"]
+STORING = ["ChainMap", "CheckResult", "ConeResult", "ExactnessReport", "InducedMap",
+           "InvarianceReport", "RelativeSupportedCapResult", "SmithDecomposition", "UctReport"]
 
 
 @pytest.mark.parametrize("name", STORING)
