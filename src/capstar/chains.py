@@ -57,8 +57,8 @@ class ChainComplexZ(Record):
         # nonzero SparseMatrix out of that degree; _derived: data derived
         # on first use, kept out of equality: the homology group at each
         # degree (keyed by the degree), the integer dual (keyed by "dual")
-        # and, until its second reader in `homology` takes it, a
-        # decomposition ("snf", j)
+        # and, until degree j's group takes it, the decomposition of d_j
+        # in the kernel coordinates of the degree it maps into ("snf", j)
         vars(self).update(diff_degree=diff_degree, ranks=ranks, sparse=sparse,
                           _derived={} if _derived is None else _derived)
 
@@ -338,47 +338,55 @@ class HomologyClass(Record):
 
 def homology(k: ChainComplexZ, degree: int) -> HomologyGroup:
     """Isomorphism type + representatives at one degree, computed on the
-    first call for `k` and `degree`, then shared.  The Smith decomposition
-    of the outgoing differential gives the cycles, a second one the
-    boundaries in kernel coordinates.  Where the outgoing differential is
-    zero, v_inv is the identity, and the second is the first of degree j,
-    that of the incoming d_j: if d_j is nonzero, whichever of the two
-    degrees comes first keeps it on `k` as ("snf", j) until the other
-    takes it."""
+    first call for `k` and `degree`, then shared.
+
+    Each d_j is reduced once, in the kernel coordinates of the degree
+    j + e it maps into (e = `diff_degree`): its decomposition F_j is
+    that of v_inv[r:] d_j, with v_inv and r from F_{j+e}, or of d_j
+    itself where the differential out of j + e is zero; either way it
+    has the kernel and rank of d_j.  Degree n reads its cycles from F_n
+    (V, v_inv) and its generators and coordinates from F_{n-e} (U,
+    u_inv, invariant factors), so the basis depends on the complex
+    alone.  The walk goes toward the degree each differential maps
+    into, to a zero differential or to the F_j that the group above
+    left on `k` as ("snf", j), and builds every group on its way back."""
     degree = la._entry(degree)
     if degree in k._derived:
         return k._derived[degree]
     eps = k.diff_degree
-    n = k.rank(degree)
-    a = k.sparse_d(degree)  # out of the degree
-    b = k.sparse_d(degree - eps)  # into the degree
-    snf_a = k._derived.pop(("snf", degree), None) or smith_normal_form(a)
-    if degree in k.sparse and degree + eps not in k.sparse and degree + eps not in k._derived:
-        k._derived[("snf", degree)] = snf_a
-    r_a = snf_a.rank
-    v_inv = snf_a.sparse.v_inv
-    kernel = snf_a.sparse.V.T[r_a:]  # rows: a basis of the cycles
-    # where the outgoing differential is zero, v_inv is the identity
-    coords_b = v_inv @ b if degree in k.sparse else b
-    if coords_b[:r_a].any():
-        raise InternalCheckError("boundaries are not cycles; d o d != 0")
-    snf_c = k._derived.pop(("snf", degree - eps), None) or smith_normal_form(coords_b[r_a:])
-    if degree not in k.sparse and degree - eps in k.sparse and degree - eps not in k._derived:
-        k._derived[("snf", degree - eps)] = snf_c
-    r_c = snf_c.rank
-    factors = snf_c.invariant_factors()
-    free_idx = list(range(r_c, n - r_a))
-    tors_idx = [i for i in range(r_c) if factors[i] > 1]
-    keep = free_idx + tors_idx
-    k._derived[degree] = HomologyGroup(
-        degree=degree,
-        betti=len(free_idx),
-        torsion=tuple(factors[i] for i in tors_idx),
-        _gens=snf_c.sparse.u_inv.T[keep] @ kernel,
-        _cycle_test=a,
-        _coords=snf_c.sparse.U[keep] @ v_inv[r_a:],
-        _kernel=kernel.T,
-    )
+    path = [degree]
+    while path[-1] in k.sparse and ("snf", path[-1]) not in k._derived:
+        path.append(path[-1] + eps)
+    snf_a = k._derived.pop(("snf", path[-1]), None)
+    for j in reversed(path):
+        a = k.sparse_d(j)  # out of the degree
+        b = k.sparse_d(j - eps)  # into the degree
+        if snf_a is None:  # a is zero: the kernel coordinates are the chain ones
+            snf_a = smith_normal_form(a)
+        else:
+            b = snf_a.sparse.v_inv @ b
+            if b[:snf_a.rank].any():
+                raise InternalCheckError("boundaries are not cycles; d o d != 0")
+            b = b[snf_a.rank:]
+        snf_c = smith_normal_form(b)
+        r_a, r_c = snf_a.rank, snf_c.rank
+        kernel = snf_a.sparse.V.T[r_a:]  # rows: a basis of the cycles
+        factors = snf_c.invariant_factors()
+        free_idx = list(range(r_c, k.rank(j) - r_a))
+        tors_idx = [i for i in range(r_c) if factors[i] > 1]
+        keep = free_idx + tors_idx
+        k._derived[j] = HomologyGroup(
+            degree=j,
+            betti=len(free_idx),
+            torsion=tuple(factors[i] for i in tors_idx),
+            _gens=snf_c.sparse.u_inv.T[keep] @ kernel,
+            _cycle_test=a,
+            _coords=snf_c.sparse.U[keep] @ snf_a.sparse.v_inv[r_a:],
+            _kernel=kernel.T,
+        )
+        snf_a = snf_c
+    if degree - eps in k.sparse:
+        k._derived[("snf", degree - eps)] = snf_a
     return k._derived[degree]
 
 

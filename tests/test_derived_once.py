@@ -331,13 +331,13 @@ def test_kept_coordinate_rows_own_their_data(surfaces, pairs, monkeypatch):
         # a fresh complex, so that its groups are computed here
         k = chains.chain_complex(k.diff_degree, k.ranks, k.sparse)
         lo, hi = k.degree_span()
+        factors.clear()
         for n in range(lo - 1, hi + 2):
-            factors.clear()
             kept = {key: snf for key, snf in k._derived.items() if isinstance(key, tuple)}
             h = homology(k, n)
-            # the decompositions it read: those it ran and those it took from `k`
+            # every decomposition run or taken from `k` so far: a call
+            # may build the groups on its walk, or find its group built
             factors += [snf.sparse for key, snf in kept.items() if key not in k._derived]
-            assert len(factors) == 2
             coords = h._coords
             # one dim x rank C_n matrix, sharing no line with a Smith factor
             lines = {id(line) for f in factors for m in f for line in m._row_dicts + m._col_dicts}
@@ -354,20 +354,24 @@ def test_kept_coordinate_rows_own_their_data(surfaces, pairs, monkeypatch):
 
 def test_each_boundary_matrix_is_reduced_once(homology_snf_calls):
     k = chain_complex_of(torus())
-    d1, d2 = k.sparse_d(1).shape, k.sparse_d(2).shape
+    d1, d2 = k.sparse_d(1), k.sparse_d(2)
     for n in range(3):
         homology(k, n)
-    # d_0 (zero), d_1 (shared by degrees 0 and 1), d_2 in kernel
-    # coordinates, d_2, and d_3 (zero) in kernel coordinates
-    assert len(homology_snf_calls) == 5 and homology_snf_calls.count(d1) == 1
-    assert homology_snf_calls.count(d2) == 1
+    # d_0 (zero), d_1 (shared by degrees 0 and 1), d_2 in the kernel
+    # coordinates of degree 1 (shared by degrees 1 and 2), and d_3 (zero)
+    # in those of degree 2; d_2 is never reduced as itself
+    r1 = la.smith_normal_form(d1).rank
+    assert len(homology_snf_calls) == 4 and homology_snf_calls.count(d1.shape) == 1
+    assert homology_snf_calls.count((d2.shape[0] - r1, d2.shape[1])) == 1
+    assert d2.shape not in homology_snf_calls
 
 
 @pytest.mark.parametrize("first", [0, 1])
 def test_d1_is_reduced_once_whichever_degree_comes_first(homology_snf_calls, first):
     k = chain_complex_of(torus())
     homology(k, first)
-    assert ("snf", 1) in k._derived
+    # asking degree 1 walks to degree 0 and computes its group on the way
+    assert (0 in k._derived) and (("snf", 1) in k._derived) == (first == 0)
     homology(k, 1 - first)
     assert ("snf", 1) not in k._derived
     assert homology_snf_calls.count(k.sparse_d(1).shape) == 1
@@ -396,6 +400,25 @@ def test_no_decomposition_outlives_its_second_reader(surfaces, pairs):
                     if isinstance(v, la.SmithDecomposition)]
 
 
+def test_each_nonzero_differential_is_reduced_once_in_any_order(surfaces, pairs, monkeypatch):
+    nonzero = []
+    snf = chains.smith_normal_form
+    monkeypatch.setattr(chains, "smith_normal_form", lambda a: nonzero.append(a.any()) or snf(a))
+    ks = [f(x) for x in surfaces.values() for f in (chain_complex_of, cochain_complex)]
+    ks += [f(m.ambient, m.boundary) for m in pairs.values()
+           for f in (chain_complex_of, cochain_complex)]
+    for k in ks:
+        lo, hi = k.degree_span()
+        degrees = list(range(lo - 1, hi + 2))
+        rng = random.Random(hi)
+        for order in (degrees, degrees[::-1], rng.sample(degrees, len(degrees))):
+            nonzero.clear()
+            fresh = chains.chain_complex(k.diff_degree, k.ranks, k.sparse)
+            for n in order:
+                homology(fresh, n)
+            assert nonzero.count(True) == len(fresh.sparse), order
+
+
 @pytest.mark.parametrize("build, degree", [(chain_complex_of, 0), (cochain_complex, 2)])
 def test_a_zero_outgoing_differential_hands_on_the_incoming_one(monkeypatch, build, degree):
     # v_inv is the identity there, so the boundaries need no change of coordinates
@@ -409,3 +432,19 @@ def test_a_zero_outgoing_differential_hands_on_the_incoming_one(monkeypatch, bui
     incoming = k.sparse_d(degree - k.diff_degree)
     assert len(seen) == 2 and seen[1].shape == incoming.shape
     assert all(a is b for a, b in zip(seen[1]._row_dicts, incoming._row_dicts))
+
+
+@pytest.mark.parametrize("eps", [-1, 1])
+@pytest.mark.parametrize("ends", [(0, 2999), (2999, 0)])
+def test_a_long_complex_is_walked_without_recursion(eps, ends):
+    # 3,000 degrees of rank 2, each differential e_1 -> e_0: the walk from
+    # one end to the other is longer than the default recursion limit
+    size = 3000
+    nilpotent = [[0, 1], [0, 0]]
+    k = chains.chain_complex(eps, {n: 2 for n in range(size)},
+                             {n: nilpotent for n in range(size) if 0 <= n + eps < size})
+    for n in ends:
+        assert homology(k, n).group_str() == "Z^1"
+    for n in random.Random(size).sample(range(size), size):
+        assert homology(k, n).group_str() == ("Z^1" if n in ends else "0")
+    assert not [key for key in k._derived if isinstance(key, tuple)]

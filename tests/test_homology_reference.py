@@ -1,16 +1,22 @@
 """`homology`, which reduces each boundary matrix once, agrees with the
-two-decompositions-per-degree code kept in `reference_homology`: the
-same Betti numbers, torsion, generators, coordinate rows and kernels at
-every degree lo-1..hi+1, asked in ascending and in descending order, on
-the chain and cochain complexes of every fixture surface and of every
-pair model (absolute and relative) at sd^0..sd^2, on their shifts at
-sd^0 and sd^1, and on the mapping cones of the subdivision and
-last-vertex maps from sd^0 to sd^1."""
+cache-free definition kept in `reference_homology`: the same Betti
+numbers, torsion, generators, coordinate rows and kernels at every
+degree lo-1..hi+1, asked in ascending, descending and seeded random
+orders, on the chain and cochain complexes of every fixture surface and
+of every pair model (absolute and relative) at sd^0..sd^2, on their
+shifts at sd^0 and sd^1, and on the mapping cones of the subdivision and
+last-vertex maps from sd^0 to sd^1.  On the same complexes at
+sd^0..sd^2, the library's basis and that of the two-decompositions-per-
+degree definition each span, with the boundaries, exactly the cycles;
+the two kernels span the same lattice, and the groups agree."""
+
+import random
 
 import pytest
 
 import reference_homology as ref
 from capstar import bridge
+from capstar import intlinalg as la
 from capstar.bridge import chain_complex_of, cochain_complex
 from capstar.chains import chain_complex, cone, dual_map, homology, shift
 from capstar.complexes import barycentric_subdivide, induced_subdivision
@@ -25,11 +31,18 @@ def _fresh(k):
     return chain_complex(k.diff_degree, k.ranks, k.sparse)
 
 
+def _orders(degrees, seed=0):
+    """Ascending, descending and two seeded random orders."""
+    rng = random.Random(seed)
+    shuffled = [rng.sample(degrees, len(degrees)) for _ in range(2)]
+    return [list(degrees), list(reversed(degrees))] + shuffled
+
+
 def assert_same_homology(k):
     lo, hi = k.degree_span()
     degrees = range(lo - 1, hi + 2)
     want = {n: ref.homology(k, n) for n in degrees}
-    for order in (degrees, reversed(degrees)):
+    for order in _orders(degrees):
         fresh = _fresh(k)
         got = {n: homology(fresh, n) for n in order}
         for n in degrees:
@@ -37,7 +50,7 @@ def assert_same_homology(k):
             assert (g.degree, g.betti, g.torsion) == (w.degree, w.betti, w.torsion), n
             assert g._gens == w._gens and g._coords == w._coords, n
             assert g._kernel == w._kernel and g._cycle_test == w._cycle_test, n
-        # every kept decomposition has been taken by its second reader
+        # every kept decomposition has been taken by the group that reads it
         assert set(fresh._derived) == set(degrees)
 
 
@@ -72,3 +85,27 @@ def test_shifts_and_cones_match_the_reference(name):
     f = bridge.subdivision_chain_map(sd, FIXTURES[name][1])
     for u in (f, dual_map(f), bridge.last_vertex_chain_map(sd)):
         assert_same_homology(cone(u).complex)
+
+
+def assert_basis_spans_the_cycles(k, n, g):
+    """The generators and the boundaries span exactly the kept kernel,
+    whose columns are cycles."""
+    assert not (k.sparse_d(n) @ g._kernel).any(), n
+    spanned = la._hstack(g._gens.T, k.sparse_d(n - k.diff_degree))
+    assert la.lattices_equal(spanned, g._kernel), n
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_both_definitions_span_the_cycles_with_the_same_groups(name):
+    for x, y in _ladder(*FIXTURES[name]):
+        ks = [chain_complex_of(x), cochain_complex(x)]
+        if y is not None:
+            ks += [chain_complex_of(x, y), cochain_complex(x, y)]
+        for k in ks:
+            lo, hi = k.degree_span()
+            for n in range(lo - 1, hi + 2):
+                got, old = homology(k, n), ref.homology_two_decompositions(k, n)
+                assert (got.betti, got.torsion) == (old.betti, old.torsion), n
+                assert la.lattices_equal(got._kernel, old._kernel), n
+                for g in (got, old):
+                    assert_basis_spans_the_cycles(k, n, g)

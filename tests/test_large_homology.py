@@ -1,12 +1,14 @@
 """Homology with representatives at sizes where a cubic Smith reduction
 took over a minute: torus sd^2 (1,512 cells) and RP^2 sd^2 (1,081 cells),
 the next size, Klein sd^2 (3,456 cells), and sd^3 of the torus (9,072
-cells) and of the Klein bottle (20,736 cells), which dense matrices put
-out of reach (Klein sd^3's dense d_2 alone has 72M entries).  The time
-bound is generous: on 2 vCPUs torus and RP^2 at sd^2 together take
-about 0.3 s, Klein sd^2 about 0.4 s, torus sd^3 about 1.0-1.2 s and Klein
-sd^3 about 3.3-3.7 s, against about 70 s for torus and RP^2 at sd^2 with
-the cubic kernel.  It is a gate like any other check."""
+cells), of the Klein bottle (20,736 cells) and of the 3-simplex (61,649
+cells), which dense matrices put out of reach (Klein sd^3's dense d_2
+alone has 72M entries).  The time bound is generous: on 2 vCPUs torus
+and RP^2 at sd^2 together take about 0.3 s, Klein sd^2 about 0.4 s,
+torus sd^3 about 0.3-0.5 s, Klein sd^3 about 0.8-1.2 s and the 3-simplex
+at sd^3 about 3-4 s (it took 24 s while each differential was reduced
+twice), against about 70 s for torus and RP^2 at sd^2 with the cubic
+kernel.  It is a gate like any other check."""
 
 import time
 
@@ -15,7 +17,7 @@ import pytest
 from capstar.bridge import chain_complex_of
 from capstar.chains import homology
 from capstar.complexes import barycentric_subdivide
-from capstar.fixtures import klein_bottle, projective_plane, torus
+from capstar.fixtures import klein_bottle, projective_plane, simplex_pair, torus
 
 BOUND_S = 30.0
 
@@ -60,7 +62,8 @@ def test_klein_sd2_homology_with_representatives():
 @pytest.mark.parametrize("make, cells, groups", [
     (torus, 9072, [(1, ()), (2, ()), (1, ())]),
     (klein_bottle, 20736, [(1, ()), (1, (2,)), (0, ())]),
-], ids=["torus", "klein"])
+    (lambda: simplex_pair(3).ambient, 61649, [(1, ()), (0, ()), (0, ()), (0, ())]),
+], ids=["torus", "klein", "disk3"])
 def test_sd3_homology_with_representatives(make, cells, groups):
     start = time.perf_counter()
     k = chain_complex_of(_sd(make(), 3))
