@@ -8,7 +8,8 @@ is a pure function.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
+from operator import add, lt
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
@@ -206,42 +207,62 @@ def _bad_simplex(vertices, rank):
             raise ValidationError(f"vertex {v!r} not in the declared order")
 
 
+def _rank_columns(group, n, rank):
+    """The n rank columns of simplices of n vertices, each row sorted, or
+    None if a simplex is empty or has an unknown or repeated vertex."""
+    try:
+        ranks = list(map(rank.__getitem__, chain.from_iterable(group)))
+    except (KeyError, TypeError):
+        return None
+    cols = [ranks[j::n] for j in range(n)]
+    for _ in range(2):  # as given, then with each row sorted
+        if n and all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:])):
+            return cols
+        cols = list(zip(*map(sorted, zip(*[iter(ranks)] * n))))
+
+
+def _decode(keys, k, base, token) -> tuple:
+    """Sorted keys of k-faces back to token tuples, a digit column at a time."""
+    cols = []
+    for p in range(k, -1, -1):
+        digits = map((base ** p).__rfloordiv__, keys) if p else keys
+        cols.append(map(token, map(base.__rmod__, digits) if p < k else digits))
+    return tuple(zip(*cols))
+
+
 def from_maximal_simplices(maximal, order=None, name: str = "") -> SimplicialComplex:
     """Face closure of the given vertex tuples.
 
     `order` fixes the global vertex order; when omitted it defaults to
     the deterministic token order (ints numerically, then strings).
-    The closure runs on the sorted rank tuples of the simplices.
+    The closure runs on one int per face, its vertex ranks as digits in
+    base `len(order)`, so each level sorts as its keys do.
     """
     maximal = [tuple(s) for s in maximal]
     if order is None:
-        tokens = set()
-        for s in maximal:
-            tokens.update(s)
-        order = default_token_order(tokens)
+        order = default_token_order(set(chain.from_iterable(maximal)))
     order = tuple(order)
     rank = dict(zip(order, range(len(order))))
     if len(rank) != len(order):
         raise ValidationError("duplicate vertex token in vertex order")
 
-    by_len = {}
-    for s in maximal:
-        try:
-            r = tuple(sorted(map(rank.__getitem__, s)))
-        except (KeyError, TypeError):
-            r = ()
-        if not r or len(set(r)) != len(s):
+    lengths = set(map(len, maximal))
+    by_len = {n: _rank_columns(maximal if len(lengths) == 1 else
+                               [s for s in maximal if len(s) == n], n, rank) for n in lengths}
+    if None in by_len.values():
+        for s in maximal:  # the first bad simplex in file order
             _bad_simplex(s, rank)
-        by_len.setdefault(len(r), []).append(r)
     # the k-faces of all n-simplices at once, from k columns of their ranks
-    levels = [set() for _ in range(max(by_len, default=0))]
-    for n, ranked in by_len.items():
-        for k in range(1, n + 1):
-            for cols in combinations(zip(*ranked), k):
-                levels[k - 1].update(zip(*cols))
-    # each sorted level back to tokens, a column of vertices at a time
-    token = order.__getitem__
-    by_dim = tuple(tuple(zip(*[map(token, c) for c in zip(*sorted(level))])) for level in levels)
+    base, levels = len(order), [set() for _ in range(max(lengths, default=0))]
+    for n, cols in by_len.items():
+        faces = list(enumerate(cols))  # (last column, keys) of each choice of k columns
+        for level in levels[:n]:
+            for _, keys in faces:
+                level.update(keys)
+            faces = [(j, list(map(add, map(base.__mul__, keys), cols[j])))
+                     for i, keys in faces for j in range(i + 1, n)]
+    by_dim = tuple(_decode(keys, k, base, order.__getitem__)
+                   for k, keys in enumerate(map(sorted, levels)))
     return SimplicialComplex(vertex_order=order, simplices_by_dim=by_dim, name=name)
 
 

@@ -9,6 +9,7 @@ to integer coefficients.
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 
 from .bridge import SimplicialChain, SimplicialCochain
 from .complexes import SimplicialComplex, from_maximal_simplices
@@ -60,17 +61,20 @@ def parse_complex(data: dict) -> SimplicialComplex:
     if "simplices" not in data or not isinstance(data["simplices"], list):
         raise ValidationError("complex file needs a list 'simplices'")
     simplices = data["simplices"]
-    for s in simplices:
-        if not isinstance(s, list) or not s:
-            raise ValidationError(f"simplex entries must be nonempty lists, got {s!r}")
-        _check_tokens(s, "simplices")
+    lists = all(map(isinstance, simplices, repeat(list))) and all(simplices)
+    tokens = list(chain.from_iterable(simplices)) if lists else None
+    if tokens is None or not {int, str}.issuperset(map(type, tokens)) or "" in tokens:
+        for s in simplices:  # raise for the first bad entry or token, in file order
+            if not isinstance(s, list) or not s:
+                raise ValidationError(f"simplex entries must be nonempty lists, got {s!r}")
+            _check_tokens(s, "simplices")
     order = None
     if "vertex_order" in data:
         order = data["vertex_order"]
         if not isinstance(order, list):
             raise ValidationError("vertex_order must be a list of tokens")
         _check_tokens(order, "vertex_order")
-        missing = set().union(*simplices).difference(order)
+        missing = set(tokens).difference(order)
         if missing:
             raise ValidationError(f"vertex_order is missing tokens: {sorted(map(str, missing))}")
     return from_maximal_simplices(simplices, order=order, name=data["name"])

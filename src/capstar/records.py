@@ -11,6 +11,8 @@ hashes as their tuple, unless its class defines its own `__eq__`
 (unhashable) or takes back `object`'s (identity).
 """
 
+from operator import attrgetter
+
 
 class Record:
     __slots__ = ()
@@ -47,16 +49,18 @@ class Record:
         body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({body})"
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, f) for f in self._fields])
+    def __init_subclass__(cls):
+        # the tuple of compared fields, one C call per record
+        get = attrgetter(*cls._fields) if cls._fields else (lambda self: ())
+        cls._values = staticmethod(get if len(cls._fields) != 1 else lambda self: (get(self),))
 
     def __eq__(self, other):
         # a tuple compares its items by identity first, so `self` equals itself
         if other is self:
             return True
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._values(self) == self._values(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values(self))

@@ -1,17 +1,24 @@
 """The face closure in rank space agrees with the token-by-token closure
 kept in `reference_closure`: the same vertex order, the same levels and
-the same order within each level, on random maximal-simplex lists and on
-every fixture complex and pair at sd^0..sd^2 (whose subdivisions and
-star views run through `_levels`)."""
+the same order within each level, on random maximal-simplex lists, on seeded
+lists whose face keys outgrow 64 bits, and on every fixture complex and
+pair at sd^0..sd^2 (whose subdivisions and star views run through
+`_levels`)."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import reference_closure as ref
-from capstar.complexes import barycentric_subdivide, closed_star, induced_subdivision
+from capstar.complexes import (
+    barycentric_subdivide,
+    closed_star,
+    from_maximal_simplices,
+    induced_subdivision,
+)
 from capstar.fixtures import pair_models, surfaces
 from capstar.io import parse_complex, serialize_complex
 
@@ -47,6 +54,38 @@ def test_random_closure_matches_the_reference(data):
     want = ref.from_maximal_simplices(
         data["simplices"], order=data.get("vertex_order"), name=data["name"])
     assert_same_complex(parse_complex(data), want)
+
+
+def _assert_closure_matches(maximal, order=None):
+    want = ref.from_maximal_simplices(maximal, order=order, name="seeded")
+    assert_same_complex(from_maximal_simplices(maximal, order=order, name="seeded"), want)
+
+
+def test_closure_with_keys_beyond_64_bits():
+    rng = random.Random(2201)
+    tokens = rng.sample(range(10**8, 10**9), 20_000)
+    maximal = [rng.sample(tokens, 5) for _ in range(400)]
+    # base 20,000 puts the 4-simplex keys near 20,000**5 > 2**64
+    assert len(tokens) ** 5 > 2**64
+    _assert_closure_matches(maximal, order=tokens)
+    _assert_closure_matches(maximal)
+
+
+def test_closure_of_mixed_lengths_repeats_and_listed_faces():
+    rng = random.Random(2202)
+    pool = list(range(-20, 40)) + [f"v{i}" for i in range(30)]
+    maximal = [rng.sample(pool, rng.randint(1, 6)) for _ in range(300)]
+    # a maximal simplex listed twice, in another vertex order, and some of its faces
+    maximal += [list(reversed(s)) for s in maximal[:20]] + [s[:2] for s in maximal[20:60]]
+    rng.shuffle(maximal)
+    _assert_closure_matches(maximal)
+    _assert_closure_matches(maximal, order=rng.sample(pool, len(pool)))
+
+
+def test_closure_of_one_ten_vertex_simplex():
+    maximal = [["j", 3, "a", 7, 1, "e", 0, 9, "b", 5]]
+    _assert_closure_matches(maximal)
+    assert from_maximal_simplices(maximal).num_simplices() == 2**10 - 1
 
 
 def _ladder(x, y):

@@ -53,6 +53,8 @@ COMPLEX_CASES = [
     ("duplicate vertex before an unknown one",
      {"simplices": [[3, 1, 3, 9]], "vertex_order": [1, 2, 3, 9]},
      "duplicate vertex 3 within one simplex"),
+    ("first bad simplex in file order across lengths", {"simplices": [[1, 2, 3], [4, 4], [5, 5, 6]]},
+     "duplicate vertex 4 within one simplex"),
 ]
 
 
@@ -69,7 +71,11 @@ def test_complex_file_error_texts(data, text):
     ([(1, 2), (2, 2, 9)], (1, 2), "duplicate vertex 2 within one simplex"),
     ([(1, 2.5)], None, "unsupported vertex token type: 2.5"),
     ([(1, 2)], (1, 2, 2), "duplicate vertex token in vertex order"),
-], ids=["empty", "unknown vertex", "duplicate before unknown", "float token", "duplicate order"])
+    ([[1, 2, 3], [9, 1], [1, 1, 2]], [1, 2, 3], "vertex 9 not in the declared order"),
+    ([[1, 1, 2], []], None, "duplicate vertex 1 within one simplex"),
+    ([[], [1, 1]], None, "empty vertex tuple"),
+], ids=["empty", "unknown vertex", "duplicate before unknown", "float token", "duplicate order",
+        "unknown before a longer duplicate", "duplicate before empty", "empty before duplicate"])
 def test_from_maximal_simplices_error_texts(maximal, order, text):
     with pytest.raises(ValidationError, match=exactly(text)):
         from_maximal_simplices(maximal, order=order)
