@@ -191,10 +191,8 @@ def chain_complex_of(x: SimplicialComplex, y: Subcomplex | None = None) -> Chain
     non-empty, on `x` otherwise."""
     if y is not None and y.parent != x:
         raise ValidationError("subcomplex does not belong to the given complex")
-    derived = (y if y is not None and y.simplices else x)._derived
-    if "chain" not in derived:
-        derived["chain"] = _assemble(x, y)
-    return derived["chain"]
+    owner = y if y is not None and y.simplices else x
+    return owner._kept_as("chain", lambda: _assemble(x, y))
 
 
 def _matrix(cols, x: SimplicialComplex, y: Subcomplex | None, d: int, image) -> la.SparseMatrix:
@@ -364,24 +362,27 @@ def subdivision_chain_map(sd: SubdivisionResult, y: Subcomplex | None = None) ->
     each simplex s goes to the sum, over the orders pi in which its
     vertices can be added, of sgn(pi) times the flag of barycenters
     [b(v_pi0), b(v_pi0 v_pi1), ..., b(s)].  The target pair is the
-    induced subdivision kept on `sd`.  Built once per `y` and kept on `sd`."""
+    induced subdivision kept on `sd`.  Built once per `y`, an empty `y`
+    being no `y`, and kept on `sd`."""
     x = sd.parent
     sd_y = None if y is None else induced_subdivision(sd, y)
-    key = ("subdivision map", None if y is None else y.simplices)
-    if key not in sd._derived:
+
+    def build():
         mats = {d: _matrix(_basis(x, y, d), sd.complex, sd_y, d, lambda s: _subdivided(sd, s))
                 for d in range(x.dimension + 1)}
-        sd._derived[key] = chain_map(chain_complex_of(x, y), chain_complex_of(sd.complex, sd_y),
-                                     mats, shift=0, sign=1)
-    return sd._derived[key]
+        return chain_map(chain_complex_of(x, y), chain_complex_of(sd.complex, sd_y),
+                         mats, shift=0, sign=1)
+    return sd._kept_as(("subdivision map", frozenset() if y is None else y.simplices), build)
 
 
 def last_vertex_chain_map(sd: SubdivisionResult) -> ChainMap:
     """C(sd X) -> C(X) induced by the last-vertex approximation; sd
     simplices with a repeated image vertex go to zero.  Built once and
     kept on `sd`."""
-    if "last vertex map" in sd._derived:
-        return sd._derived["last vertex map"]
+    return sd._kept_as("last vertex map", lambda: _last_vertex_map(sd))
+
+
+def _last_vertex_map(sd: SubdivisionResult) -> ChainMap:
     x = sd.parent
     vertex_map = last_vertex_approximation(sd)
 
@@ -394,9 +395,7 @@ def last_vertex_chain_map(sd: SubdivisionResult) -> ChainMap:
 
     mats = {d: _matrix(sd.complex.simplices_of_dim(d), x, None, d, image)
             for d in range(sd.complex.dimension + 1)}
-    sd._derived["last vertex map"] = chain_map(chain_complex_of(sd.complex), chain_complex_of(x),
-                                               mats, shift=0, sign=1)
-    return sd._derived["last vertex map"]
+    return chain_map(chain_complex_of(sd.complex), chain_complex_of(x), mats, shift=0, sign=1)
 
 
 def _through(lines, c: SimplicialChain) -> dict:

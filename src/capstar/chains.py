@@ -50,17 +50,12 @@ __all__ = [
 class ChainComplexZ(Record):
     """Graded free Z-modules with differentials of degree +1 or -1."""
 
+    # ranks: degree -> rank (> 0 entries only); sparse: degree -> nonzero
+    # SparseMatrix out of that degree.  Kept: the homology group at each
+    # degree (keyed by the degree), the integer dual ("dual") and, until
+    # degree j's group takes it, the decomposition of d_j in the kernel
+    # coordinates of the degree it maps into (("snf", j))
     _fields = ("diff_degree", "ranks", "sparse")
-
-    def __init__(self, diff_degree: int, ranks: dict, sparse: dict, _derived: dict = None):
-        # ranks: degree -> rank (> 0 entries only); sparse: degree ->
-        # nonzero SparseMatrix out of that degree; _derived: data derived
-        # on first use, kept out of equality: the homology group at each
-        # degree (keyed by the degree), the integer dual (keyed by "dual")
-        # and, until degree j's group takes it, the decomposition of d_j
-        # in the kernel coordinates of the degree it maps into ("snf", j)
-        vars(self).update(diff_degree=diff_degree, ranks=ranks, sparse=sparse,
-                          _derived={} if _derived is None else _derived)
 
     def rank(self, n: int) -> int:
         return self.ranks.get(n, 0)
@@ -133,8 +128,7 @@ class ChainMap(Record):
     """Graded map f with f d = sign * d f, degree shift in stored indices."""
 
     # sparse: degree n -> nonzero SparseMatrix source_n -> target_{n+shift};
-    # the induced maps on homology, once asked for, are kept out of the
-    # fields, in `_induced`
+    # kept: the induced map on homology at each degree asked for
     _fields = ("source", "target", "sparse", "shift", "sign")
     _defaults = {"shift": 0, "sign": 1}
 
@@ -175,10 +169,12 @@ class ChainMap(Record):
 def chain_map(source, target, matrices, shift=0, sign=1) -> ChainMap:
     if source.diff_degree != target.diff_degree:
         raise ValidationError("source and target have different differential degrees")
+    shift, sign = la._entry(shift), la._entry(sign)
     if sign not in (1, -1):
         raise ValidationError("sign must be +1 or -1")
     mats = {}
     for n, m in matrices.items():
+        n = la._entry(n)
         expected = (target.rank(n + shift), source.rank(n))
         m = la.SparseMatrix.of(m, shape=expected)
         if m.shape != expected:
@@ -186,7 +182,7 @@ def chain_map(source, target, matrices, shift=0, sign=1) -> ChainMap:
                 f"chain map matrix at degree {n} has shape {m.shape}, expected {expected}"
             )
         if m.any():
-            mats[int(n)] = m
+            mats[n] = m
     f = ChainMap(source=source, target=target, sparse=mats, shift=shift, sign=sign)
     eps = source.diff_degree
     for n in set(source.ranks) | {k - eps for k in source.ranks}:
@@ -211,9 +207,9 @@ class HomologyGroup(Record):
     the torsion generators after, torsion orders increasing along the
     divisibility chain.  The generators are kept sparse, as the rows of
     `_gens`; `cycle_basis` is their tuple of read-only dense vectors,
-    built on first request.  A group built from a `cycle_basis` keeps
-    that tuple as given, and has no coordinate map; only the zero group
-    may be built without generators.
+    built on first request and kept.  A group built from a `cycle_basis`
+    keeps that tuple as given, and has no coordinate map; only the zero
+    group may be built without generators.
     """
 
     _fields = ("degree", "betti", "torsion")
@@ -229,21 +225,23 @@ class HomologyGroup(Record):
         fields.update(degree=degree, betti=betti, torsion=torsion, _gens=_gens,
                       _cycle_test=_cycle_test, _coords=_coords, _kernel=_kernel)
         if cycle_basis is not None:
-            fields["_basis"] = tuple(cycle_basis)
-            fields["_gens"] = la.SparseMatrix.of(self._basis)
-        elif _gens is None:
-            if self.dim:
-                raise ValidationError(f"a group of rank {self.dim} needs a cycle basis")
-            fields["_basis"] = ()
+            cycle_basis = tuple(cycle_basis)
+            fields.update(_derived={"cycle basis": cycle_basis},
+                          _gens=la.SparseMatrix.of(cycle_basis))
+        elif _gens is None and self.dim:
+            raise ValidationError(f"a group of rank {self.dim} needs a cycle basis")
 
     @property
     def cycle_basis(self) -> tuple:
-        if "_basis" not in self.__dict__:
-            gens = self._gens.toarray()
-            # every caller shares this group: no in-place edit may change it
-            gens.flags.writeable = False
-            vars(self)["_basis"] = tuple(gens)
-        return self._basis
+        return self._kept_as("cycle basis", self._read_only_basis)
+
+    def _read_only_basis(self) -> tuple:
+        if self._gens is None:
+            return ()
+        gens = self._gens.toarray()
+        # every caller shares this group: no in-place edit may change it
+        gens.flags.writeable = False
+        return tuple(gens)
 
     def __eq__(self, other):
         if not isinstance(other, HomologyGroup):
@@ -350,14 +348,14 @@ def homology(k: ChainComplexZ, degree: int) -> HomologyGroup:
     alone.  The walk goes toward the degree each differential maps
     into, to a zero differential or to the F_j that the group above
     left on `k` as ("snf", j), and builds every group on its way back."""
-    degree = la._entry(degree)
-    if degree in k._derived:
-        return k._derived[degree]
+    degree, kept = la._entry(degree), k._derived
+    if degree in kept:
+        return kept[degree]
     eps = k.diff_degree
     path = [degree]
-    while path[-1] in k.sparse and ("snf", path[-1]) not in k._derived:
+    while path[-1] in k.sparse and ("snf", path[-1]) not in kept:
         path.append(path[-1] + eps)
-    snf_a = k._derived.pop(("snf", path[-1]), None)
+    snf_a = kept.pop(("snf", path[-1]), None)
     for j in reversed(path):
         a = k.sparse_d(j)  # out of the degree
         b = k.sparse_d(j - eps)  # into the degree
@@ -375,7 +373,7 @@ def homology(k: ChainComplexZ, degree: int) -> HomologyGroup:
         free_idx = list(range(r_c, k.rank(j) - r_a))
         tors_idx = [i for i in range(r_c) if factors[i] > 1]
         keep = free_idx + tors_idx
-        k._derived[j] = HomologyGroup(
+        kept[j] = HomologyGroup(
             degree=j,
             betti=len(free_idx),
             torsion=tuple(factors[i] for i in tors_idx),
@@ -386,8 +384,8 @@ def homology(k: ChainComplexZ, degree: int) -> HomologyGroup:
         )
         snf_a = snf_c
     if degree - eps in k.sparse:
-        k._derived[("snf", degree - eps)] = snf_a
-    return k._derived[degree]
+        kept[("snf", degree - eps)] = snf_a
+    return kept[degree]
 
 
 def _sign(n: int) -> int:
@@ -405,15 +403,16 @@ def dual_hom_z(k: ChainComplexZ) -> ChainComplexZ:
     (chain grading); the result always has diff_degree +1.  Built on
     first use and kept on `k`.
     """
-    if "dual" in k._derived:
-        return k._derived["dual"]
+    return k._kept_as("dual", lambda: _dual(k))
+
+
+def _dual(k: ChainComplexZ) -> ChainComplexZ:
     eps = k.diff_degree
     dual_degree_of = (lambda n: -n) if eps == 1 else (lambda n: n)
     ranks = {dual_degree_of(n): r for n, r in k.ranks.items()}
     diffs = {p: k.sparse_d(-(p + 1) if eps == 1 else p + 1).T.scaled(_sign(p + 1))
              for p in ranks}
-    k._derived["dual"] = chain_complex(1, ranks, diffs)
-    return k._derived["dual"]
+    return chain_complex(1, ranks, diffs)
 
 
 def dual_map(f: ChainMap) -> ChainMap:
@@ -527,10 +526,8 @@ class InducedMap(Record):
     def _snf(self) -> la.SmithDecomposition:
         """The Smith decomposition of the matrix with the target's torsion
         relations as extra columns, built on first use and kept."""
-        if "_kept_snf" not in self.__dict__:
-            vars(self)["_kept_snf"] = smith_normal_form(
-                la._hstack(self.sparse, self.target_group._relations()))
-        return self._kept_snf
+        return self._kept_as("snf", lambda: smith_normal_form(
+            la._hstack(self.sparse, self.target_group._relations())))
 
     def apply(self, cls: HomologyClass) -> HomologyClass:
         if cls.group != self.source_group:
@@ -559,11 +556,13 @@ class InducedMap(Record):
 
 
 def induced_map_on_homology(f: ChainMap, degree: int) -> InducedMap:
-    # built on the first call for a degree and kept on `f`, with the
-    # decomposition it keeps once built
-    degree, kept = la._entry(degree), vars(f).setdefault("_induced", {})
-    if degree in kept:
-        return kept[degree]
+    """The map f induces on homology at `degree`, built on the first call
+    for a degree and kept on `f`."""
+    degree = la._entry(degree)
+    return f._kept_as(degree, lambda: _induced(f, degree))
+
+
+def _induced(f: ChainMap, degree: int) -> InducedMap:
     hs = homology(f.source, degree)
     ht = homology(f.target, degree + f.shift)
     m = f.sparse_matrix(degree)
@@ -571,8 +570,7 @@ def induced_map_on_homology(f: ChainMap, degree: int) -> InducedMap:
     cols = (ht.coords_of(m.apply([g.get(j, 0) for j in range(rank)])) for g in hs._gens._row_dicts)
     mat = la.SparseMatrix((ht.dim, hs.dim), _cols=tuple(
         {i: v for i, v in enumerate(c) if v} for c in cols))
-    kept[degree] = InducedMap(source_group=hs, target_group=ht, sparse=mat)
-    return kept[degree]
+    return InducedMap(source_group=hs, target_group=ht, sparse=mat)
 
 
 def is_quasi_isomorphism(f: ChainMap) -> tuple[bool, list]:

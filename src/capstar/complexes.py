@@ -8,9 +8,9 @@ is a pure function.
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import chain, combinations, filterfalse
 from operator import add, lt
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import ValidationError
 from .records import Record
@@ -52,13 +52,9 @@ class SimplicialComplex(Record):
 
     _fields = ("vertex_order", "simplices_by_dim", "name")
 
-    def __init__(self, vertex_order: tuple, simplices_by_dim: tuple, name: str = "",
-                 _derived: dict = None):
+    def __init__(self, vertex_order: tuple, simplices_by_dim: tuple, name: str = ""):
         # simplices_by_dim: tuple of tuples, index = dimension, each
-        # sorted.  `_rank` and `_index` are built here.  _derived: data
-        # derived from this complex on first use
-        # (its chain complex, its barycentric subdivision), kept out of
-        # equality; it lives and dies with the complex
+        # sorted.  `_rank` and `_index` are built here
         rank = dict(zip(vertex_order, range(len(vertex_order))))
         if len(rank) != len(vertex_order):
             raise ValidationError("duplicate vertex token in vertex order")
@@ -66,8 +62,7 @@ class SimplicialComplex(Record):
         for simplices in simplices_by_dim:
             index.update(zip(simplices, range(len(simplices))))
         vars(self).update(vertex_order=vertex_order, simplices_by_dim=simplices_by_dim,
-                          name=name, _rank=rank, _index=index,
-                          _derived={} if _derived is None else _derived)
+                          name=name, _rank=rank, _index=index)
 
     # -- basic queries -------------------------------------------------
     @property
@@ -111,11 +106,13 @@ class SimplicialComplex(Record):
         return sum((-1) ** d * len(level) for d, level in enumerate(self.simplices_by_dim))
 
     def maximal_simplices(self) -> tuple:
-        proper_faces = set()
-        for s in self.all_simplices():
-            for k in range(1, len(s)):
-                proper_faces.update(combinations(s, k))
-        return tuple(s for s in self.all_simplices() if s not in proper_faces)
+        # face-closed: a d-simplex is a proper face iff it is a face of a (d+1)-simplex
+        out = []
+        for d, level in enumerate(self.simplices_by_dim):
+            faces = set(chain.from_iterable(
+                combinations(s, d + 1) for s in self.simplices_of_dim(d + 1)))
+            out.extend(s for s in level if s not in faces)
+        return tuple(out)
 
     def full_subcomplex(self) -> "Subcomplex":
         return Subcomplex(parent=self, simplices=frozenset(self.all_simplices()))
@@ -143,11 +140,7 @@ class Subcomplex(Record):
 
     _fields = ("parent", "simplices")
 
-    def __init__(self, parent: SimplicialComplex, simplices: frozenset, _derived: dict = None):
-        # _derived: data derived from this subcomplex on first use, kept out
-        # of equality: the pair (parent, self)'s chain complex, its closed
-        # star, non-meeting complement and supported-cap pairs (one per Y),
-        # its `as_complex` views by name; it lives and dies with the subcomplex
+    def __init__(self, parent: SimplicialComplex, simplices: frozenset):
         for s in simplices:
             if s not in parent:
                 raise ValidationError(f"simplex {s!r} not in parent complex")
@@ -157,8 +150,7 @@ class Subcomplex(Record):
                         raise ValidationError(
                             f"subcomplex not face-closed: missing {f!r} under {s!r}"
                         )
-        vars(self).update(parent=parent, simplices=simplices,
-                          _derived={} if _derived is None else _derived)
+        vars(self).update(parent=parent, simplices=simplices)
 
     def __contains__(self, simplex) -> bool:
         return tuple(simplex) in self.simplices
@@ -173,15 +165,11 @@ class Subcomplex(Record):
         """The subcomplex as a complex of its own, keeping the parent's
         vertex order (so orientations and signs agree); built once per
         name, since complexes with different names are not equal."""
-        key = ("complex", name)
-        if key in self._derived:
-            return self._derived[key]
-        self._derived[key] = SimplicialComplex(
+        return self._kept_as(("complex", name), lambda: SimplicialComplex(
             vertex_order=self.parent.vertex_order,
             simplices_by_dim=_levels(self.simplices, self.parent._rank),
             name=name or self.parent.name,
-        )
-        return self._derived[key]
+        ))
 
 
 def _levels(simplices, rank) -> tuple:
@@ -271,11 +259,8 @@ def closed_star(x: SimplicialComplex, z: Subcomplex) -> Subcomplex:
     computed once and kept on `z`."""
     if z.parent is not x and z.parent != x:
         raise ValidationError("subcomplex does not belong to the given complex")
-    if "star" not in z._derived:
-        zv = z.vertices()
-        meeting = [s for s in x.all_simplices() if not zv.isdisjoint(s)]
-        z._derived["star"] = x.subcomplex_closure(meeting)
-    return z._derived["star"]
+    return z._kept_as("star", lambda: x.subcomplex_closure(
+        filterfalse(z.vertices().isdisjoint, x.all_simplices())))
 
 
 def nonmeeting_complement(x: SimplicialComplex, z: Subcomplex) -> Subcomplex:
@@ -283,11 +268,8 @@ def nonmeeting_complement(x: SimplicialComplex, z: Subcomplex) -> Subcomplex:
     Computed once and kept on `z`."""
     if z.parent is not x and z.parent != x:
         raise ValidationError("subcomplex does not belong to the given complex")
-    if "complement" not in z._derived:
-        zv = z.vertices()
-        z._derived["complement"] = x.subcomplex(
-            s for s in x.all_simplices() if zv.isdisjoint(s))
-    return z._derived["complement"]
+    return z._kept_as("complement", lambda: x.subcomplex(
+        filter(z.vertices().isdisjoint, x.all_simplices())))
 
 
 def subcomplex_intersection(a: Subcomplex, b: Subcomplex) -> Subcomplex:
@@ -304,17 +286,12 @@ class SubdivisionResult(Record):
     faces of the parent.
     """
 
+    # barycenter_of: parent simplex -> new vertex token; parent_of: new
+    # vertex token -> parent simplex.  Every result for one parent shares
+    # one store: the induced subdivisions built so far, keyed by the
+    # simplices of the subcomplex of `parent` they subdivide, and the
+    # subdivision and last-vertex chain maps
     _fields = ("parent", "complex", "barycenter_of", "parent_of")
-
-    def __init__(self, parent: SimplicialComplex, complex: SimplicialComplex,
-                 barycenter_of: Mapping, parent_of: Mapping, _derived: dict = None):
-        # barycenter_of: parent simplex -> new vertex token; parent_of: new
-        # vertex token -> parent simplex; _derived, kept out of equality:
-        # the induced subdivisions built so far, keyed by the simplices of
-        # the subcomplex of `parent` they subdivide, and the subdivision
-        # and last-vertex chain maps
-        vars(self).update(parent=parent, complex=complex, barycenter_of=barycenter_of,
-                          parent_of=parent_of, _derived={} if _derived is None else _derived)
 
 
 def barycenter_token(simplex: Simplex):
@@ -328,11 +305,16 @@ def barycentric_subdivide(x: SimplicialComplex) -> SubdivisionResult:
     """sd X: one vertex b(s) per simplex s of X, and one simplex
     [b(s_0), ..., b(s_k)] per flag s_0 < ... < s_k of faces.  The new
     vertices are ordered by parent dimension, then by parent tuple.
-    Built once: `x` keeps every part of the result but the result itself,
-    which refers back to `x`; a reference cycle would keep them all alive
-    after their last use, until the cyclic garbage collector runs."""
-    if "sd" in x._derived:
-        return SubdivisionResult(x, *x._derived["sd"])
+    Built once: `x` keeps every part of the result and the result's store,
+    but not the result itself, which refers back to `x`."""
+    *parts, kept = x._kept_as("sd", lambda: (*_subdivide(x), {}))
+    sd = SubdivisionResult(x, *parts)
+    vars(sd)["_derived"] = kept
+    return sd
+
+
+def _subdivide(x: SimplicialComplex) -> tuple:
+    """The complex, `barycenter_of` and `parent_of` of sd X."""
     barycenter_of = {}
     parent_of = {}
     # parent -> the sd simplices whose last vertex is its barycenter; a
@@ -362,8 +344,7 @@ def barycentric_subdivide(x: SimplicialComplex) -> SubdivisionResult:
         simplices_by_dim=_levels([f for flags in flags_ending.values() for f in flags], rank),
         name=(x.name + "/sd") if x.name else "sd",
     )
-    x._derived["sd"] = (sd, barycenter_of, parent_of, {})
-    return SubdivisionResult(x, *x._derived["sd"])
+    return sd, barycenter_of, parent_of
 
 
 def induced_subdivision(sd: SubdivisionResult, z: Subcomplex) -> Subcomplex:
@@ -373,11 +354,8 @@ def induced_subdivision(sd: SubdivisionResult, z: Subcomplex) -> Subcomplex:
     Built once per `z` and kept on `sd`."""
     if z.parent != sd.parent:
         raise ValidationError("subcomplex does not belong to the subdivided complex")
-    if z.simplices not in sd._derived:
-        sd._derived[z.simplices] = Subcomplex(parent=sd.complex, simplices=frozenset(
-            s for s in sd.complex.all_simplices() if sd.parent_of[s[-1]] in z.simplices
-        ))
-    return sd._derived[z.simplices]
+    return sd._kept_as(z.simplices, lambda: Subcomplex(parent=sd.complex, simplices=frozenset(
+        s for s in sd.complex.all_simplices() if sd.parent_of[s[-1]] in z.simplices)))
 
 
 def last_vertex_approximation(sd: SubdivisionResult) -> dict:

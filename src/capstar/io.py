@@ -127,11 +127,9 @@ def _is_int(v) -> bool:
 def _key_tokens(x: SimplicialComplex) -> dict:
     """Key text -> token, built once per complex: `str(v)` for int tokens,
     then str tokens, which win a clash as in `_resolve_token`."""
-    if "tokens" not in x._derived:
-        tokens = {str(v): v for v in x.vertex_order if type(v) is int}
-        tokens.update((v, v) for v in x.vertex_order if type(v) is str)
-        x._derived["tokens"] = tokens
-    return x._derived["tokens"]
+    return x._kept_as("tokens", lambda: {
+        **{str(v): v for v in x.vertex_order if type(v) is int},
+        **{v: v for v in x.vertex_order if type(v) is str}})
 
 
 def _parse_valued(data: dict, x: SimplicialComplex, what: str):

@@ -193,8 +193,7 @@ def relative_supported_cap(x: SimplicialComplex, y: Subcomplex, z: Subcomplex,
             )
 
     # N' in the star's complex and (Z, Z cap Y) -> (N, N'): kept on `z` for each Y
-    key = ("pairs", y.simplices)
-    if key not in z._derived:
+    def pairs():
         y_and_z = subcomplex_intersection(y, z)
         yzv = y_and_z.vertices()
         n_complex = star.as_complex("star")
@@ -202,9 +201,9 @@ def relative_supported_cap(x: SimplicialComplex, y: Subcomplex, z: Subcomplex,
             s for s in y.simplices if not yzv.isdisjoint(s))
         z_complex = z.as_complex("support")
         z_boundary = Subcomplex(parent=z_complex, simplices=y_and_z.simplices)
-        incl = relative_inclusion_chain_map(z_complex, z_boundary, n_complex, star_boundary)
-        z._derived[key] = (star_boundary, incl)
-    star_boundary, incl = z._derived[key]
+        return star_boundary, relative_inclusion_chain_map(
+            z_complex, z_boundary, n_complex, star_boundary)
+    star_boundary, incl = z._kept_as(("pairs", y.simplices), pairs)
 
     image = cap(alpha, u)
     for s in image.coefficients:

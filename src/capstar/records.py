@@ -8,9 +8,11 @@ own `__init__`.  Either sets the fields once, through `vars(self)` (or
 attribute after that raises AttributeError.  The repr shows `_fields`,
 and a record equals one of its own class with equal `_fields` and
 hashes as their tuple, unless its class defines its own `__eq__`
-(unhashable) or takes back `object`'s (identity).
+(unhashable) or takes back `object`'s (identity).  A record keeps what
+it derives on first use in one dict, `_derived`, through `_kept_as`.
 """
 
+from functools import cached_property
 from operator import attrgetter
 
 
@@ -38,6 +40,21 @@ class Record:
                     raise TypeError(f"{name}() missing required argument {f!r}")
                 values[f] = self._defaults[f]
         vars(self).update(values)
+
+    # the store of kept values, made on first read; once made, the
+    # record's own `_derived` shadows this
+    _derived = cached_property(lambda self: {})
+
+    def _kept_as(self, key, build):
+        """The value kept under `key`, built by `build()` and kept on a
+        miss.  A kept value goes with its owner, stays out of equality and
+        the repr, and must not refer back to its owner: a reference cycle
+        would keep both alive after their last use, until the cyclic
+        garbage collector ran."""
+        kept = self._derived
+        if key not in kept:
+            kept[key] = build()
+        return kept[key]
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

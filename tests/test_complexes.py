@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +15,15 @@ from capstar.complexes import (
     nonmeeting_complement,
 )
 from capstar.errors import ValidationError
-from capstar.fixtures import circle, sphere, torus
+from capstar.fixtures import (
+    circle,
+    pair_models,
+    simplex_pair,
+    solid_simplex,
+    sphere,
+    surfaces,
+    torus,
+)
 
 
 def test_face_closure_of_full_triangle():
@@ -209,3 +219,43 @@ def test_subdivision_of_a_vertex_outside_the_order_is_rejected():
     for subdivide in (barycentric_subdivide, reference_subdivision.barycentric_subdivide):
         with pytest.raises(ValidationError, match=r"^unknown vertex token 3$"):
             subdivide(x)
+
+
+# -- maximal simplices ---------------------------------------------------------
+
+
+def _not_a_proper_face(x):
+    """The simplices of `x` that are no proper face of any simplex."""
+    proper = {f for s in x.all_simplices() for k in range(1, len(s))
+              for f in itertools.combinations(s, k)}
+    return tuple(s for s in x.all_simplices() if s not in proper)
+
+
+def _maximal_cases():
+    cases = dict(surfaces())
+    cases["solid3"] = solid_simplex(3)
+    for name, model in pair_models().items():
+        cases[name] = model.ambient
+        cases[name + "/boundary"] = model.boundary.as_complex()
+    cases["mixed"] = from_maximal_simplices(
+        [[1, 2, 3, 4], [4, 5], [5, 6, 7], [8], [6, 9], ["a", 9], ["b"]])
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_maximal_cases()))
+def test_maximal_simplices_are_those_no_simplex_has_as_a_proper_face(name):
+    x = _maximal_cases()[name]
+    assert x.maximal_simplices() == _not_a_proper_face(x)
+
+
+def test_maximal_simplices_of_disk3_sd3():
+    x = simplex_pair(3).ambient
+    for _ in range(3):
+        x = barycentric_subdivide(x).complex
+    maximal = x.maximal_simplices()
+    assert maximal == _not_a_proper_face(x) and len(maximal) == len(x.simplices_of_dim(3))
+
+
+@given(hand_built_complexes())
+def test_maximal_simplices_of_a_hand_built_complex(x):
+    assert x.maximal_simplices() == _not_a_proper_face(x)

@@ -6,6 +6,7 @@ repeated cap decomposes nothing.  Also the public `HomologyGroup`
 constructor, the rows of a matrix and the matrices capstar builds
 itself."""
 
+import gc
 import re
 import weakref
 
@@ -34,9 +35,15 @@ from capstar.chains import (
     induced_map_on_homology,
     uct_check,
 )
-from capstar.complexes import barycentric_subdivide
+from capstar.complexes import (
+    barycentric_subdivide,
+    closed_star,
+    induced_subdivision,
+    nonmeeting_complement,
+)
 from capstar.errors import RetractConditionError, ValidationError
 from capstar.fixtures import interval_pair, projective_plane, torus
+from capstar.io import parse_cochain
 from capstar.products import RelativeSupportedCapResult, relative_supported_cap, supported_cap
 from capstar.verify import _is_coboundary
 
@@ -150,6 +157,41 @@ def test_a_chain_map_keeps_its_induced_maps():
     gone = weakref.ref(f)
     del f
     assert gone() is None
+
+
+def _owners_used_once() -> dict:
+    """Weak references to a torus and what it derives, each used once in
+    every way that keeps data, and no strong reference left."""
+    x, z, u, alpha = _torus_cap()
+    k, c = chain_complex_of(x), cochain_complex(x)
+    for n in range(3):
+        homology(k, n), homology(c, n)
+    sd = barycentric_subdivide(x)
+    induced_subdivision(sd, z)
+    up, down = subdivision_chain_map(sd), last_vertex_chain_map(sd)
+    assert induced_map_on_homology(down.compose(up), 2).is_isomorphism()
+    closed_star(x, z), nonmeeting_complement(x, z)
+    values = {",".join(map(str, s)): e for s, e in u.coefficients.items()}
+    assert parse_cochain({"degree": 2, "values": values}, x) == u
+    caps = [supported_cap(x, z, u, alpha, presubdivide=p) for p in (0, 1)]
+    assert [cap.class_in_z.coords for cap in caps] == [(-1,), (-1,)]
+    owners = {"x": x, "k": k, "c": c, "sd": sd, "sd.complex": sd.complex, "z": z,
+              "subdivision map": up, "last vertex map": down, "cap": caps[0],
+              "presubdivided cap": caps[1]}
+    return {name: weakref.ref(owner) for name, owner in owners.items()}
+
+
+def test_every_owner_is_freed_by_reference_counting_alone():
+    # with the cyclic collector off, a kept value that referred back to
+    # its owner would keep both alive
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        refs = _owners_used_once()
+        assert [name for name, ref in refs.items() if ref() is not None] == []
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_the_retract_condition_error_names_both_groups():

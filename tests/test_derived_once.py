@@ -260,6 +260,20 @@ def test_bm_supported_cap_subdivides_each_level_once(monkeypatch):
     assert first_parent is x and second_parent is first.complex
 
 
+def test_an_empty_subcomplex_shares_the_absolute_subdivision_map():
+    x = torus()
+    sd = complexes.barycentric_subdivide(x)
+    f = bridge.subdivision_chain_map(sd)
+    # an empty Y is no Y, as in `chain_complex_of`: one map, kept once
+    assert bridge.subdivision_chain_map(sd, x.empty_subcomplex()) is f
+    assert bridge.subdivision_chain_map(complexes.barycentric_subdivide(x)) is f
+    y = x.subcomplex_closure([(0, 1)])
+    g = bridge.subdivision_chain_map(sd, y)
+    assert g is not f and bridge.subdivision_chain_map(sd, y) is g
+    with pytest.raises(ValidationError):
+        bridge.subdivision_chain_map(sd, from_maximal_simplices([[0, 1]]).empty_subcomplex())
+
+
 def test_supported_draws_build_one_nonmeeting_complement_per_support(monkeypatch):
     built, assembled = [], []
     complement, assemble = complexes.nonmeeting_complement, bridge._assemble

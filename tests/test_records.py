@@ -57,6 +57,12 @@ def _case(kind, fields, built, unequal=(), uncompared=()):
             "unequal": list(unequal), "uncompared": list(uncompared)}
 
 
+def _kept(record, key, value):
+    """`record`, with `value` kept under `key`."""
+    record._kept_as(key, lambda: value)
+    return record
+
+
 def _cases():
     x = circle()
     levels = x.simplices_by_dim
@@ -78,7 +84,7 @@ def _cases():
     cases["ChainComplexZ"] = _case("value", ("diff_degree", "ranks", "sparse"), [
         ChainComplexZ(-1, {0: 1}, {}), ChainComplexZ(diff_degree=-1, ranks={0: 1}, sparse={}),
     ], unequal=[ChainComplexZ(1, {0: 1}, {}), ChainComplexZ(-1, {0: 2}, {})],
-        uncompared=[ChainComplexZ(-1, {0: 1}, {}, {"dual": None})])
+        uncompared=[_kept(ChainComplexZ(-1, {0: 1}, {}), "dual", None)])
 
     cases["ChainMap"] = _case("value", ("source", "target", "sparse", "shift", "sign"), [
         ChainMap(k, k, {}, 0, 1), ChainMap(source=k, target=k, sparse={}),
@@ -124,22 +130,22 @@ def _cases():
         circle(),
     ], unequal=[SimplicialComplex((1, 2, 3), levels), SimplicialComplex((1, 2, 3), levels[:1],
                                                                          "circle")],
-        uncompared=[SimplicialComplex((1, 2, 3), levels, "circle", _derived={"sd": None})])
+        uncompared=[_kept(SimplicialComplex((1, 2, 3), levels, "circle"), "sd", None)])
 
     cases["Subcomplex"] = _case("value", ("parent", "simplices"), [
         Subcomplex(x, frozenset({(1,)})), Subcomplex(parent=x, simplices=frozenset({(1,)})), y,
     ], unequal=[Subcomplex(x, frozenset())],
-        uncompared=[Subcomplex(x, frozenset({(1,)}), {"star": None})])
+        uncompared=[_kept(Subcomplex(x, frozenset({(1,)})), "star", None)])
 
     sd = barycentric_subdivide(x)
     parts = (sd.parent, sd.complex, sd.barycenter_of, sd.parent_of)
     cases["SubdivisionResult"] = _case(
         "value", ("parent", "complex", "barycenter_of", "parent_of"), [
-            sd, SubdivisionResult(*parts, sd._derived),
+            sd, SubdivisionResult(*parts),
             SubdivisionResult(parent=x, complex=sd.complex, barycenter_of=sd.barycenter_of,
                               parent_of=sd.parent_of),
         ], unequal=[SubdivisionResult(x, sd.complex, {}, sd.parent_of)],
-        uncompared=[SubdivisionResult(*parts, {"last vertex map": None})])
+        uncompared=[_kept(SubdivisionResult(*parts), "last vertex map", None)])
 
     cases["SimplicialChain"] = _case("value", ("complex", "degree", "coefficients"), [
         SimplicialChain(x, 1, {(1, 2): 1}),
@@ -257,7 +263,7 @@ def test_record_equality_and_hashing(name):
 @pytest.mark.parametrize("name", NAMES)
 def test_repr_names_exactly_the_compared_fields(name):
     case = CASES[name]
-    for record in case["built"]:
+    for record in case["built"] + case["uncompared"]:
         body = ", ".join(f"{f}={getattr(record, f)!r}" for f in case["fields"])
         assert repr(record) == f"{name}({body})"
 
@@ -275,9 +281,17 @@ def test_defaults_and_derived_dicts():
     assert SimplicialComplex(x.vertex_order, x.simplices_by_dim).name == ""
     for a, b in [(circle(), circle()), (x.subcomplex([(1,)]), x.subcomplex([(1,)])),
                  (ChainComplexZ(-1, {}, {}), ChainComplexZ(-1, {}, {}))]:
+        # the store is made on first use, one per record, even for equal records
+        assert "_derived" not in vars(a) and a == b
         assert a._derived == {} and a._derived is not b._derived
+        built = []
+        kept = a._kept_as("key", lambda: built.append(1) or [])
+        assert a._kept_as("key", list) is kept and built == [1]
+        assert b._kept_as("key", list) is not kept and a == b
     sd = barycentric_subdivide(x)
     assert sd._derived is barycentric_subdivide(x)._derived
+    assert SubdivisionResult(sd.parent, sd.complex, sd.barycenter_of,
+                             sd.parent_of)._derived is not sd._derived
     f = ChainMap(chain_complex_of(x), chain_complex_of(x), {})
     assert (f.shift, f.sign) == (0, 1)
     assert CheckResult("n", True).detail == ""
@@ -306,8 +320,9 @@ def test_constructors_still_check_and_normalise():
     assert HomologyGroup(degree=0, betti=0, torsion=())._gens is None
 
 
-STORING = ["ChainMap", "CheckResult", "ConeResult", "ExactnessReport", "InducedMap",
-           "InvarianceReport", "RelativeSupportedCapResult", "SmithDecomposition", "UctReport"]
+STORING = ["ChainComplexZ", "ChainMap", "CheckResult", "ConeResult", "ExactnessReport",
+           "InducedMap", "InvarianceReport", "RelativeSupportedCapResult", "SmithDecomposition",
+           "SubdivisionResult", "UctReport"]
 
 
 @pytest.mark.parametrize("name", STORING)

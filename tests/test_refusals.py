@@ -40,6 +40,20 @@ def test_chain_map_refuses_a_sign_other_than_one(sign):
         chain_map(k, k, {0: [[1]], 1: [[1]]}, sign=sign)
 
 
+def test_chain_map_refuses_a_degree_shift_or_sign_that_is_no_integer():
+    k = _arrow()
+    # a float degree was stored as its int, and a float shift failed only
+    # later, in `induced_map_on_homology`
+    for matrices, kwargs, entry in [({0.0: [[1]]}, {}, "0.0"),
+                                    ({0: [[1]]}, {"shift": 1.0}, "1.0"),
+                                    ({0: [[1]], 1: [[1]]}, {"sign": 1.0}, "1.0")]:
+        with pytest.raises(ValidationError, match=f"^entry {entry} is not an integer$"):
+            chain_map(k, k, matrices, **kwargs)
+    # an integer of another type is read as its int, as in `chain_complex`
+    f = chain_map(k, k, {0: [[1]], 1: [[1]]}, sign=True)
+    assert f.sign == 1 and type(f.sign) is int
+
+
 def test_chain_map_refuses_a_matrix_of_the_wrong_shape():
     k = _arrow()
     with pytest.raises(ValidationError,
