@@ -14,10 +14,10 @@ from . import intlinalg as la
 from .bridge import (
     SimplicialChain,
     SimplicialCochain,
-    _coordinates,
     _lift,
     boundary_of,
     chain_complex_of,
+    chain_to_vector,
     inclusion_chain_map,
     relative_chain_complex,
     subdivision_chain_map,
@@ -82,7 +82,7 @@ def _exact_at(prev_matrix, here: HomologyGroup, next_matrix, nxt: HomologyGroup)
     image_gens = la._hstack(la.SparseMatrix.of(prev_matrix), rel_here)
     # kernel of (next o quotient): x with next_matrix @ x in relations of nxt
     stacked = la._hstack(la.SparseMatrix.of(next_matrix), nxt._relations().scaled(-1))
-    ker = la._kernel(stacked)
+    ker = la.kernel_basis(stacked)
     ker_x = la.SparseMatrix((n, ker.shape[1]), _cols=tuple(
         {i: e for i, e in col.items() if i < n} for col in ker._col_dicts))
     return la.lattices_equal(image_gens, la._hstack(ker_x, rel_here))
@@ -115,7 +115,7 @@ def pair_long_exact_sequence(x: SimplicialComplex, y: Subcomplex) -> ExactnessRe
             db = boundary_of(_lift(x, n, g, y))
             if any(s not in y for s in db.coefficients):
                 raise InternalCheckError("relative cycle boundary escaped the subcomplex")
-            c = below.coords_of(_coordinates(SimplicialChain(y_complex, n - 1, db.coefficients)))
+            c = below.coords_of(chain_to_vector(SimplicialChain(y_complex, n - 1, db.coefficients)))
             conn.append({i: v for i, v in enumerate(c) if v})
         seq += [(f"H_{n}(Y)", homology(cy, n), induced_map_on_homology(incl, n).sparse),
                 (f"H_{n}(X)", homology(cx, n), induced_map_on_homology(proj, n).sparse),

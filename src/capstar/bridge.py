@@ -11,7 +11,8 @@ conversion, inclusion and subdivision map here takes an optional Y.
 One builder, `_matrix`, fills every matrix into such a quotient.  The
 chain complex of X, or of a pair (X, Y) with Y non-empty, is assembled
 once and kept on X, respectively on Y; the cochain complex is its dual,
-kept on it.
+kept on it.  A vector is a list of Python ints; nothing here loads
+numpy.
 """
 
 from __future__ import annotations
@@ -80,8 +81,7 @@ class SimplicialChain(Record):
     cochain); `SimplicialCochain` and `CochainFunctional` name it too.
     Coefficients are ints, bools or numpy integers; anything else, a
     float or a Fraction included, raises ValidationError.  Chains are
-    sparse and never load numpy; of the conversions below, only the
-    dense export `chain_to_vector` does.
+    sparse and never load numpy.
     """
 
     _fields = ("complex", "degree", "coefficients")
@@ -272,18 +272,11 @@ def inclusion_chain_map(inner: SimplicialComplex, outer: SimplicialComplex) -> C
 # -- vector conversions -------------------------------------------------
 
 
-def _coordinates(c: SimplicialChain, y: Subcomplex | None = None) -> list:
+def chain_to_vector(c: SimplicialChain, y: Subcomplex | None = None) -> list:
     """Coordinates of `c` in the basis of C(X)/C(Y): its coefficients on
     the simplices outside `y` (on all of them when `y` is None)."""
     coeffs = c.coefficients
     return [coeffs.get(s, 0) for s in _basis(c.complex, y, c.degree)]
-
-
-def chain_to_vector(c: SimplicialChain, y: Subcomplex | None = None):
-    """`_coordinates(c, y)` as a dense numpy vector."""
-    import numpy as np
-
-    return np.array(_coordinates(c, y), dtype=object)
 
 
 def vector_to_chain(x: SimplicialComplex, degree: int, v,

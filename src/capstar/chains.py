@@ -1,7 +1,7 @@
 """Finitely generated free integer chain complexes and their homology.
 
 A ChainComplexZ stores one sparse integer matrix per degree, the map
-OUT of that degree (`d(n)` exports it dense); `diff_degree` is +1 for
+OUT of that degree (`d(n)` gives it dense); `diff_degree` is +1 for
 cochain-style grading and -1 for chain-style grading.  Duals, shifts
 and cones follow the conventions:
 
@@ -81,11 +81,6 @@ class ChainComplexZ(Record):
         m.flags.writeable = False
         return m
 
-    @property
-    def differentials(self) -> dict:
-        """The nonzero differentials by degree, dense, built on request."""
-        return {n: self.d(n) for n in self.sparse}
-
     def total_rank(self) -> int:
         return sum(self.ranks.values())
 
@@ -137,15 +132,6 @@ class ChainMap(Record):
         if m is None:
             return la.SparseMatrix((self.target.rank(n + self.shift), self.source.rank(n)))
         return m
-
-    def matrix(self, n: int):
-        """`sparse_matrix(n)` as a dense matrix, built on request."""
-        return self.sparse_matrix(n).toarray()
-
-    @property
-    def matrices(self) -> dict:
-        """The nonzero matrices by degree, dense, built on request."""
-        return {n: self.matrix(n) for n in self.sparse}
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self o other (apply `other` first)."""
@@ -208,7 +194,7 @@ class HomologyGroup(Record):
     divisibility chain.  The generators are kept sparse, as the rows of
     `_gens`; `cycle_basis` is their tuple of read-only dense vectors,
     built on first request and kept.  A group built from a `cycle_basis`
-    keeps that tuple as given, and has no coordinate map; only the zero
+    holds that tuple as given, and has no coordinate map; only the zero
     group may be built without generators.
     """
 
@@ -222,17 +208,18 @@ class HomologyGroup(Record):
         # dim x rank of the degree; _kernel, columns: a basis of the
         # cycles, V[:, r:] of the first Smith decomposition
         fields = vars(self)
-        fields.update(degree=degree, betti=betti, torsion=torsion, _gens=_gens,
+        fields.update(degree=degree, betti=betti, torsion=torsion, _given=None, _gens=_gens,
                       _cycle_test=_cycle_test, _coords=_coords, _kernel=_kernel)
         if cycle_basis is not None:
             cycle_basis = tuple(cycle_basis)
-            fields.update(_derived={"cycle basis": cycle_basis},
-                          _gens=la.SparseMatrix.of(cycle_basis))
+            fields.update(_given=cycle_basis, _gens=la.SparseMatrix.of(cycle_basis))
         elif _gens is None and self.dim:
             raise ValidationError(f"a group of rank {self.dim} needs a cycle basis")
 
     @property
     def cycle_basis(self) -> tuple:
+        if self._given is not None:
+            return self._given
         return self._kept_as("cycle basis", self._read_only_basis)
 
     def _read_only_basis(self) -> tuple:
@@ -518,11 +505,6 @@ class InducedMap(Record):
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     @property
-    def matrix(self):
-        """`sparse` as a dense matrix, built on request."""
-        return self.sparse.toarray()
-
-    @property
     def _snf(self) -> la.SmithDecomposition:
         """The Smith decomposition of the matrix with the target's torsion
         relations as extra columns, built on first use and kept."""
@@ -548,7 +530,7 @@ class InducedMap(Record):
         if target_class.group != t:
             raise ValidationError("class does not live in the target group")
         rhs = la.SparseMatrix.of([[c] for c in target_class.coords], (t.dim, 1))
-        sol = la._solve(self._snf, rhs)
+        sol = la.solve_integer(self._snf, rhs)
         if sol is None:
             return None
         coords = (row.get(0, 0) for row in sol._row_dicts[: self.source_group.dim])

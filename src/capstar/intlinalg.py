@@ -9,16 +9,11 @@ Matrices are kept as `SparseMatrix`: dicts of the nonzeros by row, with
 the column view built on demand.  Products, the Smith reduction and its
 five factors all live there, so their cost follows the nonzeros of the
 boundary matrices; the exact U @ A @ V == D certificate runs on them,
-row by row, on every call at every size.  The public functions also
-take dense matrices (numpy arrays of dtype=object, or nested
-sequences).  numpy is loaded only by the dense exports: `as_matrix`,
-`zeros`, `identity`, `SparseMatrix.toarray`, `matmul`, `kernel_basis`,
-`solve_integer` and the `U/D/V/u_inv/v_inv` properties of a
-`SmithDecomposition`, and `lattice_contains`, which reads its vectors
-as `solve_integer` reads a right-hand side.  Everything else, the
-private sparse cores that the rest of capstar calls included, runs
-without it, and reads a numpy array or scalar it is handed through
-`sys.modules`.
+row by row, on every call at every size.  The public functions take a
+SparseMatrix or nested sequences, and read a numpy array or scalar they
+are handed through `sys.modules`.  numpy is loaded only by the dense
+remainder: `SparseMatrix.toarray` and the `U/D/V/u_inv/v_inv`
+properties of a `SmithDecomposition`.
 """
 
 from __future__ import annotations
@@ -33,11 +28,7 @@ from .records import Record
 __all__ = [
     "SparseMatrix",
     "SmithDecomposition",
-    "as_matrix",
-    "zeros",
-    "identity",
     "sparse_identity",
-    "matmul",
     "smith_normal_form",
     "kernel_basis",
     "solve_integer",
@@ -59,9 +50,9 @@ def _exact(a):
     if a.dtype == object:
         if all(type(x) is int for x in a.flat):
             return a
-        import numpy as np
-
-        return np.array([_entry(x) for x in a.flat], dtype=object).reshape(a.shape)
+        out = a.copy()
+        out.flat = [_entry(x) for x in a.flat]
+        return out
     if a.dtype.kind == "b":
         a = a.astype("int8")
     if a.dtype.kind not in "iu":
@@ -77,42 +68,12 @@ def _entry(x) -> int:
     return int(x)
 
 
-def _integral(b):
-    """A right-hand side (a vector or stacked columns) as an object array
-    of Python ints."""
-    import numpy as np
-
-    return _exact(b if isinstance(b, np.ndarray) else np.asarray(b, dtype=object))
-
-
 def _vector(v) -> list:
     """A vector as a list of Python ints: a numpy array of any integer
     dtype and shape, read flat, or a sequence, each entry checked once."""
     if _is_array(v):
         return _exact(v).ravel().tolist()
     return [_entry(x) for x in v]
-
-
-def as_matrix(rows, shape=None):
-    """Build an object-dtype integer matrix from nested sequences.
-
-    `shape` is required when `rows` is empty in one dimension.  Entries
-    must be ints, bools or numpy integers: a float, even 1.0, a Fraction
-    or a string raises ValidationError rather than being truncated.
-    """
-    if _is_array(rows) and rows.ndim == 2:
-        return _exact(rows)
-    return SparseMatrix.of(rows, shape).toarray()
-
-
-def zeros(m: int, n: int):
-    import numpy as np
-
-    return np.zeros((m, n), dtype=object)
-
-
-def identity(n: int):
-    return sparse_identity(n).toarray()
 
 
 def _axpy(dst: dict, q: int, src: dict) -> None:
@@ -258,7 +219,7 @@ class SparseMatrix(Record):
         """Row i of the product combines the rows of `other` that row i
         of `self` meets, so the cost follows the nonzeros."""
         if self.shape[1] != other.shape[0]:
-            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
+            raise ValidationError(f"shape mismatch {self.shape} @ {other.shape}")
         rows = other._row_dicts
         return SparseMatrix((self.shape[0], other.shape[1]),
                             tuple(_times(row, rows) for row in self._row_dicts),
@@ -291,7 +252,9 @@ class SparseMatrix(Record):
 
     def toarray(self):
         """The dense object matrix (a numpy array)."""
-        out = zeros(*self.shape)
+        import numpy as np
+
+        out = np.zeros(self.shape, dtype=object)
         for i, row in enumerate(self._row_dicts):
             for j, e in row.items():
                 out[i, j] = e
@@ -307,20 +270,6 @@ def _hstack(*blocks: SparseMatrix) -> SparseMatrix:
     """The blocks, which have the same number of rows, side by side."""
     cols = tuple(col for m in blocks for col in m._col_dicts)
     return SparseMatrix((blocks[0].shape[0], len(cols)), _cols=cols)
-
-
-def matmul(a, b):
-    """Exact a @ b of numpy arrays in Python ints, whatever the operands'
-    integer dtype, on the sparse product.  A vector `b` gives a vector
-    back."""
-    import numpy as np
-
-    a, b = _exact(a), _exact(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    if b.ndim == 1:
-        return np.array(SparseMatrix.of(a).apply(b.tolist()), dtype=object)
-    return (SparseMatrix.of(a) @ SparseMatrix.of(b)).toarray()
 
 
 class Factors(NamedTuple):
@@ -373,7 +322,7 @@ def _certify(u, a, v, d) -> None:
 
 def smith_normal_form(a) -> SmithDecomposition:
     """Exact Smith normal form over the integers, of a SparseMatrix or
-    anything `as_matrix` takes.
+    anything `SparseMatrix.of` reads.
 
     Deterministic minimal-absolute-value pivoting with lexicographic
     tie-break.  The reduction runs on sparse lines: the working matrix
@@ -512,25 +461,20 @@ def smith_normal_form(a) -> SmithDecomposition:
     return SmithDecomposition(f)
 
 
-def _kernel(a) -> SparseMatrix:
+def kernel_basis(a) -> SparseMatrix:
     """Columns form a basis of the integer kernel lattice of `a`."""
     snf = smith_normal_form(a)
     return snf.sparse.V.T[snf.rank:].T
 
 
-def kernel_basis(a):
-    """Columns form a basis of the integer kernel lattice of `a`: the
-    dense `_kernel(a)`."""
-    return _kernel(a).toarray()
-
-
-def _solve(snf: SmithDecomposition, b: SparseMatrix) -> SparseMatrix | None:
+def solve_integer(snf: SmithDecomposition, b) -> SparseMatrix | None:
     """One integer solution x of a @ x = b, where `snf` decomposes `a`,
-    or None when there is none; the columns of `b` are the right-hand
-    sides."""
+    or None when there is none; the columns of `b`, a SparseMatrix or
+    anything `SparseMatrix.of` reads, are the right-hand sides."""
+    b = SparseMatrix.of(b)
     f, r = snf.sparse, snf.rank
     if b.shape[0] != f.D.shape[0]:
-        raise ValueError("right-hand side length mismatch")
+        raise ValidationError("right-hand side length mismatch")
     c = (f.U @ b)._row_dicts
     if any(c[r:]):
         return None
@@ -543,36 +487,16 @@ def _solve(snf: SmithDecomposition, b: SparseMatrix) -> SparseMatrix | None:
     return f.V.T[:r].T @ SparseMatrix((r, b.shape[1]), tuple(y))
 
 
-def solve_integer(a, b):
-    """One integer solution x of a @ x = b, or None when there is none.
-
-    `b` may be a vector (shape (m,)) or a matrix of stacked right-hand
-    sides; the solution comes back as a dense array in the matching
-    shape.  `a` is a SparseMatrix or anything `as_matrix` takes.
-    """
-    b = _integral(b)
-    vec = b.ndim == 1
-    x = _solve(smith_normal_form(a), SparseMatrix.of(b.reshape(-1, 1) if vec else b))
-    if x is None:
-        return None
-    return x.toarray()[:, 0] if vec else x.toarray()
-
-
-def _contains(gens: SparseMatrix, vectors: SparseMatrix) -> bool:
-    return not vectors.shape[1] or _solve(smith_normal_form(gens), vectors) is not None
-
-
 def lattice_contains(gens, vectors) -> bool:
     """True when every column of `vectors` lies in the lattice spanned
     by the columns of `gens`."""
-    gens = SparseMatrix.of(gens)
-    vectors = _integral(vectors)
-    return _contains(gens, SparseMatrix.of(vectors.reshape(-1, 1) if vectors.ndim == 1 else vectors))
+    vectors = SparseMatrix.of(vectors)
+    return not vectors.shape[1] or solve_integer(smith_normal_form(gens), vectors) is not None
 
 
 def lattices_equal(gens_a, gens_b) -> bool:
     """Column lattices agree as subgroups of the ambient Z^n."""
     gens_a, gens_b = SparseMatrix.of(gens_a), SparseMatrix.of(gens_b)
     if gens_a.shape[0] != gens_b.shape[0]:
-        raise ValueError("ambient rank mismatch")
-    return _contains(gens_a, gens_b) and _contains(gens_b, gens_a)
+        raise ValidationError("ambient rank mismatch")
+    return lattice_contains(gens_a, gens_b) and lattice_contains(gens_b, gens_a)

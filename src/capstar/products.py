@@ -14,9 +14,9 @@ from .bridge import (
     CochainFunctional,
     SimplicialChain,
     SimplicialCochain,
-    _coordinates,
     apply_chain_map,
     boundary_of,
+    chain_to_vector,
     coboundary_of,
     cochain_pullback,
     inclusion_chain_map,
@@ -217,7 +217,7 @@ def relative_supported_cap(x: SimplicialComplex, y: Subcomplex, z: Subcomplex,
 
     beta = SimplicialChain(star_boundary.parent, image.degree, image.coefficients)
     induced = induced_map_on_homology(incl, image.degree)
-    class_in_pair = induced.target_group.class_of(_coordinates(beta, star_boundary))
+    class_in_pair = induced.target_group.class_of(chain_to_vector(beta, star_boundary))
     class_in_z = None
     if induced.is_isomorphism():
         class_in_z = induced.solve(class_in_pair)

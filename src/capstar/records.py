@@ -9,7 +9,8 @@ attribute after that raises AttributeError.  The repr shows `_fields`,
 and a record equals one of its own class with equal `_fields` and
 hashes as their tuple, unless its class defines its own `__eq__`
 (unhashable) or takes back `object`'s (identity).  A record keeps what
-it derives on first use in one dict, `_derived`, through `_kept_as`.
+it derives on first use in one dict, `_derived`, through `_kept_as`;
+a copy or a pickle leaves that dict behind.
 """
 
 from functools import cached_property
@@ -55,6 +56,12 @@ class Record:
         if key not in kept:
             kept[key] = build()
         return kept[key]
+
+    def __getstate__(self):
+        # what copy and pickle carry: the fields, without the kept values
+        state = dict(vars(self))
+        state.pop("_derived", None)
+        return state
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -16,9 +16,9 @@ from .bm import pair_long_exact_sequence
 from .bridge import (
     SimplicialChain,
     SimplicialCochain,
-    _coordinates,
     boundary_of,
     chain_complex_of,
+    chain_to_vector,
     coboundary_of,
     cochain_complex,
     inclusion_chain_map,
@@ -116,7 +116,7 @@ def _random_supported_cochain(rng, x, z, degree):
     when there is no such nonzero cochain in `degree`."""
     comp = nonmeeting_complement(x, z)
     # zero, in the coordinates of C(X)/C(comp): one draw per coordinate
-    zero = _coordinates(SimplicialChain(x, degree, {}), comp)
+    zero = chain_to_vector(SimplicialChain(x, degree, {}), comp)
     if not len(zero):
         return None
     return vector_to_chain(x, degree, [rng.randint(-2, 2) for _ in zero], comp)
@@ -125,7 +125,7 @@ def _random_supported_cochain(rng, x, z, degree):
 def _is_coboundary(x, w: SimplicialCochain) -> bool:
     # a cocycle whose class in the kept cohomology group is zero
     return coboundary_of(w).is_zero() and not any(
-        homology(cochain_complex(x), w.degree).coords_of(_coordinates(w)))
+        homology(cochain_complex(x), w.degree).coords_of(chain_to_vector(w)))
 
 
 def _enlarged(rng, x, z):

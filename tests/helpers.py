@@ -1,13 +1,17 @@
-"""Shared generators for randomized chain-algebra tests."""
-
-import numpy as np
+"""Shared generators for randomized chain-algebra tests, and the edge
+where a test turns a matrix into dense values."""
 
 from capstar import intlinalg as la
 from capstar.chains import chain_complex, chain_map
 
 
+def dense(m: la.SparseMatrix) -> list:
+    """The entries of `m` as nested lists of Python ints, row by row."""
+    return [[row.get(j, 0) for j in range(m.shape[1])] for row in m.rows]
+
+
 def random_matrix(rng, rows, cols, lo=-3, hi=3):
-    return la.as_matrix(
+    return la.SparseMatrix.of(
         [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)],
         shape=(rows, cols),
     )
@@ -32,7 +36,7 @@ def random_complex(rng, length=4, max_rank=5, diff_degree=-1, base_degree=0):
             mat = random_matrix(rng, rows, cols)
         else:
             kb = la.kernel_basis(prev)
-            mat = la.matmul(kb, random_matrix(rng, kb.shape[1], cols, lo=-2, hi=2))
+            mat = kb @ random_matrix(rng, kb.shape[1], cols, lo=-2, hi=2)
         diffs[deg] = mat
         prev = mat
     return chain_complex(diff_degree, ranks, diffs)
@@ -57,36 +61,32 @@ def random_chain_maps(rng, source, target, count=1, lo=-2, hi=2):
         rn, cn = target.rank(n + eps), source.rank(n)
         if rn == 0 or cn == 0:
             continue
-        ds = source.d(n)
-        dt = target.d(n)
+        ds = dense(source.sparse_d(n))
+        dt = dense(target.sparse_d(n))
         for i in range(rn):
             for j in range(cn):
                 row = [0] * total
                 # (f_{n+eps} d_n)[i, j] = sum_k f_{n+eps}[i, k] ds[k, j]
                 for k in range(source.rank(n + eps)):
-                    if ds[k, j]:
-                        row[offsets[n + eps] + i * source.rank(n + eps) + k] += int(ds[k, j])
+                    if ds[k][j]:
+                        row[offsets[n + eps] + i * source.rank(n + eps) + k] += ds[k][j]
                 # (d_n f_n)[i, j] = sum_k dt[i, k] f_n[k, j]
                 for k in range(target.rank(n)):
-                    if dt[i, k]:
-                        row[offsets[n] + k * source.rank(n) + j] -= int(dt[i, k])
+                    if dt[i][k]:
+                        row[offsets[n] + k * source.rank(n) + j] -= dt[i][k]
                 rows.append(row)
-    constraint = la.as_matrix(rows, shape=(len(rows), total))
+    constraint = la.SparseMatrix.of(rows, shape=(len(rows), total))
     kb = la.kernel_basis(constraint)
     maps = []
     for _ in range(count):
-        coeffs = la.as_matrix(
+        coeffs = la.SparseMatrix.of(
             [[rng.randint(lo, hi)] for _ in range(kb.shape[1])], shape=(kb.shape[1], 1)
         )
-        flat = la.matmul(kb, coeffs)[:, 0] if kb.shape[1] else np.zeros(total, dtype=object)
+        flat = [row[0] for row in dense(kb @ coeffs)]
         mats = {}
         for n in degrees:
             rt, cs = target.rank(n), source.rank(n)
             if rt and cs:
-                m = la.zeros(rt, cs)
-                for i in range(rt):
-                    for j in range(cs):
-                        m[i, j] = flat[offsets[n] + i * cs + j]
-                mats[n] = m
+                mats[n] = [[flat[offsets[n] + i * cs + j] for j in range(cs)] for i in range(rt)]
         maps.append(chain_map(source, target, mats))
     return maps

@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from capstar.intlinalg import _certify, as_matrix, identity
+from capstar.intlinalg import SparseMatrix, _certify, sparse_identity
 
 
 class Reference(NamedTuple):
@@ -45,13 +45,13 @@ def smith_normal_form(a) -> Reference:
     Python ints; the identity U @ A @ V == D is certified exactly at
     every size before returning.
     """
-    a = as_matrix(a)
+    a = SparseMatrix.of(a).toarray()
     m, n = a.shape
     w = a.copy()
-    u = identity(m)
-    u_inv = identity(m)
-    v = identity(n)
-    v_inv = identity(n)
+    u = sparse_identity(m).toarray()
+    u_inv = sparse_identity(m).toarray()
+    v = sparse_identity(n).toarray()
+    v_inv = sparse_identity(n).toarray()
 
     def swap_rows(i, j):
         if i != j:

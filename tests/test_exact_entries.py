@@ -1,6 +1,7 @@
 """Matrix entries are exact integers: products never wrap around in a
 fixed-width dtype, and a non-integral entry is refused rather than
-truncated."""
+truncated.  Matrices are read by `SparseMatrix.of` and multiplied with
+`@`; right-hand sides are the columns of a matrix."""
 
 import warnings
 from fractions import Fraction
@@ -13,35 +14,46 @@ from capstar.bridge import SimplicialChain, chain_complex_of, vector_to_chain
 from capstar.chains import chain_complex, chain_map, homology
 from capstar.errors import ValidationError
 from capstar.fixtures import circle
+from helpers import dense
+
+
+def _ints(m):
+    return all(type(e) is int for row in m.rows for e in row.values())
+
+
+def _column(rhs):
+    """A right-hand side vector as the one-column matrix that
+    `solve_integer` and `lattice_contains` read."""
+    if isinstance(rhs, np.ndarray):
+        return rhs.reshape(-1, 1)
+    return rhs if isinstance(rhs[0], list) else [[x] for x in rhs]
 
 
 def test_matmul_does_not_overflow_int64():
-    out = la.matmul(np.array([[2**62, 1]]), np.array([[4], [0]]))
-    assert out.dtype == object
-    assert out.tolist() == [[2**64]]
-    assert type(out[0, 0]) is int
+    out = la.SparseMatrix.of(np.array([[2**62, 1]])) @ la.SparseMatrix.of(np.array([[4], [0]]))
+    assert dense(out) == [[2**64]] and _ints(out)
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint64])
 def test_matmul_is_exact_for_any_integer_dtype(dtype):
-    a = np.array([[100, 27], [3, 0]], dtype=dtype)
-    b = np.array([[100, 1], [100, 0]], dtype=dtype)
-    assert la.matmul(a, b).tolist() == [[12700, 100], [300, 3]]
-    assert la.matmul(a, b[:, 0]).tolist() == [12700, 300]
+    a = la.SparseMatrix.of(np.array([[100, 27], [3, 0]], dtype=dtype))
+    b = la.SparseMatrix.of(np.array([[100, 1], [100, 0]], dtype=dtype))
+    assert dense(a @ b) == [[12700, 100], [300, 3]]
+    assert a.apply([100, 100]) == [12700, 300]
 
 
 def test_matmul_of_a_vector_matches_the_dense_product():
     rng = np.random.default_rng(5)
     a = rng.integers(-3, 4, size=(6, 7)) * (rng.random((6, 7)) < 0.4)
     b = rng.integers(-3, 4, size=7) * (rng.random(7) < 0.5)
-    huge = np.array([x * 2**80 for x in b.tolist()], dtype=object)
-    assert la.matmul(a, huge).tolist() == [int(x) * 2**80 for x in a @ b]
-    assert la.matmul(a, b.reshape(-1, 1))[:, 0].tolist() == (a @ b).tolist()
+    m = la.SparseMatrix.of(a)
+    assert m.apply([x * 2**80 for x in b.tolist()]) == [int(x) * 2**80 for x in a @ b]
+    assert dense(m @ la.SparseMatrix.of(b.reshape(-1, 1))) == (a @ b).reshape(-1, 1).tolist()
 
 
 def test_matmul_accepts_bools():
-    out = la.matmul(np.array([[True, True]]), np.array([[True], [True]]))
-    assert out.tolist() == [[2]]
+    a, b = np.array([[True, True]]), np.array([[True], [True]])
+    assert dense(la.SparseMatrix.of(a) @ la.SparseMatrix.of(b)) == [[2]]
 
 
 @pytest.mark.parametrize(
@@ -50,26 +62,27 @@ def test_matmul_accepts_bools():
 )
 def test_as_matrix_refuses_non_integers(entry):
     with pytest.raises(ValidationError, match="not an integer"):
-        la.as_matrix([[1, entry]])
+        la.SparseMatrix.of([[1, entry]])
 
 
 def test_as_matrix_refuses_float_arrays():
     with pytest.raises(ValidationError, match="must be integers"):
-        la.as_matrix(np.array([[1.0, 2.0]]))
+        la.SparseMatrix.of(np.array([[1.0, 2.0]]))
 
 
 def test_as_matrix_accepts_ints_bools_and_numpy_integers():
-    a = la.as_matrix([[1, True, np.int64(-3), np.uint8(4), np.True_]])
-    assert a.tolist() == [[1, 1, -3, 4, 1]]
-    assert all(type(x) is int for x in a.flat)
-    b = la.as_matrix(np.array([[2**62, -1]]))
-    assert b.dtype == object and b.tolist() == [[2**62, -1]]
-    assert all(type(x) is int for x in b.flat)
+    a = la.SparseMatrix.of([[1, True, np.int64(-3), np.uint8(4), np.True_]])
+    assert dense(a) == [[1, 1, -3, 4, 1]] and _ints(a)
+    b = la.SparseMatrix.of(np.array([[2**62, -1]]))
+    assert dense(b) == [[2**62, -1]] and _ints(b)
 
 
 def test_as_matrix_passes_object_arrays_through():
-    a = la.zeros(2, 3)
-    assert la.as_matrix(a) is a
+    # neither a checked matrix nor an object array of Python ints is copied
+    m = la.SparseMatrix((2, 3))
+    assert la.SparseMatrix.of(m) is m
+    a = np.zeros((2, 3), dtype=object)
+    assert la._exact(a) is a
 
 
 def test_chain_complex_refuses_a_fractional_differential():
@@ -107,7 +120,7 @@ def test_sparse_input_is_checked(lines, match):
     with pytest.raises(ValidationError, match=match):
         la.smith_normal_form(a)
     with pytest.raises(ValidationError, match=match):
-        la.solve_integer(a, [1])
+        la.solve_integer(la.smith_normal_form([[1]]), a)
     with pytest.raises(ValidationError, match=match):
         chain_complex(-1, {0: 1, 1: 1}, {1: a})
     k = chain_complex(-1, {0: 1}, {})
@@ -136,28 +149,29 @@ def test_sparse_input_shape_and_views_are_checked():
 )
 def test_right_hand_sides_must_be_integers(rhs):
     with pytest.raises(ValidationError):
-        la.solve_integer([[1]], rhs)
+        la.solve_integer(la.smith_normal_form([[1]]), _column(rhs))
     with pytest.raises(ValidationError):
-        la.lattice_contains([[1]], rhs)
+        la.lattice_contains([[1]], _column(rhs))
 
 
 @pytest.mark.parametrize(
     "rhs", [[np.int64(2)], np.array([2], dtype=np.int32), [np.uint8(2)]], ids=repr
 )
 def test_numpy_integer_right_hand_sides_are_accepted(rhs):
-    x = la.solve_integer([[1]], rhs)
-    assert x.tolist() == [2] and type(x[0]) is int
-    assert la.lattice_contains([[1]], rhs)
-    assert not la.lattice_contains([[2]], [np.int64(1)])
+    x = la.solve_integer(la.smith_normal_form([[1]]), _column(rhs))
+    assert dense(x) == [[2]] and _ints(x)
+    assert la.lattice_contains([[1]], _column(rhs))
+    assert not la.lattice_contains([[2]], [[np.int64(1)]])
 
 
 def test_object_array_right_hand_sides_are_checked():
+    snf = la.smith_normal_form([[1]])
     with pytest.raises(ValidationError, match="not an integer"):
-        la.solve_integer([[1]], np.array([2.0], dtype=object))
+        la.solve_integer(snf, np.array([[2.0]], dtype=object))
     with pytest.raises(ValidationError, match="not an integer"):
         la.lattice_contains([[1]], np.array([[0.5]], dtype=object))
-    x = la.solve_integer([[1]], np.array([np.int64(2)], dtype=object))
-    assert x.tolist() == [2] and type(x[0]) is int
+    x = la.solve_integer(snf, np.array([[np.int64(2)]], dtype=object))
+    assert dense(x) == [[2]] and _ints(x)
 
 
 def test_smith_normal_form_checks_object_array_entries():
@@ -176,8 +190,9 @@ def test_smith_normal_form_certifies_numpy_integers_in_object_arrays():
 
 
 def test_matmul_of_an_empty_vector():
-    assert la.matmul(la.zeros(3, 0), np.array([], dtype=object)).tolist() == [0, 0, 0]
-    assert la.matmul(la.zeros(0, 2), np.array([1, 2])).shape == (0,)
+    assert la.SparseMatrix((3, 0)).apply([]) == [0, 0, 0]
+    assert la.SparseMatrix((0, 2)).apply([1, 2]) == []
+    assert la.SparseMatrix((3, 0)) @ la.SparseMatrix((0, 1)) == la.SparseMatrix((3, 1))
 
 
 @pytest.mark.parametrize(
@@ -226,18 +241,16 @@ def test_coords_of_reads_integer_vectors_of_any_dtype():
 @pytest.mark.parametrize("entry", [1.5, 1.0, Fraction(1, 2), "1"], ids=repr)
 def test_object_arrays_are_checked_entry_by_entry(entry):
     with pytest.raises(ValidationError, match="not an integer"):
-        la.as_matrix(np.array([[1, entry]], dtype=object))
+        la.SparseMatrix.of(np.array([[1, entry]], dtype=object))
     with pytest.raises(ValidationError, match="not an integer"):
-        la.matmul(np.array([[1, 1]]), np.array([1, entry], dtype=object))
-    with pytest.raises(ValidationError, match="not an integer"):
-        la.matmul(np.array([[1, entry]], dtype=object), np.array([[1], [1]]))
+        la.SparseMatrix.of(np.array([[1], [entry]], dtype=object))
 
 
 def test_object_arrays_of_numpy_integers_become_python_ints():
-    a = la.as_matrix(np.array([[np.int64(2), np.True_]], dtype=object))
-    assert a.tolist() == [[2, 1]] and all(type(x) is int for x in a.flat)
-    out = la.matmul(np.array([[1]]), np.array([np.int64(3)], dtype=object))
-    assert out.tolist() == [3] and type(out[0]) is int
+    a = la.SparseMatrix.of(np.array([[np.int64(2), np.True_]], dtype=object))
+    assert dense(a) == [[2, 1]] and _ints(a)
+    out = la.SparseMatrix.of([[1]]) @ la.SparseMatrix.of(np.array([[np.int64(3)]], dtype=object))
+    assert dense(out) == [[3]] and _ints(out)
 
 
 def test_coords_of_reads_each_entry_once(monkeypatch):

@@ -1,9 +1,9 @@
 """numpy, dataclasses and inspect stay off capstar's import path:
-importing capstar and running every CLI command shape loads none of
-them.  Only the
-dense exports load numpy, and they still return numpy arrays; numpy
-integers and bools are still read as coefficients and entries, and
-floats still refused."""
+importing capstar, running every CLI command shape and the library
+calls the CLI never makes load none of them.  Only the dense remainder
+loads numpy, and it still returns numpy arrays; numpy integers, bools
+and arrays are still read as coefficients and entries, and floats
+still refused."""
 
 import json
 import os
@@ -15,16 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from capstar import bridge, chains
 from capstar import intlinalg as la
-from capstar.bridge import (
-    SimplicialChain,
-    chain_complex_of,
-    chain_to_vector,
-    last_vertex_chain_map,
-    subdivision_chain_map,
-)
-from capstar.chains import HomologyGroup, homology, induced_map_on_homology
-from capstar.complexes import barycentric_subdivide
+from capstar.bridge import SimplicialChain, chain_complex_of
+from capstar.chains import HomologyGroup, homology
 from capstar.errors import ValidationError
 from capstar.fixtures import circle, klein_bottle, torus
 
@@ -95,6 +89,35 @@ def test_importing_capstar_loads_no_numpy():
     assert out.strip() == "False False False"
 
 
+# Library calls that no CLI command makes, in a fresh interpreter; prints
+# their results and whether numpy got loaded.
+LIBRARY = """
+import sys
+from capstar import intlinalg as la
+from capstar.bm import bm_supported_cap, subdivision_invariance_check
+from capstar.bridge import SimplicialChain, SimplicialCochain, chain_complex_of
+from capstar.bridge import subdivision_chain_map
+from capstar.chains import cone_dual_iso, is_quasi_isomorphism, uct_check
+from capstar.complexes import barycentric_subdivide
+from capstar.fixtures import cylinder_pair, interval_pair, klein_bottle
+pair = interval_pair()
+x = pair.ambient
+u = SimplicialCochain(x, 1, {("a", "m"): 1})
+alpha = SimplicialChain(x, 1, {("a", "m"): 1, ("b", "m"): -1})
+cap = bm_supported_cap(pair, x.subcomplex_closure([("m",)]), u, alpha)
+iso = cone_dual_iso(subdivision_chain_map(barycentric_subdivide(klein_bottle())))
+x_mat = la.solve_integer(la.smith_normal_form([[2, 0], [0, 3]]), [[4], [9]])
+print(subdivision_invariance_check(cylinder_pair()).passed, cap.class_in_z.coords,
+      uct_check(chain_complex_of(klein_bottle())).passed, is_quasi_isomorphism(iso)[0],
+      la.kernel_basis([[1, 1]]).apply([1]), x_mat.apply([1]), "numpy" in sys.modules)
+"""
+
+
+def test_library_calls_the_cli_never_makes_load_no_numpy():
+    out = _fresh_python(["-c", LIBRARY])
+    assert out.strip() == "True (1,) True True [-1, 1] [2, 3] False"
+
+
 def test_every_cli_command_shape_runs_without_numpy(tmp_path):
     for fname, payload in EXTRA_FILES.items():
         (tmp_path / fname).write_text(json.dumps(payload))
@@ -104,7 +127,11 @@ def test_every_cli_command_shape_runs_without_numpy(tmp_path):
                    "inspect": False}
 
 
-# -- the dense exports ----------------------------------------------------
+# -- the dense remainder ---------------------------------------------------
+
+
+INTLINALG = ["SparseMatrix", "SmithDecomposition", "sparse_identity", "smith_normal_form",
+             "kernel_basis", "solve_integer", "lattice_contains", "lattices_equal"]
 
 
 def _read_only_object_array(a, shape):
@@ -113,6 +140,13 @@ def _read_only_object_array(a, shape):
 
 
 def test_dense_exports_are_numpy_arrays():
+    assert la.__all__ == INTLINALG
+    for owner, names in [(la, ["as_matrix", "zeros", "identity", "matmul", "_integral",
+                               "_kernel", "_solve", "_contains"]),
+                         (chains.ChainComplexZ, ["differentials"]),
+                         (chains.ChainMap, ["matrix", "matrices"]),
+                         (chains.InducedMap, ["matrix"]), (bridge, ["_coordinates"])]:
+        assert not [n for n in names if hasattr(owner, n)], owner
     x = torus()
     k = chain_complex_of(x)
     h1 = homology(k, 1)
@@ -120,24 +154,24 @@ def test_dense_exports_are_numpy_arrays():
     assert all(_read_only_object_array(g, (k.rank(1),)) for g in h1.cycle_basis)
     assert h1.cycle_basis is homology(k, 1).cycle_basis
     assert _read_only_object_array(k.d(1), (k.rank(0), k.rank(1)))
-
-    sd = barycentric_subdivide(x)
-    ind = induced_map_on_homology(last_vertex_chain_map(sd).compose(subdivision_chain_map(sd)), 1)
-    assert isinstance(ind.matrix, np.ndarray) and ind.matrix.tolist() == [[1, 0], [0, 1]]
+    dense = k.sparse_d(1).toarray()
+    assert dense.flags.writeable and np.array_equal(dense, k.d(1))
 
     snf = la.smith_normal_form([[2, 4], [6, 8]])
-    for m in (snf.U, snf.D, snf.V, snf.u_inv, snf.v_inv):
-        assert isinstance(m, np.ndarray) and m.dtype == object and m.shape == (2, 2)
-    kb = la.kernel_basis([[1, 1]])
-    assert isinstance(kb, np.ndarray) and kb.shape == (2, 1)
-    x_vec = la.solve_integer([[2, 0], [0, 3]], [4, 9])
-    assert isinstance(x_vec, np.ndarray) and x_vec.tolist() == [2, 3]
-    x_mat = la.solve_integer([[2, 0], [0, 3]], [[4], [9]])
-    assert isinstance(x_mat, np.ndarray) and x_mat.tolist() == [[2], [3]]
-    prod = la.matmul(la.as_matrix([[1, 2]]), la.as_matrix([[3], [4]]))
-    assert isinstance(prod, np.ndarray) and prod.tolist() == [[11]]
-    vec = chain_to_vector(SimplicialChain(circle(), 1, {(1, 2): 3}))
-    assert isinstance(vec, np.ndarray) and vec.dtype == object and vec.tolist() == [3, 0, 0]
+    for name, m in zip(snf.sparse._fields, snf.sparse):
+        got = getattr(snf, name)
+        assert isinstance(got, np.ndarray) and got.dtype == object and got.shape == (2, 2)
+        assert np.array_equal(got, m.toarray()), name
+    # the sparse results of the kept functions
+    assert isinstance(la.kernel_basis([[1, 1]]), la.SparseMatrix)
+    assert la.solve_integer(snf, [[2], [6]]).shape == (2, 1)
+    assert bridge.chain_to_vector(SimplicialChain(circle(), 1, {(1, 2): 3})) == [3, 0, 0]
+    # numpy input is still read: arrays, object arrays and vectors
+    assert la._is_array(np.zeros(1)) and not la._is_array([0])
+    assert la._exact(np.array([[True, 2]])).tolist() == [[1, 2]]
+    assert la._entry(np.int8(-4)) == -4 and type(la._entry(np.int8(-4))) is int
+    assert la._vector(np.array([[1], [2]], dtype=np.uint8)) == [1, 2]
+    assert la.SparseMatrix.of(np.array([[0, 3], [4, 0]])).rows == ({1: 3}, {0: 4})
 
 
 # -- compatibility edges ----------------------------------------------------
@@ -165,7 +199,6 @@ def test_numpy_integers_and_bools_are_still_read():
     c = SimplicialChain(circle(), 1, {(1, 2): np.int64(2), (1, 3): np.True_, (2, 3): np.uint8(0)})
     assert c.coefficients == {(1, 2): 2, (1, 3): 1}
     assert all(type(v) is int for v in c.coefficients.values())
-    assert la.as_matrix([[np.int32(3), np.bool_(True)]]).tolist() == [[3, 1]]
     m = la.SparseMatrix.of([[np.int64(-2), np.False_], [np.True_, 0]])
     assert m.rows == ({0: -2}, {0: 1}) and all(type(e) is int for r in m.rows for e in r.values())
     m = la.SparseMatrix.of(np.array([[0, 5]], dtype=np.int16))
@@ -180,8 +213,6 @@ def test_numpy_integers_and_bools_are_still_read():
 def test_floats_are_still_refused_with_the_same_text(bad):
     with pytest.raises(ValidationError, match=f"^{re.escape(f'entry {bad!r} is not an integer')}$"):
         SimplicialChain(circle(), 1, {(1, 2): bad})
-    with pytest.raises(ValidationError, match="is not an integer"):
-        la.as_matrix([[bad]])
     with pytest.raises(ValidationError, match="is not an integer"):
         la.SparseMatrix.of([[1, bad]])
     with pytest.raises(ValidationError, match="is not an integer"):

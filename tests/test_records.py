@@ -39,7 +39,7 @@ from capstar.complexes import (
     barycentric_subdivide,
 )
 from capstar.errors import ValidationError
-from capstar.fixtures import circle, interval_pair
+from capstar.fixtures import circle, interval_pair, torus
 from capstar.intlinalg import SmithDecomposition, SparseMatrix, smith_normal_form
 from capstar.products import (
     RelativeSupportedCapResult,
@@ -348,3 +348,18 @@ def test_records_copy_and_pickle(name):
         assert type(other) is type(record) and other == record
         with pytest.raises(AttributeError):
             setattr(other, CASES[name]["fields"][0], None)
+
+
+def test_kept_values_stay_behind_in_copies_and_pickles():
+    fresh = len(pickle.dumps(torus()))
+    x = torus()
+    assert homology(chain_complex_of(x), 1).group_str() == "Z^2"
+    barycentric_subdivide(x)
+    assert {"chain", "sd"} <= set(x._derived)
+    for other in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert other == x and other._derived == {} and other._derived is not x._derived
+    assert len(pickle.dumps(x)) == fresh
+    # a basis given to a group is a field, not a kept value: it travels
+    g = HomologyGroup(degree=0, betti=1, torsion=(), cycle_basis=([1, 0, 0],))
+    for other in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert other.cycle_basis == ([1, 0, 0],) and other == g

@@ -1,8 +1,10 @@
-"""Chain complexes, chain maps, homology coordinates and the relative
-supported cap refuse malformed input with ValidationError."""
+"""Chain complexes, chain maps, homology coordinates, the relative
+supported cap and matrix products, solves and lattice comparisons refuse
+malformed input with ValidationError."""
 
 import pytest
 
+from capstar import intlinalg as la
 from capstar.bridge import SimplicialChain, SimplicialCochain, chain_complex_of
 from capstar.chains import chain_complex, chain_map, homology
 from capstar.errors import ValidationError
@@ -85,6 +87,15 @@ def test_coords_of_refuses_a_vector_that_is_not_a_cycle():
     h1 = homology(chain_complex_of(circle()), 1)
     with pytest.raises(ValidationError, match="vector is not a cycle"):
         h1.coords_of([1, 0, 0])
+
+
+def test_matrices_whose_shapes_do_not_fit_are_refused():
+    with pytest.raises(ValidationError, match=r"^shape mismatch \(1, 2\) @ \(1, 1\)$"):
+        la.SparseMatrix.of([[1, 0]]) @ la.SparseMatrix.of([[1]])
+    with pytest.raises(ValidationError, match="^right-hand side length mismatch$"):
+        la.solve_integer(la.smith_normal_form([[1, 0]]), [[1], [1]])
+    with pytest.raises(ValidationError, match="^ambient rank mismatch$"):
+        la.lattices_equal([[1]], [[1], [0]])
 
 
 def _midpoint_instance():
