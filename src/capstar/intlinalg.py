@@ -8,12 +8,14 @@ tie-break.
 Matrices are kept as `SparseMatrix`: dicts of the nonzeros by row, with
 the column view built on demand.  Products, the Smith reduction and its
 five factors all live there, so their cost follows the nonzeros of the
-boundary matrices; the exact U @ A @ V == D certificate runs on them,
-row by row, on every call at every size.  The public functions take a
-SparseMatrix or nested sequences, and read a numpy array or scalar they
-are handed through `sys.modules`.  numpy is loaded only by the dense
-remainder: `SparseMatrix.toarray` and the `U/D/V/u_inv/v_inv`
-properties of a `SmithDecomposition`.
+boundary matrices.  Boundary matrices nearly always pivot on a unit,
+which the reduction clears in one pass over its row and column.  The
+exact U @ (A @ V) == D certificate runs on the nonzeros on every call
+at every size.  The public functions take a SparseMatrix or nested
+sequences, and read a numpy array or scalar they are handed through
+`sys.modules`.  numpy is loaded only by the dense remainder:
+`SparseMatrix.toarray` and the `U/D/V/u_inv/v_inv` properties of a
+`SmithDecomposition`.
 """
 
 from __future__ import annotations
@@ -146,7 +148,10 @@ class SparseMatrix(Record):
             for i, j, e in zip(r.tolist(), c.tolist(), a[r, c].tolist()):
                 rows[i][j] = e
             return cls(a.shape, rows, _checked=True)
-        rows = [[_entry(x) for x in r] for r in a]
+        try:
+            rows = [[_entry(x) for x in r] for r in a]
+        except TypeError:  # a vector or a scalar: no rows to read
+            raise ValidationError(f"{a!r:.80} is not a matrix given as rows") from None
         if not rows:
             return cls(tuple(shape or (0, 0)), _checked=True)
         if any(len(r) != len(rows[0]) for r in rows):
@@ -309,15 +314,14 @@ class SmithDecomposition(Record):
 
 
 def _certify(u, a, v, d) -> None:
-    """Exact check of U @ A @ V == D, one row at a time: row i of U A V
-    is row i of U times A, times V, each product on the nonzeros.  The
-    operands are sparse, as the reduction made them, or anything
-    `SparseMatrix.of` reads."""
+    """Exact check of U @ A @ V == D: A V is formed first, a column at a
+    time from the columns of A that each column of V meets, then U times
+    it, a row at a time; each product on the nonzeros.  The operands are
+    sparse, as the reduction made them, or anything `SparseMatrix.of`
+    reads."""
     u, a, v, d = (m if isinstance(m, SparseMatrix) else SparseMatrix.of(m) for m in (u, a, v, d))
-    a_rows, v_rows = a._row_dicts, v._row_dicts
-    for u_row, d_row in zip(u._row_dicts, d._row_dicts):
-        if _times(_times(u_row, a_rows), v_rows) != d_row:
-            raise AssertionError("smith reduction lost the factorization")
+    if u @ (v.T @ a.T).T != d:
+        raise AssertionError("smith reduction lost the factorization")
 
 
 def smith_normal_form(a) -> SmithDecomposition:
@@ -327,16 +331,18 @@ def smith_normal_form(a) -> SmithDecomposition:
     Deterministic minimal-absolute-value pivoting with lexicographic
     tie-break.  The reduction runs on sparse lines: the working matrix
     as row dicts with a column -> rows index, U and v_inv as row dicts,
-    u_inv and V as column dicts; these become the sparse factors.  The
-    identity U @ A @ V == D is certified exactly at every size before
+    u_inv and V as column dicts; these become the sparse factors.  A ±1
+    pivot takes one pass: each row below it is written once, and its
+    whole row is cleared in one step, since a unit divides every entry.
+    Other pivots loop through remainders and a divisibility fix-up.  The
+    identity U @ (A @ V) == D is certified exactly at every size before
     returning.
     """
     a = SparseMatrix.of(a)
     m, n = a.shape
     w = [dict(row) for row in a._row_dicts]
     w_cols = [set(col) for col in a._col_dicts]
-    u, u_inv, v, v_inv = ([dict(line) for line in sparse_identity(k)._row_dicts]
-                          for k in (m, m, n, n))
+    u, u_inv, v, v_inv = (list(sparse_identity(k)._row_dicts) for k in (m, m, n, n))
 
     def put(i, j, s):
         # w[i, j] = s, keeping the column index
@@ -416,6 +422,32 @@ def smith_normal_form(a) -> SmithDecomposition:
                 return i, min(hits)
         return None
 
+    def unit_pass(t):
+        # a unit pivot divides every entry: clear column t, each row below
+        # written once, then all of row t in one step
+        if w[t][t] == -1:
+            negate_row(t)
+        row_t = w[t]
+        for i in [i for i in w_cols[t] if i > t]:
+            row, q = w[i], -w[i][t]
+            for j, e in row_t.items():
+                s = row.get(j, 0) + q * e
+                if s:
+                    if j not in row:
+                        w_cols[j].add(i)
+                    row[j] = s
+                else:
+                    del row[j]
+                    w_cols[j].discard(i)
+            _axpy(u[i], q, u[t])
+            _axpy(u_inv[t], -q, u_inv[i])
+        for j, e in row_t.items():
+            if j != t:
+                w_cols[j].discard(t)
+                _axpy(v[j], -e, v[t])
+                _axpy(v_inv[t], e, v_inv[j])
+        w[t] = {t: 1}
+
     t = 0
     bound = min(m, n)
     while t < bound:
@@ -425,7 +457,11 @@ def smith_normal_form(a) -> SmithDecomposition:
         swap_rows(t, pos[0])
         swap_cols(t, pos[1])
         while True:
-            if w[t][t] < 0:
+            p = w[t][t]
+            if p == 1 or p == -1:
+                unit_pass(t)
+                break
+            if p < 0:
                 negate_row(t)
             clear_column(t)
             below = [i for i in w_cols[t] if i > t]
@@ -439,10 +475,8 @@ def smith_normal_form(a) -> SmithDecomposition:
                 swap_cols(t, min(right))
                 continue
             # row and column are clear; every entry of the block must be
-            # divisible by the pivot, which a unit pivot divides already
+            # divisible by the pivot
             p = w[t][t]
-            if p == 1:
-                break
             rows = (i for i in range(t + 1, m) if any(e % p for e in w[i].values()))
             offender = next(rows, None)
             if offender is None:

@@ -2,6 +2,7 @@
 supported cap and matrix products, solves and lattice comparisons refuse
 malformed input with ValidationError."""
 
+import numpy as np
 import pytest
 
 from capstar import intlinalg as la
@@ -96,6 +97,21 @@ def test_matrices_whose_shapes_do_not_fit_are_refused():
         la.solve_integer(la.smith_normal_form([[1, 0]]), [[1], [1]])
     with pytest.raises(ValidationError, match="^ambient rank mismatch$"):
         la.lattices_equal([[1]], [[1], [0]])
+
+
+@pytest.mark.parametrize("call, given", [
+    (lambda: la.SparseMatrix.of([2.0]), r"\[2\.0\]"),
+    (lambda: la.SparseMatrix.of(np.array([1, 2])), r"array\(\[1, 2\]\)"),
+    (lambda: la.SparseMatrix.of(5), "5"),
+    (lambda: la.smith_normal_form([1, 2]), r"\[1, 2\]"),
+    (lambda: la.solve_integer(la.smith_normal_form([[1]]), [1]), r"\[1\]"),
+    (lambda: la.lattice_contains([[1, 0], [0, 1]], [1, 0]), r"\[1, 0\]"),
+], ids=["float-vector", "numpy-vector", "scalar", "smith-vector", "solve-vector",
+        "lattice-vector"])
+def test_a_vector_or_scalar_is_refused_where_a_matrix_is_read(call, given):
+    # each raised a bare TypeError ("'float' object is not iterable")
+    with pytest.raises(ValidationError, match=f"^{given} is not a matrix given as rows$"):
+        call()
 
 
 def _midpoint_instance():

@@ -2,12 +2,15 @@
 loops in `reference_smith`, so all five of its matrices agree with the
 reference entry for entry."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_smith
+from capstar import chains
 from capstar import intlinalg as la
 from capstar.bridge import chain_complex_of
 from capstar.complexes import barycentric_subdivide, induced_subdivision
@@ -78,6 +81,42 @@ def _boundary_matrices():
 
 @pytest.mark.parametrize("a", _boundary_matrices())
 def test_same_reduction_on_boundary_matrices(a):
+    assert_same_reduction(a)
+
+
+def _reduced_matrices(x, y=None):
+    """The nonzero matrices that `homology` hands the Smith reduction for
+    (x, y) in every degree: each differential in the kernel coordinates
+    of the degree it maps into, or as itself where that degree's
+    outgoing differential is zero."""
+    k = chain_complex_of(x, y)
+    with mock.patch.object(chains, "smith_normal_form", wraps=chains.smith_normal_form) as snf:
+        for n in range(x.dimension + 1):
+            chains.homology(k, n)
+    return [call.args[0] for call in snf.call_args_list if call.args[0].any()]
+
+
+def _ladder_matrices():
+    """Those of every `ladder` rung of the benchmark: the surfaces at
+    sd^0-sd^1, the pair models relative to their boundary at sd^0-sd^2,
+    but disk3 only to sd^1."""
+    cases = []
+    for name, x in surfaces().items():
+        for sd in range(2):
+            cases += [pytest.param(a, id=f"{name}-sd{sd}-{i}") for i, a in enumerate(_reduced_matrices(x))]
+            x = barycentric_subdivide(x).complex
+    for name, model in pair_models().items():
+        x, y = model.ambient, model.boundary
+        for sd in range(2 if name == "disk3" else 3):
+            cases += [pytest.param(a, id=f"{name}-sd{sd}-rel-{i}")
+                      for i, a in enumerate(_reduced_matrices(x, y))]
+            result = barycentric_subdivide(x)
+            x, y = result.complex, induced_subdivision(result, y)
+    return cases
+
+
+@pytest.mark.parametrize("a", _ladder_matrices())
+def test_same_reduction_on_the_matrices_homology_reduces(a):
     assert_same_reduction(a)
 
 
