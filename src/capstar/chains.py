@@ -114,7 +114,9 @@ def chain_complex(diff_degree: int, ranks: dict, differentials: dict) -> ChainCo
             diffs[n] = m
     k = ChainComplexZ(diff_degree=diff_degree, ranks=ranks, sparse=diffs)
     for n in ranks:
-        if (k.sparse_d(n + diff_degree) @ k.sparse_d(n)).any():
+        # exact, a row of the product at a time, so memory stays one row
+        b = k.sparse_d(n)._row_dicts
+        if any(la._times(row, b) for row in k.sparse_d(n + diff_degree)._row_dicts):
             raise ValidationError(f"d o d != 0 out of degree {n}")
     return k
 

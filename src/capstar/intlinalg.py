@@ -8,14 +8,15 @@ tie-break.
 Matrices are kept as `SparseMatrix`: dicts of the nonzeros by row, with
 the column view built on demand.  Products, the Smith reduction and its
 five factors all live there, so their cost follows the nonzeros of the
-boundary matrices.  Boundary matrices nearly always pivot on a unit,
-which the reduction clears in one pass over its row and column.  The
-exact U @ (A @ V) == D certificate runs on the nonzeros on every call
-at every size.  The public functions take a SparseMatrix or nested
-sequences, and read a numpy array or scalar they are handed through
-`sys.modules`.  numpy is loaded only by the dense remainder:
-`SparseMatrix.toarray` and the `U/D/V/u_inv/v_inv` properties of a
-`SmithDecomposition`.
+boundary matrices.  Every pivot takes the same step: the rows below
+it, then its own row, go to their remainders by the pivot.  A unit
+leaves none, so boundary matrices, which nearly always pivot on a
+unit, take one pass per pivot.  The exact U @ (A @ V) == D
+certificate runs on the nonzeros on every call at every size.  The
+public functions take a SparseMatrix or nested sequences, and read a
+numpy array or scalar they are handed through `sys.modules`.  numpy is
+loaded only by the dense remainder: `SparseMatrix.toarray` and the
+`U/D/V/u_inv/v_inv` properties of a `SmithDecomposition`.
 """
 
 from __future__ import annotations
@@ -331,12 +332,14 @@ def smith_normal_form(a) -> SmithDecomposition:
     Deterministic minimal-absolute-value pivoting with lexicographic
     tie-break.  The reduction runs on sparse lines: the working matrix
     as row dicts with a column -> rows index, U and v_inv as row dicts,
-    u_inv and V as column dicts; these become the sparse factors.  A ±1
-    pivot takes one pass: each row below it is written once, and its
-    whole row is cleared in one step, since a unit divides every entry.
-    Other pivots loop through remainders and a divisibility fix-up.  The
-    identity U @ (A @ V) == D is certified exactly at every size before
-    returning.
+    u_inv and V as column dicts; these become the sparse factors.  Every
+    pivot, unit or not, takes one step: each row below it is written once
+    through `add_row`, then its own row once, each entry to its remainder
+    by the pivot; a nonzero remainder is promoted and the step repeats.
+    A unit leaves no remainder.  Another pivot then runs the
+    divisibility fix-up, which adds an offending row through `add_row`
+    and repeats the step.  The identity U @ (A @ V) == D is certified
+    exactly at every size before returning.
     """
     a = SparseMatrix.of(a)
     m, n = a.shape
@@ -344,22 +347,21 @@ def smith_normal_form(a) -> SmithDecomposition:
     w_cols = [set(col) for col in a._col_dicts]
     u, u_inv, v, v_inv = (list(sparse_identity(k)._row_dicts) for k in (m, m, n, n))
 
-    def put(i, j, s):
-        # w[i, j] = s, keeping the column index
-        row = w[i]
-        if s:
-            if j not in row:
-                w_cols[j].add(i)
-            row[j] = s
-        elif j in row:
-            del row[j]
-            w_cols[j].discard(i)
-
     def add_row(dst, q, src):
-        # row dst of w += q * row src
+        # row dst of w += q * row src, keeping the column index; U and
+        # u_inv follow, so every row operation on w is this one
         row = w[dst]
         for j, e in w[src].items():
-            put(dst, j, row.get(j, 0) + q * e)
+            s = row.get(j, 0) + q * e
+            if s:
+                if j not in row:
+                    w_cols[j].add(dst)
+                row[j] = s
+            else:
+                del row[j]
+                w_cols[j].discard(dst)
+        _axpy(u[dst], q, u[src])
+        _axpy(u_inv[src], -q, u_inv[dst])
 
     def swap_rows(i, j):
         if i != j:
@@ -382,32 +384,6 @@ def smith_normal_form(a) -> SmithDecomposition:
             v[i], v[j] = v[j], v[i]
             v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
-    def negate_row(i):
-        for line in (w[i], u[i], u_inv[i]):
-            for k in line:
-                line[k] = -line[k]
-
-    def clear_column(t):
-        # row i += q_i * row t for every row i below t that meets column t
-        p = w[t][t]
-        for i in [i for i in w_cols[t] if i > t]:
-            q = -(w[i][t] // p)
-            if q:
-                add_row(i, q, t)
-                _axpy(u[i], q, u[t])
-                _axpy(u_inv[t], -q, u_inv[i])
-
-    def clear_row(t):
-        # the transpose: column j += q_j * column t for every j right of t;
-        # column t of w is clear below t, so only row t changes
-        row, p = w[t], w[t][t]
-        for j in [j for j in row if j > t]:
-            q = -(row[j] // p)
-            if q:
-                put(t, j, row[j] + q * p)
-                _axpy(v[j], q, v[t])
-                _axpy(v_inv[t], -q, v_inv[j])
-
     def pivot(t):
         # the least |entry| of the trailing block, first in row-major
         # order; no nonzero is below a unit, so the first unit wins
@@ -422,32 +398,6 @@ def smith_normal_form(a) -> SmithDecomposition:
                 return i, min(hits)
         return None
 
-    def unit_pass(t):
-        # a unit pivot divides every entry: clear column t, each row below
-        # written once, then all of row t in one step
-        if w[t][t] == -1:
-            negate_row(t)
-        row_t = w[t]
-        for i in [i for i in w_cols[t] if i > t]:
-            row, q = w[i], -w[i][t]
-            for j, e in row_t.items():
-                s = row.get(j, 0) + q * e
-                if s:
-                    if j not in row:
-                        w_cols[j].add(i)
-                    row[j] = s
-                else:
-                    del row[j]
-                    w_cols[j].discard(i)
-            _axpy(u[i], q, u[t])
-            _axpy(u_inv[t], -q, u_inv[i])
-        for j, e in row_t.items():
-            if j != t:
-                w_cols[j].discard(t)
-                _axpy(v[j], -e, v[t])
-                _axpy(v_inv[t], e, v_inv[j])
-        w[t] = {t: 1}
-
     t = 0
     bound = min(m, n)
     while t < bound:
@@ -457,33 +407,49 @@ def smith_normal_form(a) -> SmithDecomposition:
         swap_rows(t, pos[0])
         swap_cols(t, pos[1])
         while True:
+            if w[t][t] < 0:
+                for line in (w[t], u[t], u_inv[t]):
+                    for k in line:
+                        line[k] = -line[k]
             p = w[t][t]
-            if p == 1 or p == -1:
-                unit_pass(t)
-                break
-            if p < 0:
-                negate_row(t)
-            clear_column(t)
-            below = [i for i in w_cols[t] if i > t]
-            if below:
-                # nonzero remainder is strictly smaller: promote it
-                swap_rows(t, min(below))
+            # take each row below to its remainder in column t; rows above
+            # t hold only their diagonal, so column t is clear once it
+            # holds the pivot alone
+            for i in [i for i in w_cols[t] if i > t]:
+                q = -(w[i][t] // p)
+                if q:
+                    add_row(i, q, t)
+            if len(w_cols[t]) > 1:
+                # a nonzero remainder is strictly smaller: promote it
+                swap_rows(t, min(i for i in w_cols[t] if i > t))
                 continue
-            clear_row(t)
-            right = [j for j in w[t] if j > t]
-            if right:
-                swap_cols(t, min(right))
+            # the transpose on row t: column j += q * column t changes
+            # only row t of w, as column t is clear.  Row t goes into a
+            # new dict, since one emptied in place keeps its capacity
+            row, rest = w[t], {t: p}
+            w[t] = rest
+            for j, e in row.items():
+                if j != t:
+                    q, r = divmod(e, p)
+                    if q:
+                        _axpy(v[j], -q, v[t])
+                        _axpy(v_inv[t], q, v_inv[j])
+                    if r:
+                        rest[j] = r
+                    else:
+                        w_cols[j].discard(t)
+            if len(rest) > 1:
+                swap_cols(t, min(j for j in rest if j > t))
                 continue
+            if p == 1:
+                break  # a unit divides every entry
             # row and column are clear; every entry of the block must be
             # divisible by the pivot
-            p = w[t][t]
             rows = (i for i in range(t + 1, m) if any(e % p for e in w[i].values()))
             offender = next(rows, None)
             if offender is None:
                 break
             add_row(t, 1, offender)
-            _axpy(u[t], 1, u[offender])
-            _axpy(u_inv[offender], -1, u_inv[t])
         t += 1
 
     f = Factors(

@@ -12,7 +12,7 @@ import json
 from itertools import chain, repeat
 
 from .bridge import SimplicialChain, SimplicialCochain
-from .complexes import SimplicialComplex, from_maximal_simplices
+from .complexes import SimplicialComplex, _levels, from_maximal_simplices
 from .errors import ValidationError
 
 __all__ = [
@@ -81,10 +81,13 @@ def parse_complex(data: dict) -> SimplicialComplex:
 
 
 def serialize_complex(x: SimplicialComplex) -> str:
-    maximal = sorted(x.maximal_simplices(), key=lambda s: (len(s), x.sort_key(s)))
+    try:
+        levels = _levels(x.maximal_simplices(), x._rank)
+    except KeyError as missing:
+        x.rank_of(missing.args[0])
     payload = {
         "name": x.name,
-        "simplices": [list(s) for s in maximal],
+        "simplices": [list(s) for level in levels for s in level],
         "vertex_order": list(x.vertex_order),
     }
     return json.dumps(payload, indent=2)

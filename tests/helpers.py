@@ -3,11 +3,24 @@ where a test turns a matrix into dense values."""
 
 from capstar import intlinalg as la
 from capstar.chains import chain_complex, chain_map
+from capstar.complexes import from_maximal_simplices
 
 
 def dense(m: la.SparseMatrix) -> list:
     """The entries of `m` as nested lists of Python ints, row by row."""
     return [[row.get(j, 0) for j in range(m.shape[1])] for row in m.rows]
+
+
+def pseudo_projective_plane(p: int):
+    """P_p: a disk whose boundary wraps p times round the 3-vertex circle
+    a0 a1 a2, so that H = Z, Z/p, 0.  An annulus joins the circle, edge
+    by edge, to an inner ring s0..s(3p-1), which a cone on `c` caps."""
+    ring = 3 * p
+    triangles = []
+    for k in range(ring):
+        a, b, s, s_next = f"a{k % 3}", f"a{(k + 1) % 3}", f"s{k}", f"s{(k + 1) % ring}"
+        triangles += [[a, b, s], [b, s, s_next], [s, s_next, "c"]]
+    return from_maximal_simplices(triangles, name=f"P{p}")
 
 
 def random_matrix(rng, rows, cols, lo=-3, hi=3):

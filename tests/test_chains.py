@@ -22,7 +22,7 @@ from capstar.chains import (
 from capstar.errors import ValidationError
 from capstar.fixtures import circle, projective_plane, sphere
 from capstar.complexes import from_maximal_simplices
-from helpers import dense, random_chain_maps, random_complex
+from helpers import dense, pseudo_projective_plane, random_chain_maps, random_complex
 
 
 def test_d_squared_enforced():
@@ -48,6 +48,17 @@ def test_homology_of_projective_plane():
     k = chain_complex_of(projective_plane())
     assert homology(k, 1).group_str() == "Z/2"
     assert homology(k, 2).is_trivial()
+
+
+@pytest.mark.parametrize("p", range(2, 8))
+def test_homology_of_pseudo_projective_planes(p):
+    # torsion beyond Z/2: the boundary circle wraps p times
+    k = chain_complex_of(pseudo_projective_plane(p))
+    groups = [homology(k, n) for n in range(3)]
+    assert [(g.betti, g.torsion) for g in groups] == [(1, ()), (0, (p,)), (0, ())]
+    for g in groups:
+        for i, rep in enumerate(g.cycle_basis):
+            assert g.coords_of(rep) == tuple(int(i == j) for j in range(g.dim))
 
 
 def test_homology_against_oracle_random_complexes():

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given
@@ -15,6 +16,7 @@ from capstar.complexes import (
     nonmeeting_complement,
 )
 from capstar.errors import ValidationError
+from capstar.io import serialize_complex
 from capstar.fixtures import (
     circle,
     pair_models,
@@ -219,6 +221,18 @@ def test_subdivision_of_a_vertex_outside_the_order_is_rejected():
     for subdivide in (barycentric_subdivide, reference_subdivision.barycentric_subdivide):
         with pytest.raises(ValidationError, match=r"^unknown vertex token 3$"):
             subdivide(x)
+
+
+@given(hand_built_complexes())
+def test_serialized_simplices_are_sorted_by_dimension_then_ranks(x):
+    want = sorted(x.maximal_simplices(), key=lambda s: (len(s), x.sort_key(s)))
+    assert json.loads(serialize_complex(x))["simplices"] == [list(s) for s in want]
+
+
+def test_serializing_a_vertex_outside_the_order_is_rejected():
+    x = SimplicialComplex(vertex_order=(1, 2), simplices_by_dim=(((2,), (1,), (3,)),))
+    with pytest.raises(ValidationError, match=r"^unknown vertex token 3$"):
+        serialize_complex(x)
 
 
 # -- maximal simplices ---------------------------------------------------------

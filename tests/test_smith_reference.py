@@ -15,6 +15,7 @@ from capstar import intlinalg as la
 from capstar.bridge import chain_complex_of
 from capstar.complexes import barycentric_subdivide, induced_subdivision
 from capstar.fixtures import pair_models, surfaces
+from helpers import pseudo_projective_plane
 
 FIELDS = ("U", "D", "V", "u_inv", "v_inv")
 
@@ -55,6 +56,19 @@ def test_divisibility_fix_up_runs():
     a = la.SparseMatrix.of([[2, 0], [0, 3]]).toarray()
     assert la.smith_normal_form(a).invariant_factors() == (1, 6)
     assert_same_reduction(a)
+
+
+@pytest.mark.parametrize("rows", [
+    pytest.param([[-1, 2], [3, 4]], id="unit-pivot-negated"),
+    pytest.param([[3, -6], [-6, 9]], id="pivot-negated"),
+    pytest.param([[4], [6]], id="remainder-promoted-from-below"),
+    pytest.param([[4, 6]], id="remainder-promoted-from-the-right"),
+    pytest.param([[2], [3]], id="unit-remainder-from-below"),
+    pytest.param([[2, -3]], id="unit-remainder-from-the-right"),
+    pytest.param([[4, 0], [0, 6]], id="fix-up"),
+])
+def test_same_reduction_in_each_branch_of_the_step(rows):
+    assert_same_reduction(la.SparseMatrix.of(rows).toarray())
 
 
 def _boundary_matrices():
@@ -117,6 +131,20 @@ def _ladder_matrices():
 
 @pytest.mark.parametrize("a", _ladder_matrices())
 def test_same_reduction_on_the_matrices_homology_reduces(a):
+    assert_same_reduction(a)
+
+
+def _moore_matrices():
+    """Those of the pseudo-projective planes P_2..P_7 at sd^0 and of P_3
+    at sd^1, whose H_1 is Z/p: torsion beyond Z/2."""
+    cases = [pytest.param(a, id=f"P{p}-sd0-{i}")
+             for p in range(2, 8) for i, a in enumerate(_reduced_matrices(pseudo_projective_plane(p)))]
+    x = barycentric_subdivide(pseudo_projective_plane(3)).complex
+    return cases + [pytest.param(a, id=f"P3-sd1-{i}") for i, a in enumerate(_reduced_matrices(x))]
+
+
+@pytest.mark.parametrize("a", _moore_matrices())
+def test_same_reduction_on_pseudo_projective_planes(a):
     assert_same_reduction(a)
 
 
