@@ -194,10 +194,10 @@ class HomologyGroup(Record):
     Coordinates (and `cycle_basis`) list the free generators first and
     the torsion generators after, torsion orders increasing along the
     divisibility chain.  The generators are kept sparse, as the rows of
-    `_gens`; `cycle_basis` is their tuple of read-only dense vectors,
+    `_gens`; `cycle_basis` is their tuple of tuples of Python ints,
     built on first request and kept.  A group built from a `cycle_basis`
-    holds that tuple as given, and has no coordinate map; only the zero
-    group may be built without generators.
+    reads each row once, as integers, into `_gens`, and has no
+    coordinate map; only the zero group may be built without generators.
     """
 
     _fields = ("degree", "betti", "torsion")
@@ -209,28 +209,28 @@ class HomologyGroup(Record):
         # the degree; _coords, rows: the canonical coordinates of a cycle,
         # dim x rank of the degree; _kernel, columns: a basis of the
         # cycles, V[:, r:] of the first Smith decomposition
-        fields = vars(self)
-        fields.update(degree=degree, betti=betti, torsion=torsion, _given=None, _gens=_gens,
-                      _cycle_test=_cycle_test, _coords=_coords, _kernel=_kernel)
         if cycle_basis is not None:
-            cycle_basis = tuple(cycle_basis)
-            fields.update(_given=cycle_basis, _gens=la.SparseMatrix.of(cycle_basis))
-        elif _gens is None and self.dim:
+            # each row read once, as Python ints: the caller's rows are not kept
+            try:
+                rows = [la._vector(row) for row in cycle_basis]
+            except TypeError:  # a vector or a scalar: no rows to read
+                raise ValidationError(
+                    f"{cycle_basis!r:.80} is not a matrix given as rows") from None
+            _gens = la.SparseMatrix.of(rows)
+        vars(self).update(degree=degree, betti=betti, torsion=torsion, _gens=_gens,
+                          _cycle_test=_cycle_test, _coords=_coords, _kernel=_kernel)
+        if _gens is None and self.dim:
             raise ValidationError(f"a group of rank {self.dim} needs a cycle basis")
 
     @property
     def cycle_basis(self) -> tuple:
-        if self._given is not None:
-            return self._given
-        return self._kept_as("cycle basis", self._read_only_basis)
+        return self._kept_as("cycle basis", self._int_basis)
 
-    def _read_only_basis(self) -> tuple:
+    def _int_basis(self) -> tuple:
         if self._gens is None:
             return ()
-        gens = self._gens.toarray()
-        # every caller shares this group: no in-place edit may change it
-        gens.flags.writeable = False
-        return tuple(gens)
+        cols = range(self._gens.shape[1])
+        return tuple(tuple([row.get(j, 0) for j in cols]) for row in self._gens._row_dicts)
 
     def __eq__(self, other):
         if not isinstance(other, HomologyGroup):
@@ -255,7 +255,8 @@ class HomologyGroup(Record):
 
     def coords_of(self, cycle) -> tuple:
         """Canonical coordinates of a cycle's homology class; `cycle` is a
-        vector of integers (a list, or a numpy array read flat)."""
+        vector of integers (a `cycle_basis` tuple, a list, or a numpy array
+        read flat)."""
         if self._coords is None:
             raise ValidationError("a group built from a cycle basis has no coordinate map")
         z = la._vector(cycle)

@@ -232,7 +232,7 @@ def _classes_correspond_under_subdivision(z, z_subdivided, res, res2):
     deg = group.degree
     rep = [0] * chain_complex_of(z_complex).rank(deg)
     for coeff, g in zip(res.class_in_z.coords, group.cycle_basis):
-        rep = [r + coeff * e for r, e in zip(rep, g.tolist())]
+        rep = [r + coeff * e for r, e in zip(rep, list(g))]
     mapped = f.sparse_matrix(deg).apply(rep)
     # the subdivided support's simplex basis agrees either way it is built
     assert (

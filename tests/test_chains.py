@@ -83,7 +83,7 @@ def test_homology_representatives_are_cycles_with_right_orders():
         for n in k.degrees():
             h = homology(k, n)
             for i, g in enumerate(h.cycle_basis):
-                assert not any(k.sparse_d(n).apply(g.tolist()))
+                assert not any(k.sparse_d(n).apply(list(g)))
                 coords = h.coords_of(g)
                 expected = [0] * h.dim
                 expected[i] = 1
@@ -91,7 +91,7 @@ def test_homology_representatives_are_cycles_with_right_orders():
             # each torsion representative times its order bounds
             for j, t in enumerate(h.torsion):
                 g = h.cycle_basis[h.betti + j]
-                scaled = [[t * e] for e in g.tolist()]
+                scaled = [[t * e] for e in g]
                 assert la.solve_integer(la.smith_normal_form(k.sparse_d(n + 1)), scaled) is not None
 
 

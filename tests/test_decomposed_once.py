@@ -254,6 +254,20 @@ def test_a_group_built_from_a_basis_has_no_coordinate_map():
             read(h1.cycle_basis[0])
 
 
+def test_a_basis_given_to_a_group_is_read_into_int_tuples():
+    rows = [[1, 0, 0]]
+    g = HomologyGroup(degree=0, betti=1, torsion=(), cycle_basis=rows)
+    rows[0][0] = 7  # the group kept none of the caller's rows
+    assert g.cycle_basis == ((1, 0, 0),) and g._gens.rows == ({0: 1},)
+    assert g == HomologyGroup(degree=0, betti=1, torsion=(), cycle_basis=[(1, 0, 0)])
+    h = HomologyGroup(degree=0, betti=1, torsion=(),
+                      cycle_basis=[np.array([0, 2, 0], dtype=np.int16)])
+    assert h.cycle_basis == ((0, 2, 0),)
+    assert type(h.cycle_basis[0]) is tuple and all(type(e) is int for e in h.cycle_basis[0])
+    with pytest.raises(ValidationError, match="^entry 1.0 is not an integer$"):
+        HomologyGroup(degree=0, betti=1, torsion=(), cycle_basis=[[1.0, 0]])
+
+
 def test_a_nonzero_group_needs_a_basis():
     with pytest.raises(ValidationError, match="^a group of rank 1 needs a cycle basis$"):
         HomologyGroup(degree=0, betti=1, torsion=())
@@ -268,7 +282,8 @@ def test_a_nonzero_group_needs_a_basis():
 @pytest.mark.parametrize("build", [
     la.SparseMatrix.of, la.smith_normal_form,
     lambda rows: chain_complex(-1, {0: 2, 1: 2}, {1: rows}),
-], ids=["SparseMatrix.of", "smith_normal_form", "chain_complex"])
+    lambda rows: HomologyGroup(degree=0, betti=2, torsion=(), cycle_basis=rows),
+], ids=["SparseMatrix.of", "smith_normal_form", "chain_complex", "HomologyGroup"])
 def test_ragged_rows_raise_validation_error(build):
     with pytest.raises(ValidationError, match="^ragged matrix rows$"):
         build([[1, 2], [3]])

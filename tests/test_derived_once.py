@@ -6,7 +6,6 @@ import random
 import sys
 import weakref
 
-import numpy as np
 import pytest
 
 import capstar.bm as bm
@@ -121,15 +120,14 @@ def test_sparse_lines_are_read_only():
 def test_cycle_representatives_are_read_only():
     k = chain_complex_of(torus())
     h = homology(k, 1)
-    before = [rep.copy() for rep in h.cycle_basis]
+    before = [list(rep) for rep in h.cycle_basis]
     for rep in h.cycle_basis:
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             rep[0] += 1
-        with pytest.raises(ValueError):
-            rep *= 2
+        rep *= 2  # a tuple: this rebinds the local name, the group is unchanged
     again = homology(k, 1)
     assert again is h and again.group_str() == "Z^2"
-    assert all(np.array_equal(a, b) for a, b in zip(again.cycle_basis, before))
+    assert [list(rep) for rep in again.cycle_basis] == before
     assert [again.coords_of(rep) for rep in again.cycle_basis] == [(1, 0), (0, 1)]
 
 

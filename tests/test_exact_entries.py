@@ -235,7 +235,7 @@ def test_coords_of_reads_integer_vectors_of_any_dtype():
     g = h1.cycle_basis[0]
     assert h1.coords_of(g) == h1.coords_of(list(g)) == (1,)
     assert h1.coords_of(np.array(list(g), dtype=np.int8)) == (1,)
-    assert h1.coords_of(3 * g) == (3,)
+    assert h1.coords_of([3 * e for e in g]) == (3,)
 
 
 @pytest.mark.parametrize("entry", [1.5, 1.0, Fraction(1, 2), "1"], ids=repr)

@@ -1,7 +1,9 @@
 """numpy, dataclasses and inspect stay off capstar's import path:
 importing capstar, running every CLI command shape and the library
-calls the CLI never makes load none of them.  Only the dense remainder
-loads numpy, and it still returns numpy arrays; numpy integers, bools
+calls the CLI never makes, reading homology representatives among
+them, load none of them.  Only the dense remainder loads numpy, and it
+still returns numpy arrays; `cycle_basis` is not part of it, and its
+tuples equal the sparse generators row for row.  numpy integers, bools
 and arrays are still read as coefficients and entries, and floats
 still refused."""
 
@@ -17,10 +19,11 @@ import pytest
 
 from capstar import bridge, chains
 from capstar import intlinalg as la
-from capstar.bridge import SimplicialChain, chain_complex_of
+from capstar.bridge import SimplicialChain, chain_complex_of, cochain_complex
 from capstar.chains import HomologyGroup, homology
+from capstar.complexes import barycentric_subdivide, induced_subdivision
 from capstar.errors import ValidationError
-from capstar.fixtures import circle, klein_bottle, torus
+from capstar.fixtures import circle, klein_bottle, pair_models, surfaces, torus
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -90,16 +93,28 @@ def test_importing_capstar_loads_no_numpy():
 
 
 # Library calls that no CLI command makes, in a fresh interpreter; prints
-# their results and whether numpy got loaded.
+# their results and whether numpy got loaded.  Among them: homology in
+# every degree, with the coordinates of each representative, of a
+# complex with torsion, of a pair and of a cochain complex, and the
+# fundamental cycle of the torus read off its representative.
 LIBRARY = """
 import sys
 from capstar import intlinalg as la
 from capstar.bm import bm_supported_cap, subdivision_invariance_check
 from capstar.bridge import SimplicialChain, SimplicialCochain, chain_complex_of
-from capstar.bridge import subdivision_chain_map
-from capstar.chains import cone_dual_iso, is_quasi_isomorphism, uct_check
+from capstar.bridge import cochain_complex, relative_chain_complex, subdivision_chain_map
+from capstar.bridge import vector_to_chain
+from capstar.chains import cone_dual_iso, homology, is_quasi_isomorphism, uct_check
 from capstar.complexes import barycentric_subdivide
-from capstar.fixtures import cylinder_pair, interval_pair, klein_bottle
+from capstar.fixtures import cylinder_pair, interval_pair, klein_bottle, torus
+def reps(k):
+    groups = [homology(k, n) for n in range(3)]
+    return [[g.coords_of(r) for r in g.cycle_basis] for g in groups]
+cyl = cylinder_pair()
+fundamental = vector_to_chain(torus(), 2, homology(chain_complex_of(torus()), 2).cycle_basis[0])
+print(reps(chain_complex_of(klein_bottle())),
+      reps(relative_chain_complex(cyl.ambient, cyl.boundary)[0]),
+      reps(cochain_complex(torus())), len(fundamental.coefficients))
 pair = interval_pair()
 x = pair.ambient
 u = SimplicialCochain(x, 1, {("a", "m"): 1})
@@ -115,7 +130,9 @@ print(subdivision_invariance_check(cylinder_pair()).passed, cap.class_in_z.coord
 
 def test_library_calls_the_cli_never_makes_load_no_numpy():
     out = _fresh_python(["-c", LIBRARY])
-    assert out.strip() == "True (1,) True True [-1, 1] [2, 3] False"
+    assert out.strip().splitlines() == [
+        "[[(1,)], [(1, 0), (0, 1)], []] [[], [(1,)], [(1,)]] [[(1,)], [(1, 0), (0, 1)], [(1,)]] 14",
+        "True (1,) True True [-1, 1] [2, 3] False"]
 
 
 def test_every_cli_command_shape_runs_without_numpy(tmp_path):
@@ -139,6 +156,10 @@ def _read_only_object_array(a, shape):
             and not a.flags.writeable and all(type(e) is int for e in a.flat))
 
 
+def _int_tuple(g, length):
+    return type(g) is tuple and len(g) == length and all(type(e) is int for e in g)
+
+
 def test_dense_exports_are_numpy_arrays():
     assert la.__all__ == INTLINALG
     for owner, names in [(la, ["as_matrix", "zeros", "identity", "matmul", "_integral",
@@ -150,8 +171,9 @@ def test_dense_exports_are_numpy_arrays():
     x = torus()
     k = chain_complex_of(x)
     h1 = homology(k, 1)
-    assert len(h1.cycle_basis) == 2
-    assert all(_read_only_object_array(g, (k.rank(1),)) for g in h1.cycle_basis)
+    # the representatives are no longer dense: a tuple of tuples of Python ints
+    assert type(h1.cycle_basis) is tuple and len(h1.cycle_basis) == 2
+    assert all(_int_tuple(g, k.rank(1)) for g in h1.cycle_basis)
     assert h1.cycle_basis is homology(k, 1).cycle_basis
     assert _read_only_object_array(k.d(1), (k.rank(0), k.rank(1)))
     dense = k.sparse_d(1).toarray()
@@ -172,6 +194,26 @@ def test_dense_exports_are_numpy_arrays():
     assert la._entry(np.int8(-4)) == -4 and type(la._entry(np.int8(-4))) is int
     assert la._vector(np.array([[1], [2]], dtype=np.uint8)) == [1, 2]
     assert la.SparseMatrix.of(np.array([[0, 3], [4, 0]])).rows == ({1: 3}, {0: 4})
+
+
+FIXTURES = {**{n: (x, None) for n, x in surfaces().items()},
+            **{n: (m.ambient, m.boundary) for n, m in pair_models().items()}}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_representatives_are_the_generators_row_for_row(name):
+    # at sd^0 and sd^1, chain and cochain complexes, absolute and relative
+    x, y = FIXTURES[name]
+    sd = barycentric_subdivide(x)
+    for x, y in [(x, y), (sd.complex, None if y is None else induced_subdivision(sd, y))]:
+        for y in (None,) if y is None else (None, y):
+            for k in (chain_complex_of(x, y), cochain_complex(x, y)):
+                for n in range(x.dimension + 1):
+                    g = homology(k, n)
+                    width = g._gens.shape[1]
+                    assert all(_int_tuple(rep, width) for rep in g.cycle_basis), n
+                    assert g.cycle_basis == tuple(map(tuple, g._gens.toarray().tolist())), n
+                    assert len(g.cycle_basis) == g.dim
 
 
 # -- compatibility edges ----------------------------------------------------
@@ -205,8 +247,8 @@ def test_numpy_integers_and_bools_are_still_read():
     assert m.shape == (1, 2) and m.rows == ({1: 5},)
     h1 = homology(chain_complex_of(klein_bottle()), 1)
     g = h1.cycle_basis[0]
-    assert h1.coords_of([np.int64(e) for e in g]) == h1.coords_of(g.astype(np.int32))
-    assert h1.coords_of(g.astype(np.int32))[0] == 1
+    assert h1.coords_of([np.int64(e) for e in g]) == h1.coords_of(np.array(g, dtype=np.int32))
+    assert h1.coords_of(np.array(g, dtype=np.int32))[0] == 1
 
 
 @pytest.mark.parametrize("bad", [1.0, np.float64(1.0)], ids=repr)

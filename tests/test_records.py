@@ -316,7 +316,7 @@ def test_constructors_still_check_and_normalise():
     with pytest.raises(ValidationError, match="^simplex \\(1, 4\\) not in complex$"):
         SimplicialChain(x, 1, {(1, 4): 1})
     g = HomologyGroup(degree=0, betti=1, torsion=(), cycle_basis=([1, 0, 0],))
-    assert g.cycle_basis == ([1, 0, 0],) and g._gens.rows == ({0: 1},)
+    assert g.cycle_basis == ((1, 0, 0),) and g._gens.rows == ({0: 1},)
     assert HomologyGroup(degree=0, betti=0, torsion=())._gens is None
 
 
@@ -359,7 +359,7 @@ def test_kept_values_stay_behind_in_copies_and_pickles():
     for other in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
         assert other == x and other._derived == {} and other._derived is not x._derived
     assert len(pickle.dumps(x)) == fresh
-    # a basis given to a group is a field, not a kept value: it travels
+    # a basis given to a group is read into a field, `_gens`: it travels
     g = HomologyGroup(degree=0, betti=1, torsion=(), cycle_basis=([1, 0, 0],))
     for other in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
-        assert other.cycle_basis == ([1, 0, 0],) and other == g
+        assert other.cycle_basis == ((1, 0, 0),) and other == g

@@ -7,7 +7,7 @@ import pytest
 
 from capstar import intlinalg as la
 from capstar.bridge import SimplicialChain, SimplicialCochain, chain_complex_of
-from capstar.chains import chain_complex, chain_map, homology
+from capstar.chains import HomologyGroup, chain_complex, chain_map, homology
 from capstar.errors import ValidationError
 from capstar.fixtures import circle, interval_pair
 from capstar.products import relative_supported_cap
@@ -106,8 +106,10 @@ def test_matrices_whose_shapes_do_not_fit_are_refused():
     (lambda: la.smith_normal_form([1, 2]), r"\[1, 2\]"),
     (lambda: la.solve_integer(la.smith_normal_form([[1]]), [1]), r"\[1\]"),
     (lambda: la.lattice_contains([[1, 0], [0, 1]], [1, 0]), r"\[1, 0\]"),
+    (lambda: HomologyGroup(degree=0, betti=1, torsion=(), cycle_basis=(1, 2)), r"\(1, 2\)"),
+    (lambda: HomologyGroup(degree=0, betti=1, torsion=(), cycle_basis=5), "5"),
 ], ids=["float-vector", "numpy-vector", "scalar", "smith-vector", "solve-vector",
-        "lattice-vector"])
+        "lattice-vector", "group-vector", "group-scalar"])
 def test_a_vector_or_scalar_is_refused_where_a_matrix_is_read(call, given):
     # each raised a bare TypeError ("'float' object is not iterable")
     with pytest.raises(ValidationError, match=f"^{given} is not a matrix given as rows$"):
