@@ -283,7 +283,12 @@ def vector_to_chain(x: SimplicialComplex, degree: int, v,
                     y: Subcomplex | None = None) -> SimplicialChain:
     """The chain with coordinates `v` in the basis of C(X)/C(Y), lifted
     to C(X) by zero on `y`: the transpose of the quotient projection."""
-    return SimplicialChain(x, degree, dict(zip(_basis(x, y, degree), v)))
+    basis = _basis(x, y, degree)
+    try:
+        coefficients = dict(zip(basis, v))
+    except TypeError:  # a scalar: no entries to read
+        raise ValidationError(f"{v!r:.80} is not a vector") from None
+    return SimplicialChain(x, degree, coefficients)
 
 
 vector_to_cochain = vector_to_chain

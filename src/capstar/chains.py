@@ -18,11 +18,44 @@ explicit cycle representatives and coordinate maps so induced maps on
 homology (including torsion) can be computed and compared.  A complex's
 differentials never change and its homology is computed once per
 degree, then shared by every caller.
+
+`homology` reads the record of each elimination (`elimination`), not
+five Smith factors, and certifies on every call exactly what it reads.
+At degree n, with a the differential out of it, b the one into it, A
+the matrix eliminated for a (a itself, or a in the kernel coordinates
+of the degree it maps into) and S the residue columns of A's record:
+
+  1. A == L W on every row (`_certify_elimination`), with L triangular
+     with ±1 on its diagonal and W the pivot rows E, each with a 1 at
+     its pivot and zeros at the earlier pivots, over the residue block
+     B, which has its own certificate.  So the pivot columns of A are
+     independent, rank A = r0 + rank B, and a vector of ker A is fixed
+     by its part on S, which lies in ker B.
+  2. a k == 0 for every kernel column k (`_certify_kernel`).  On S the
+     columns are V_B's past B's rank, a basis of ker B; without a
+     residue they are the identity there, so K is the only basis of
+     ker A that is the identity on S.  Either way K is a Z-basis of
+     ker A, and since it lies in ker a, which ker A contains, of ker a.
+  3. a b == 0 (the d o d check).  So b lies in ker a, and its
+     coordinates in K are read off S: a row selection of b, through
+     v_inv_B with a residue.  That is the matrix C eliminated next.
+  4. y C is the residue row for every row y built from L
+     (`_certify_left_rows`): zero without a residue, so each free
+     coordinate row kills the boundaries.  E has full row rank, so y
+     is a row of L^-1 P, and the coordinate rows U[keep] are those of
+     the unimodular U; with u_inv's selections of the residue rows they
+     invert the generators.
+
+So H_n = ker a / im b, which is coker C, is Z^betti plus Z/t_i for the
+invariant factors t_i > 1 of C, with generators K u_inv[:, keep] and
+coordinates U[keep] v_inv[r:].
 """
 
 from __future__ import annotations
 
+from . import elimination
 from . import intlinalg as la
+from .elimination import eliminate
 from .errors import InternalCheckError, ValidationError
 from .intlinalg import smith_normal_form
 from .records import Record
@@ -53,8 +86,8 @@ class ChainComplexZ(Record):
     # ranks: degree -> rank (> 0 entries only); sparse: degree -> nonzero
     # SparseMatrix out of that degree.  Kept: the homology group at each
     # degree (keyed by the degree), the integer dual ("dual") and, until
-    # degree j's group takes it, the decomposition of d_j in the kernel
-    # coordinates of the degree it maps into (("snf", j))
+    # degree j's group takes it, the elimination record of d_j in the
+    # kernel coordinates of the degree it maps into (("snf", j))
     _fields = ("diff_degree", "ranks", "sparse")
 
     def rank(self, n: int) -> int:
@@ -115,8 +148,7 @@ def chain_complex(diff_degree: int, ranks: dict, differentials: dict) -> ChainCo
     k = ChainComplexZ(diff_degree=diff_degree, ranks=ranks, sparse=diffs)
     for n in ranks:
         # exact, a row of the product at a time, so memory stays one row
-        b = k.sparse_d(n)._row_dicts
-        if any(la._times(row, b) for row in k.sparse_d(n + diff_degree)._row_dicts):
+        if not la._vanishes(k.sparse_d(n + diff_degree), k.sparse_d(n)):
             raise ValidationError(f"d o d != 0 out of degree {n}")
     return k
 
@@ -259,7 +291,10 @@ class HomologyGroup(Record):
         read flat)."""
         if self._coords is None:
             raise ValidationError("a group built from a cycle basis has no coordinate map")
-        z = la._vector(cycle)
+        try:
+            z = la._vector(cycle)
+        except TypeError:  # a scalar: no entries to read
+            raise ValidationError(f"{cycle!r:.80} is not a vector") from None
         if self._cycle_test.shape[1] != len(z):
             raise ValidationError("cycle has the wrong length")
         if any(self._cycle_test.apply(z)):
@@ -328,16 +363,17 @@ def homology(k: ChainComplexZ, degree: int) -> HomologyGroup:
     """Isomorphism type + representatives at one degree, computed on the
     first call for `k` and `degree`, then shared.
 
-    Each d_j is reduced once, in the kernel coordinates of the degree
-    j + e it maps into (e = `diff_degree`): its decomposition F_j is
-    that of v_inv[r:] d_j, with v_inv and r from F_{j+e}, or of d_j
-    itself where the differential out of j + e is zero; either way it
-    has the kernel and rank of d_j.  Degree n reads its cycles from F_n
-    (V, v_inv) and its generators and coordinates from F_{n-e} (U,
-    u_inv, invariant factors), so the basis depends on the complex
-    alone.  The walk goes toward the degree each differential maps
-    into, to a zero differential or to the F_j that the group above
-    left on `k` as ("snf", j), and builds every group on its way back."""
+    Each d_j is eliminated once, in the kernel coordinates of the degree
+    j + e it maps into (e = `diff_degree`): its record F_j is that of
+    v_inv[r:] d_j, with v_inv and r from F_{j+e}, or of d_j itself where
+    the differential out of j + e is zero; either way it has the kernel
+    and rank of d_j.  Degree n reads its cycles from F_n (the kernel
+    columns, v_inv[r:]) and its generators and coordinates from F_{n-e}
+    (rows of U and columns of u_inv past the rank, and the invariant
+    factors), so the basis depends on the complex alone.  The walk goes
+    toward the degree each differential maps into, to a zero
+    differential or to the F_j that the group above left on `k` as
+    ("snf", j), and builds every group on its way back."""
     degree, kept = la._entry(degree), k._derived
     if degree in kept:
         return kept[degree]
@@ -345,36 +381,43 @@ def homology(k: ChainComplexZ, degree: int) -> HomologyGroup:
     path = [degree]
     while path[-1] in k.sparse and ("snf", path[-1]) not in kept:
         path.append(path[-1] + eps)
-    snf_a = kept.pop(("snf", path[-1]), None)
+    rec_a = kept.pop(("snf", path[-1]), None)
     for j in reversed(path):
         a = k.sparse_d(j)  # out of the degree
         b = k.sparse_d(j - eps)  # into the degree
-        if snf_a is None:  # a is zero: the kernel coordinates are the chain ones
-            snf_a = smith_normal_form(a)
+        if rec_a is None:  # a is zero: the kernel coordinates are the chain ones
+            rec_a = eliminate(a)
+            elimination._certify_elimination(rec_a, a)
         else:
-            b = snf_a.sparse.v_inv @ b
-            if b[:snf_a.rank].any():
+            if not la._vanishes(a, b):
                 raise InternalCheckError("boundaries are not cycles; d o d != 0")
-            b = b[snf_a.rank:]
-        snf_c = smith_normal_form(b)
-        r_a, r_c = snf_a.rank, snf_c.rank
-        kernel = snf_a.sparse.V.T[r_a:]  # rows: a basis of the cycles
-        factors = snf_c.invariant_factors()
-        free_idx = list(range(r_c, k.rank(j) - r_a))
+            b = rec_a.kernel_coordinates(b)
+        rec_c = eliminate(b)
+        elimination._certify_elimination(rec_c, b)
+        kernel = rec_a.kernel()  # columns: a basis of the cycles
+        elimination._certify_kernel(a, kernel)
+        left_rows = rec_c.left_rows()
+        elimination._certify_left_rows(rec_c, left_rows, b)
+        r_a, r_c, n = rec_a.rank, rec_c.rank, k.rank(j)
+        factors = rec_c.invariant_factors()
+        free_idx = list(range(r_c, n - r_a))
         tors_idx = [i for i in range(r_c) if factors[i] > 1]
         keep = free_idx + tors_idx
+        cycles, coords = kernel._col_dicts, rec_a.kernel_coordinate_rows()
         kept[j] = HomologyGroup(
             degree=j,
             betti=len(free_idx),
             torsion=tuple(factors[i] for i in tors_idx),
-            _gens=snf_c.sparse.u_inv.T[keep] @ kernel,
+            _gens=la.SparseMatrix((len(keep), n), tuple(
+                la._times(col, cycles) for col in rec_c.u_inv_columns(keep))),
             _cycle_test=a,
-            _coords=snf_c.sparse.U[keep] @ snf_a.sparse.v_inv[r_a:],
-            _kernel=kernel.T,
+            _coords=la.SparseMatrix((len(keep), n), tuple(
+                la._times(row, coords) for row in rec_c.u_rows(keep, left_rows))),
+            _kernel=kernel,
         )
-        snf_a = snf_c
+        rec_a = rec_c
     if degree - eps in k.sparse:
-        kept[("snf", degree - eps)] = snf_a
+        kept[("snf", degree - eps)] = rec_a
     return kept[degree]
 
 

@@ -6,17 +6,22 @@ minimal-absolute-value pivot with a lexicographic (row, column)
 tie-break.
 
 Matrices are kept as `SparseMatrix`: dicts of the nonzeros by row, with
-the column view built on demand.  Products, the Smith reduction and its
-five factors all live there, so their cost follows the nonzeros of the
-boundary matrices.  Every pivot takes the same step: the rows below
-it, then its own row, go to their remainders by the pivot.  A unit
-leaves none, so boundary matrices, which nearly always pivot on a
-unit, take one pass per pivot.  The exact U @ (A @ V) == D
-certificate runs on the nonzeros on every call at every size.  The
-public functions take a SparseMatrix or nested sequences, and read a
-numpy array or scalar they are handed through `sys.modules`.  numpy is
-loaded only by the dense remainder: `SparseMatrix.toarray` and the
-`U/D/V/u_inv/v_inv` properties of a `SmithDecomposition`.
+the column view built on demand.  Products and the Smith reduction live
+there, so their cost follows the nonzeros of the boundary matrices.
+The reduction itself is `elimination.eliminate`: every pivot takes the
+same step, and a unit pivot, which boundary matrices nearly always
+have, leaves a record instead of updating factors: its multipliers (L)
+and its row as eliminated (E); the block left at the first pivot that
+is not a unit is the residue, reduced with factors of its own size.
+`smith_normal_form` assembles U, D, V, u_inv and v_inv from that record
+and certifies U @ (A @ V) == D, U @ u_inv == I and V @ v_inv == I
+exactly, on the nonzeros, on every call at every size: a unimodular
+factorisation with exactly those inverses.  `kernel_basis` reads the
+kernel off the record, as `homology` does.  The public functions take a
+SparseMatrix or nested sequences, and read a numpy array or scalar they
+are handed through `sys.modules`.  numpy is loaded only by the dense
+remainder: `SparseMatrix.toarray` and the `U/D/V/u_inv/v_inv`
+properties of a `SmithDecomposition`.
 """
 
 from __future__ import annotations
@@ -291,10 +296,11 @@ class Factors(NamedTuple):
 class SmithDecomposition(Record):
     """U @ A @ V == D with U, V unimodular and D diagonal, d1 | d2 | ...
 
-    `u_inv` and `v_inv` are the exact inverses, tracked during the
-    reduction (never computed by inversion after the fact).  The factors
-    are kept sparse in `sparse`; `U`, `D`, `V`, `u_inv` and `v_inv` are
-    their dense object arrays, built on each request.
+    `u_inv` and `v_inv` are the exact inverses, assembled with U and V
+    from the reduction's record (never computed by inversion after the
+    fact).  The factors are kept sparse in `sparse`; `U`, `D`, `V`,
+    `u_inv` and `v_inv` are their dense object arrays, built on each
+    request.
     """
 
     _fields = ("sparse",)
@@ -314,157 +320,76 @@ class SmithDecomposition(Record):
         return tuple(row[i] for i, row in enumerate(self.sparse.D._row_dicts) if i in row)
 
 
-def _certify(u, a, v, d) -> None:
-    """Exact check of U @ A @ V == D: A V is formed first, a column at a
-    time from the columns of A that each column of V meets, then U times
-    it, a row at a time; each product on the nonzeros.  The operands are
-    sparse, as the reduction made them, or anything `SparseMatrix.of`
-    reads."""
+def _is_product(row: dict, rows, want: dict) -> bool:
+    """Whether row @ rows == want, for sparse lines; the difference is
+    formed and tested in place, without a dict of the product."""
+    out = {j: -e for j, e in want.items()}
+    get = out.get
+    for k, e in row.items():
+        for j, x in rows[k].items():
+            out[j] = get(j, 0) + e * x
+    return not any(out.values())
+
+
+def _vanishes(a: SparseMatrix, b: SparseMatrix) -> bool:
+    """Whether a @ b == 0, a row of the product at a time, in one loop."""
+    rows = b._row_dicts
+    for row in a._row_dicts:
+        out = {}
+        get = out.get
+        for k, e in row.items():
+            for j, x in rows[k].items():
+                out[j] = get(j, 0) + e * x
+        if any(out.values()):
+            return False
+    return True
+
+
+def _certify(u, a, v, d, u_inv=None, v_inv=None) -> None:
+    """Exact check of U @ A @ V == D and, given the inverses, of
+    U @ u_inv == I and V @ v_inv == I: A V is formed first, a column at
+    a time from the columns of A that each column of V meets, then U
+    times it, a row at a time; each product on the nonzeros, so a
+    selection costs one term per entry.  With the inverses this is a
+    unimodular factorisation with exactly those inverses.  The operands
+    are sparse, as the reduction made them, or anything
+    `SparseMatrix.of` reads."""
     u, a, v, d = (m if isinstance(m, SparseMatrix) else SparseMatrix.of(m) for m in (u, a, v, d))
     if u @ (v.T @ a.T).T != d:
         raise AssertionError("smith reduction lost the factorization")
+    for f, f_inv in ((u, u_inv), (v, v_inv)):
+        if f_inv is not None:
+            rows = f_inv._row_dicts
+            if f_inv.shape != f.shape or not all(
+                    _is_product(row, rows, {i: 1}) for i, row in enumerate(f._row_dicts)):
+                raise AssertionError("smith reduction lost the factorization")
 
 
 def smith_normal_form(a) -> SmithDecomposition:
     """Exact Smith normal form over the integers, of a SparseMatrix or
-    anything `SparseMatrix.of` reads.
+    anything `SparseMatrix.of` reads: the five factors assembled from
+    the record of `elimination.eliminate`.  U @ (A @ V) == D,
+    U @ u_inv == I and V @ v_inv == I are certified exactly at every
+    size before returning."""
+    from . import elimination  # it builds on this module
 
-    Deterministic minimal-absolute-value pivoting with lexicographic
-    tie-break.  The reduction runs on sparse lines: the working matrix
-    as row dicts with a column -> rows index, U and v_inv as row dicts,
-    u_inv and V as column dicts; these become the sparse factors.  Every
-    pivot, unit or not, takes one step: each row below it is written once
-    through `add_row`, then its own row once, each entry to its remainder
-    by the pivot; a nonzero remainder is promoted and the step repeats.
-    A unit leaves no remainder.  Another pivot then runs the
-    divisibility fix-up, which adds an offending row through `add_row`
-    and repeats the step.  The identity U @ (A @ V) == D is certified
-    exactly at every size before returning.
-    """
     a = SparseMatrix.of(a)
-    m, n = a.shape
-    w = [dict(row) for row in a._row_dicts]
-    w_cols = [set(col) for col in a._col_dicts]
-    u, u_inv, v, v_inv = (list(sparse_identity(k)._row_dicts) for k in (m, m, n, n))
-
-    def add_row(dst, q, src):
-        # row dst of w += q * row src, keeping the column index; U and
-        # u_inv follow, so every row operation on w is this one
-        row = w[dst]
-        for j, e in w[src].items():
-            s = row.get(j, 0) + q * e
-            if s:
-                if j not in row:
-                    w_cols[j].add(dst)
-                row[j] = s
-            else:
-                del row[j]
-                w_cols[j].discard(dst)
-        _axpy(u[dst], q, u[src])
-        _axpy(u_inv[src], -q, u_inv[dst])
-
-    def swap_rows(i, j):
-        if i != j:
-            for c in w[i].keys() ^ w[j].keys():
-                w_cols[c] ^= {i, j}
-            w[i], w[j] = w[j], w[i]
-            u[i], u[j] = u[j], u[i]
-            u_inv[i], u_inv[j] = u_inv[j], u_inv[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for r in w_cols[i] | w_cols[j]:
-                row = w[r]
-                ei, ej = row.pop(i, 0), row.pop(j, 0)
-                if ej:
-                    row[i] = ej
-                if ei:
-                    row[j] = ei
-            w_cols[i], w_cols[j] = w_cols[j], w_cols[i]
-            v[i], v[j] = v[j], v[i]
-            v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
-
-    def pivot(t):
-        # the least |entry| of the trailing block, first in row-major
-        # order; no nonzero is below a unit, so the first unit wins
-        for i in range(t, m):
-            units = [j for j, e in w[i].items() if e == 1 or e == -1]
-            if units:
-                return i, min(units)
-        least = min((abs(e) for i in range(t, m) for e in w[i].values()), default=0)
-        for i in range(t, m):
-            hits = [j for j, e in w[i].items() if abs(e) == least]
-            if hits:
-                return i, min(hits)
-        return None
-
-    t = 0
-    bound = min(m, n)
-    while t < bound:
-        pos = pivot(t)
-        if pos is None:
-            break
-        swap_rows(t, pos[0])
-        swap_cols(t, pos[1])
-        while True:
-            if w[t][t] < 0:
-                for line in (w[t], u[t], u_inv[t]):
-                    for k in line:
-                        line[k] = -line[k]
-            p = w[t][t]
-            # take each row below to its remainder in column t; rows above
-            # t hold only their diagonal, so column t is clear once it
-            # holds the pivot alone
-            for i in [i for i in w_cols[t] if i > t]:
-                q = -(w[i][t] // p)
-                if q:
-                    add_row(i, q, t)
-            if len(w_cols[t]) > 1:
-                # a nonzero remainder is strictly smaller: promote it
-                swap_rows(t, min(i for i in w_cols[t] if i > t))
-                continue
-            # the transpose on row t: column j += q * column t changes
-            # only row t of w, as column t is clear.  Row t goes into a
-            # new dict, since one emptied in place keeps its capacity
-            row, rest = w[t], {t: p}
-            w[t] = rest
-            for j, e in row.items():
-                if j != t:
-                    q, r = divmod(e, p)
-                    if q:
-                        _axpy(v[j], -q, v[t])
-                        _axpy(v_inv[t], q, v_inv[j])
-                    if r:
-                        rest[j] = r
-                    else:
-                        w_cols[j].discard(t)
-            if len(rest) > 1:
-                swap_cols(t, min(j for j in rest if j > t))
-                continue
-            if p == 1:
-                break  # a unit divides every entry
-            # row and column are clear; every entry of the block must be
-            # divisible by the pivot
-            rows = (i for i in range(t + 1, m) if any(e % p for e in w[i].values()))
-            offender = next(rows, None)
-            if offender is None:
-                break
-            add_row(t, 1, offender)
-        t += 1
-
-    f = Factors(
-        U=SparseMatrix((m, m), tuple(u)), D=SparseMatrix((m, n), tuple(w)),
-        V=SparseMatrix((n, n), _cols=tuple(v)), u_inv=SparseMatrix((m, m), _cols=tuple(u_inv)),
-        v_inv=SparseMatrix((n, n), tuple(v_inv)),
-    )
-    _certify(f.U, a, f.V, f.D)
+    f = elimination._factors(elimination.eliminate(a))
+    _certify(f.U, a, f.V, f.D, f.u_inv, f.v_inv)
     return SmithDecomposition(f)
 
 
 def kernel_basis(a) -> SparseMatrix:
-    """Columns form a basis of the integer kernel lattice of `a`."""
-    snf = smith_normal_form(a)
-    return snf.sparse.V.T[snf.rank:].T
+    """Columns form a basis of the integer kernel lattice of `a`, read
+    from the elimination record and certified as `homology` does."""
+    from . import elimination  # it builds on this module
+
+    a = SparseMatrix.of(a)
+    rec = elimination.eliminate(a)
+    elimination._certify_elimination(rec, a)
+    kernel = rec.kernel()
+    elimination._certify_kernel(a, kernel)
+    return kernel
 
 
 def solve_integer(snf: SmithDecomposition, b) -> SparseMatrix | None:

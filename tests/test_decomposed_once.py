@@ -50,14 +50,20 @@ from capstar.verify import _is_coboundary
 
 @pytest.fixture
 def snf_calls(monkeypatch):
-    """One entry per Smith decomposition, whichever module runs it."""
+    """One entry per Smith decomposition or `homology` elimination,
+    whichever module runs it."""
     calls = []
-    snf = la.smith_normal_form
+    snf, eliminate = la.smith_normal_form, chains.eliminate
 
     def counted(a):
         calls.append(a.shape)
         return snf(a)
 
+    def counted_elimination(a):
+        calls.append(a.shape)
+        return eliminate(a)
+
+    monkeypatch.setattr(chains, "eliminate", counted_elimination)
     monkeypatch.setattr(chains, "smith_normal_form", counted)
     monkeypatch.setattr(la, "smith_normal_form", counted)
     monkeypatch.setattr(verify, "smith_normal_form", counted)

@@ -12,6 +12,7 @@ import capstar.bm as bm
 import capstar.bridge as bridge
 import capstar.chains as chains
 import capstar.complexes as complexes
+import capstar.elimination as elimination
 import capstar.products as products
 import capstar.verify as verify
 from capstar import intlinalg as la
@@ -63,13 +64,13 @@ def test_uct_check_reuses_the_kept_dual_and_its_groups(monkeypatch):
     for n in range(-2, 4):
         homology(k, n), homology(c, n)
     calls = []
-    snf = chains.smith_normal_form
+    eliminate = chains.eliminate
 
     def counted(a):
         calls.append(a.shape)
-        return snf(a)
+        return eliminate(a)
 
-    monkeypatch.setattr(chains, "smith_normal_form", counted)
+    monkeypatch.setattr(chains, "eliminate", counted)
     assert uct_check(k).passed
     assert calls == []
 
@@ -188,18 +189,18 @@ def _circle_cap_instance():
 
 
 @pytest.fixture
-def homology_snf_calls(monkeypatch):
-    """A list that collects one entry per Smith decomposition that
-    `homology` runs (other callers of the same function are not counted)."""
+def homology_eliminations(monkeypatch):
+    """A list that collects one entry per elimination that `homology`
+    runs (other callers of the same function are not counted)."""
     calls = []
-    snf = chains.smith_normal_form
+    eliminate = chains.eliminate
 
     def counted(a):
         if sys._getframe(1).f_code is homology.__code__:
             calls.append(a.shape)
-        return snf(a)
+        return eliminate(a)
 
-    monkeypatch.setattr(chains, "smith_normal_form", counted)
+    monkeypatch.setattr(chains, "eliminate", counted)
     return calls
 
 
@@ -229,13 +230,13 @@ def test_closed_star_and_support_complexes_are_kept_on_the_subcomplex():
         closed_star(from_maximal_simplices([[0, 1]]), z)
 
 
-def test_second_cap_on_the_same_support_runs_no_homology_reduction(homology_snf_calls):
+def test_second_cap_on_the_same_support_runs_no_homology_reduction(homology_eliminations):
     x, z, u, alpha = _circle_cap_instance()
     first = supported_cap(x, z, u, alpha)
-    assert homology_snf_calls
-    homology_snf_calls.clear()
+    assert homology_eliminations
+    homology_eliminations.clear()
     second = supported_cap(x, z, u + u, alpha)
-    assert homology_snf_calls == []
+    assert homology_eliminations == []
     assert second.class_in_z.group is first.class_in_z.group
     assert second.class_in_z.coords == (2,)
 
@@ -326,16 +327,26 @@ def test_kept_kernel_is_the_kernel_basis(surfaces, pairs):
                     line[0] = 2
 
 
+def _record_lines(rec):
+    """Every line an elimination record holds: L, E and, with a residue,
+    the block and its five factors."""
+    lines = list(rec.L + rec.E)
+    if rec.residue is not None:
+        for m in (rec.block, *rec.residue.sparse):
+            lines += m._row_dicts + m._col_dicts
+    return lines
+
+
 def test_kept_coordinate_rows_own_their_data(surfaces, pairs, monkeypatch):
-    factors = []
-    snf = chains.smith_normal_form
+    records = []
+    eliminate = chains.eliminate
 
     def kept(a):
-        out = snf(a)
-        factors.append(out.sparse)
+        out = eliminate(a)
+        records.append(out)
         return out
 
-    monkeypatch.setattr(chains, "smith_normal_form", kept)
+    monkeypatch.setattr(chains, "eliminate", kept)
     ks = [f(x) for x in surfaces.values() for f in (chain_complex_of, cochain_complex)]
     ks += [f(m.ambient, m.boundary) for m in pairs.values()
            for f in (chain_complex_of, cochain_complex)]
@@ -343,17 +354,17 @@ def test_kept_coordinate_rows_own_their_data(surfaces, pairs, monkeypatch):
         # a fresh complex, so that its groups are computed here
         k = chains.chain_complex(k.diff_degree, k.ranks, k.sparse)
         lo, hi = k.degree_span()
-        factors.clear()
+        records.clear()
         for n in range(lo - 1, hi + 2):
-            kept = {key: snf for key, snf in k._derived.items() if isinstance(key, tuple)}
+            kept = {key: rec for key, rec in k._derived.items() if isinstance(key, tuple)}
             h = homology(k, n)
-            # every decomposition run or taken from `k` so far: a call
-            # may build the groups on its walk, or find its group built
-            factors += [snf.sparse for key, snf in kept.items() if key not in k._derived]
+            # every record made or taken from `k` so far: a call may
+            # build the groups on its walk, or find its group built
+            records += [rec for key, rec in kept.items() if key not in k._derived]
             coords = h._coords
-            # one dim x rank C_n matrix, sharing no line with a Smith factor
-            lines = {id(line) for f in factors for m in f for line in m._row_dicts + m._col_dicts}
-            assert lines and not lines & {id(row) for row in coords._row_dicts}
+            # one dim x rank C_n matrix, sharing no line with a record
+            lines = {id(line) for rec in records for line in _record_lines(rec)}
+            assert not lines & {id(row) for row in coords._row_dicts}
             for line in coords.rows + coords.cols:
                 with pytest.raises(TypeError, match="does not support item assignment"):
                     line[0] = 1
@@ -362,9 +373,11 @@ def test_kept_coordinate_rows_own_their_data(surfaces, pairs, monkeypatch):
             assert coords.shape == (h.dim, k.rank(n))
             reps = la.SparseMatrix.of(h.cycle_basis, (h.dim, k.rank(n))).T
             assert coords @ reps == la.sparse_identity(h.dim)
+        # the records of the complex's nonzero differentials hold lines
+        assert lines or not k.sparse
 
 
-def test_each_boundary_matrix_is_reduced_once(homology_snf_calls):
+def test_each_boundary_matrix_is_reduced_once(homology_eliminations):
     k = chain_complex_of(torus())
     d1, d2 = k.sparse_d(1), k.sparse_d(2)
     for n in range(3):
@@ -373,29 +386,29 @@ def test_each_boundary_matrix_is_reduced_once(homology_snf_calls):
     # coordinates of degree 1 (shared by degrees 1 and 2), and d_3 (zero)
     # in those of degree 2; d_2 is never reduced as itself
     r1 = la.smith_normal_form(d1).rank
-    assert len(homology_snf_calls) == 4 and homology_snf_calls.count(d1.shape) == 1
-    assert homology_snf_calls.count((d2.shape[0] - r1, d2.shape[1])) == 1
-    assert d2.shape not in homology_snf_calls
+    assert len(homology_eliminations) == 4 and homology_eliminations.count(d1.shape) == 1
+    assert homology_eliminations.count((d2.shape[0] - r1, d2.shape[1])) == 1
+    assert d2.shape not in homology_eliminations
 
 
 @pytest.mark.parametrize("first", [0, 1])
-def test_d1_is_reduced_once_whichever_degree_comes_first(homology_snf_calls, first):
+def test_d1_is_reduced_once_whichever_degree_comes_first(homology_eliminations, first):
     k = chain_complex_of(torus())
     homology(k, first)
     # asking degree 1 walks to degree 0 and computes its group on the way
     assert (0 in k._derived) and (("snf", 1) in k._derived) == (first == 0)
     homology(k, 1 - first)
     assert ("snf", 1) not in k._derived
-    assert homology_snf_calls.count(k.sparse_d(1).shape) == 1
+    assert homology_eliminations.count(k.sparse_d(1).shape) == 1
 
 
 @pytest.mark.parametrize("order", [(1, 2), (2, 1)])
-def test_cochain_complex_reduces_its_top_coboundary_once(homology_snf_calls, order):
+def test_cochain_complex_reduces_its_top_coboundary_once(homology_eliminations, order):
     k = cochain_complex(torus())
     assert 1 in k.sparse and 2 not in k.sparse
     for n in order:
         homology(k, n)
-    assert homology_snf_calls.count(k.sparse_d(1).shape) == 1
+    assert homology_eliminations.count(k.sparse_d(1).shape) == 1
     assert ("snf", 1) not in k._derived
 
 
@@ -408,14 +421,13 @@ def test_no_decomposition_outlives_its_second_reader(surfaces, pairs):
         lo, hi = k.degree_span()
         for n in range(lo - 1, hi + 2):
             homology(k, n)
-        assert not [v for v in k._derived.values()
-                    if isinstance(v, la.SmithDecomposition)]
+        assert not [v for v in k._derived.values() if isinstance(v, elimination.Elimination)]
 
 
 def test_each_nonzero_differential_is_reduced_once_in_any_order(surfaces, pairs, monkeypatch):
     nonzero = []
-    snf = chains.smith_normal_form
-    monkeypatch.setattr(chains, "smith_normal_form", lambda a: nonzero.append(a.any()) or snf(a))
+    eliminate = chains.eliminate
+    monkeypatch.setattr(chains, "eliminate", lambda a: nonzero.append(a.any()) or eliminate(a))
     ks = [f(x) for x in surfaces.values() for f in (chain_complex_of, cochain_complex)]
     ks += [f(m.ambient, m.boundary) for m in pairs.values()
            for f in (chain_complex_of, cochain_complex)]
@@ -435,8 +447,8 @@ def test_each_nonzero_differential_is_reduced_once_in_any_order(surfaces, pairs,
 def test_a_zero_outgoing_differential_hands_on_the_incoming_one(monkeypatch, build, degree):
     # v_inv is the identity there, so the boundaries need no change of coordinates
     seen = []
-    snf = chains.smith_normal_form
-    monkeypatch.setattr(chains, "smith_normal_form", lambda a: seen.append(a) or snf(a))
+    eliminate = chains.eliminate
+    monkeypatch.setattr(chains, "eliminate", lambda a: seen.append(a) or eliminate(a))
     k = build(torus())
     k = chains.chain_complex(k.diff_degree, k.ranks, k.sparse)
     assert degree not in k.sparse

@@ -5,7 +5,9 @@ degree lo-1..hi+1, asked in ascending, descending and seeded random
 orders, on the chain and cochain complexes of every fixture surface and
 of every pair model (absolute and relative) at sd^0..sd^2, on their
 shifts at sd^0 and sd^1, and on the mapping cones of the subdivision and
-last-vertex maps from sd^0 to sd^1.  On the same complexes at
+last-vertex maps from sd^0 to sd^1, and on the chain and cochain
+complexes of the pseudo-projective planes P_2..P_7 at sd^0 and of P_3 at
+sd^1, whose torsion Z/p goes beyond Z/2.  On the fixture complexes at
 sd^0..sd^2, the library's basis and that of the two-decompositions-per-
 degree definition each span, with the boundaries, exactly the cycles;
 the two kernels span the same lattice, and the groups agree."""
@@ -21,6 +23,7 @@ from capstar.bridge import chain_complex_of, cochain_complex
 from capstar.chains import chain_complex, cone, dual_map, homology, shift
 from capstar.complexes import barycentric_subdivide, induced_subdivision
 from capstar.fixtures import pair_models, surfaces
+from helpers import pseudo_projective_plane
 
 FIXTURES = {**{n: (x, None) for n, x in surfaces().items()},
             **{n: (m.ambient, m.boundary) for n, m in pair_models().items()}}
@@ -85,6 +88,18 @@ def test_shifts_and_cones_match_the_reference(name):
     f = bridge.subdivision_chain_map(sd, FIXTURES[name][1])
     for u in (f, dual_map(f), bridge.last_vertex_chain_map(sd)):
         assert_same_homology(cone(u).complex)
+
+
+@pytest.mark.parametrize("p, times", [(p, 0) for p in range(2, 8)] + [(3, 1)],
+                         ids=[f"P{p}-sd0" for p in range(2, 8)] + ["P3-sd1"])
+def test_pseudo_projective_planes_match_the_reference(p, times):
+    x = pseudo_projective_plane(p)
+    for _ in range(times):
+        x = barycentric_subdivide(x).complex
+    chains, cochains = chain_complex_of(x), cochain_complex(x)
+    for k in (chains, cochains):
+        assert_same_homology(k)
+    assert homology(chains, 1).torsion == (p,) and homology(cochains, 2).torsion == (p,)
 
 
 def assert_basis_spans_the_cycles(k, n, g):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from capstar import intlinalg as la
-from capstar.bridge import SimplicialChain, SimplicialCochain, chain_complex_of
+from capstar.bridge import SimplicialChain, SimplicialCochain, chain_complex_of, vector_to_chain
 from capstar.chains import HomologyGroup, chain_complex, chain_map, homology
 from capstar.errors import ValidationError
 from capstar.fixtures import circle, interval_pair
@@ -113,6 +113,17 @@ def test_matrices_whose_shapes_do_not_fit_are_refused():
 def test_a_vector_or_scalar_is_refused_where_a_matrix_is_read(call, given):
     # each raised a bare TypeError ("'float' object is not iterable")
     with pytest.raises(ValidationError, match=f"^{given} is not a matrix given as rows$"):
+        call()
+
+
+@pytest.mark.parametrize("call, given", [
+    (lambda: homology(chain_complex_of(circle()), 1).coords_of(5), "5"),
+    (lambda: homology(chain_complex_of(circle()), 1).coords_of(2.0), r"2\.0"),
+    (lambda: vector_to_chain(circle(), 1, 5), "5"),
+], ids=["coords-scalar", "coords-float", "vector-to-chain-scalar"])
+def test_a_scalar_is_refused_where_a_vector_is_read(call, given):
+    # each raised a bare TypeError ("'int' object is not iterable")
+    with pytest.raises(ValidationError, match=f"^{given} is not a vector$"):
         call()
 
 

@@ -1,7 +1,9 @@
-"""The Smith normal form certifies U A V = D at every size."""
+"""The Smith normal form certifies U A V = D, U u_inv = I and V v_inv = I
+at every size."""
 
 import pytest
 
+from capstar import elimination
 from capstar import intlinalg as la
 from capstar.bridge import chain_complex_of
 from capstar.complexes import barycentric_subdivide
@@ -58,3 +60,19 @@ def test_certificate_rejects_one_corrupted_entry_of_u_v_or_d():
                     (f.U, f.V, _with_entry_added(f.D, r, r))]:
         with pytest.raises(AssertionError, match="^smith reduction lost the factorization$"):
             la._certify(u, a, v, d)
+
+
+@pytest.mark.parametrize("name", ["u_inv", "v_inv"])
+def test_a_corrupted_inverse_is_rejected(monkeypatch, name):
+    # d_2 of the Klein bottle at sd^1; U A V == D still holds, so only
+    # U u_inv == I or V v_inv == I can catch the corruption
+    a = chain_complex_of(barycentric_subdivide(klein_bottle()).complex).sparse_d(2)
+    factors = elimination._factors
+
+    def corrupted(rec):
+        f = factors(rec)
+        return f._replace(**{name: _with_entry_added(getattr(f, name), 0, 0)})
+
+    monkeypatch.setattr(elimination, "_factors", corrupted)
+    with pytest.raises(AssertionError, match="^smith reduction lost the factorization$"):
+        la.smith_normal_form(a)
