@@ -281,14 +281,17 @@ def chain_to_vector(c: SimplicialChain, y: Subcomplex | None = None) -> list:
 
 def vector_to_chain(x: SimplicialComplex, degree: int, v,
                     y: Subcomplex | None = None) -> SimplicialChain:
-    """The chain with coordinates `v` in the basis of C(X)/C(Y), lifted
-    to C(X) by zero on `y`: the transpose of the quotient projection."""
+    """The chain with coordinates `v`, one per basis element, in the basis
+    of C(X)/C(Y), lifted to C(X) by zero on `y`: the transpose of the
+    quotient projection."""
     basis = _basis(x, y, degree)
     try:
-        coefficients = dict(zip(basis, v))
+        v = la._vector(v)
     except TypeError:  # a scalar: no entries to read
         raise ValidationError(f"{v!r:.80} is not a vector") from None
-    return SimplicialChain(x, degree, coefficients)
+    if len(v) != len(basis):
+        raise ValidationError(f"vector has {len(v)} entries for {len(basis)} basis elements")
+    return SimplicialChain(x, degree, dict(zip(basis, v)))
 
 
 vector_to_cochain = vector_to_chain

@@ -15,17 +15,18 @@ reduced:
 
 Boundary matrices pivot almost only on units, so the record is far
 smaller than the five factors: on the benchmark's matrices the residue
-is absent or a single row.  `intlinalg.smith_normal_form` assembles the
-five factors from the record (`_factors`); `chains.homology` reads from
-it only what it uses: the kernel columns (`kernel`, by back
-substitution through E), the kernel coordinates of the incoming
-differential (`kernel_coordinates`, a row selection of it), the
-coordinate rows past the rank (`left_rows` and `u_rows`, from L) and the
-generators' columns of u_inv (`u_inv_columns`, selections of the residue
-rows).  Each reader is certified by its caller: `_certify_elimination`
-(A == L W, with the residue's own certificate), `_certify_kernel` and
-`_certify_left_rows`; `chains` says why these imply the groups.
-Nothing here loads numpy.
+is absent or a single row.  `intlinalg.smith_normal_form` has the
+residue start at the first pivot (`whole`), so that the loop tracks the
+five factors of all of A; `chains.homology` reads from the record only
+what it uses: the kernel columns (`kernel`, by back substitution through
+E), the kernel coordinates of the incoming differential
+(`kernel_coordinates`, a row selection of it), the coordinate rows past
+the rank (`left_rows` and `u_rows`, from L) and the generators' columns
+of u_inv (`u_inv_columns`, selections of the residue rows).  Each
+reader is certified by its caller: `_certify_elimination` (A == L W,
+with the residue's own certificate), `_certify_kernel` and
+`_certify_left_rows`; `chains` says why these imply the groups.  Nothing
+here loads numpy.
 """
 
 from __future__ import annotations
@@ -42,25 +43,25 @@ def _positions(labels) -> list:
     return pos
 
 
-def _triangular_inverse(lines, labels, lo: int) -> list:
-    """Line t of G^-1 for t < len(lines), keyed by position minus `lo`
-    and kept on the positions from `lo` on.  G is triangular with a unit
+def _triangular_inverse(lines, labels) -> list:
+    """Line t of G^-1 for t < r0 = len(lines), on the positions from r0
+    on, keyed by position minus r0.  G is triangular with a unit
     diagonal: its line t is `lines[t]`, keyed by label (position p holds
     `labels[p]`), with the unit at labels[t] and every other entry at a
-    later position, and its lines from len(lines) on are those of the
-    identity.  With E's rows this is back substitution (rows of G^-1);
-    with L's columns, forward substitution read backwards (its columns).
-    Each line combines the lines already solved that it meets, so the
-    cost follows the nonzeros."""
+    later position, and its lines from r0 on are those of the identity.
+    With E's rows this is back substitution (rows of G^-1); with L's
+    columns, forward substitution read backwards (its columns).  Each
+    line combines the lines already solved that it meets, so the cost
+    follows the nonzeros."""
     r0, pos = len(lines), _positions(labels)
     out = [None] * r0
     for t in range(r0 - 1, -1, -1):
         line = lines[t]
-        acc = {t - lo: 1} if t >= lo else {}
+        acc = {}
         for x, e in line.items():
             p = pos[x]
             if p >= r0:
-                acc[p - lo] = acc.get(p - lo, 0) - e
+                acc[p - r0] = acc.get(p - r0, 0) - e
             elif p != t:
                 for k, z in out[p].items():
                     acc[k] = acc.get(k, 0) - e * z
@@ -69,19 +70,9 @@ def _triangular_inverse(lines, labels, lo: int) -> list:
     return out
 
 
-def _through(line: dict, r0: int, rows) -> dict:
-    """`line`, keyed by position, with its part from r0 on multiplied by
-    the residue matrix whose rows are `rows`."""
-    head = {p: x for p, x in line.items() if p < r0}
-    tail = la._times({p - r0: x for p, x in line.items() if p >= r0}, rows)
-    head.update((r0 + k, y) for k, y in tail.items())
-    return head
-
-
 class Elimination(Record):
     """The record of a Smith reduction of an m x n matrix A, in A's own
-    row and column labels; `smith_normal_form` assembles the five
-    factors from it, and `chains.homology` reads it directly.
+    row and column labels, which `chains.homology` reads directly.
 
     The reduction takes unit pivots for as long as the trailing block has
     a ±1 (`pivot` takes every unit before any other entry).  `rows` and
@@ -101,6 +92,8 @@ class Elimination(Record):
       V = Q C diag(I, V_B)         v_inv = diag(I, v_inv_B) [E; 0 I] Q^T
 
     so u_inv's first r0 columns are L and v_inv's first r0 rows are E.
+    These are the factors the loop tracks with `eliminate`'s `whole`;
+    the readers below form the parts of them that `homology` uses.
     """
 
     _fields = ("shape", "rows", "cols", "L", "E", "block", "residue")
@@ -119,7 +112,7 @@ class Elimination(Record):
         residue it is the identity on the residue columns, and back
         substitution through E gives its pivot rows."""
         n, r0, cols = self.shape[1], len(self.E), self.cols
-        body = _triangular_inverse(self.E, cols, r0)
+        body = _triangular_inverse(self.E, cols)
         if self.residue is None:
             tail = [{k: 1} for k in range(n - r0)]
         else:
@@ -156,7 +149,7 @@ class Elimination(Record):
         without a residue)."""
         r0, rows = len(self.E), self.rows
         ys = [{x: 1} for x in rows[r0:]]
-        for x, col in zip(rows, _triangular_inverse(self.L, rows, r0)):
+        for x, col in zip(rows, _triangular_inverse(self.L, rows)):
             for k, z in col.items():
                 ys[k][x] = z
         return ys
@@ -180,7 +173,7 @@ class Elimination(Record):
         return [{rows[r0 + k]: e for k, e in cols[i - r0].items()} for i in keep]
 
 
-def eliminate(a) -> Elimination:
+def eliminate(a, *, whole: bool = False) -> Elimination:
     """The record of the Smith reduction of a SparseMatrix or anything
     `SparseMatrix.of` reads.
 
@@ -195,10 +188,12 @@ def eliminate(a) -> Elimination:
     is the residue, and from there the same step updates the residue's
     own factors (U and u_inv through `add_row`, V and v_inv through the
     row step) and runs the divisibility fix-up, which adds an offending
-    row through `add_row` and repeats the step.  Nothing here certifies
-    the record: `smith_normal_form` certifies the factors it assembles,
-    and `homology` what it reads (`_certify_elimination`,
-    `_certify_kernel`, `_certify_left_rows`).
+    row through `add_row` and repeats the step.  With `whole` the
+    residue is all of A from the start, so its factors are A's (the
+    identities and a zero D for a zero matrix).  Nothing here certifies
+    the record: `smith_normal_form` certifies those factors, and
+    `homology` what it reads (`_certify_elimination`, `_certify_kernel`,
+    `_certify_left_rows`).
     """
     a = la.SparseMatrix.of(a)
     m, n = a.shape
@@ -208,7 +203,7 @@ def eliminate(a) -> Elimination:
     # two positions, and only the residue's factors follow positions
     row_of, col_of, pos_r, pos_c = list(range(m)), list(range(n)), list(range(m)), list(range(n))
     L, E = [], []
-    rows = cols = block = u = u_inv = v = v_inv = None  # set at the first non-unit pivot
+    rows = cols = block = u = u_inv = v = v_inv = None  # set where the residue starts
 
     def add_row(dst, q, src):
         # row dst of w += q * row src, keeping the column index; the
@@ -255,13 +250,10 @@ def eliminate(a) -> Elimination:
                 return i, min(map(pos_c.__getitem__, hits))
         return None
 
-    t = 0
-    bound = min(m, n)
-    while t < bound:
-        pos = pivot(t)
-        if pos is None:
-            break
-        if u is None and abs(w[row_of[pos[0]]][col_of[pos[1]]]) != 1:
+    t, bound = 0, min(m, n)
+    while True:
+        pos = pivot(t) if t < bound else None
+        if u is None and (whole or pos and abs(w[row_of[pos[0]]][col_of[pos[1]]]) != 1):
             # the residue: the trailing block, reduced from here on with
             # factors of its own size, which start at the identity
             rows, cols = tuple(row_of), tuple(col_of)
@@ -269,6 +261,8 @@ def eliminate(a) -> Elimination:
                 {pos_c[j] - t: e for j, e in w[x].items()} for x in rows[t:]))
             u, u_inv = ([None] * t + list(la.sparse_identity(m - t)._row_dicts) for _ in "uu")
             v, v_inv = ([None] * t + list(la.sparse_identity(n - t)._row_dicts) for _ in "vv")
+        if pos is None:
+            break
         swap_rows(t, pos[0])
         swap_cols(t, pos[1])
         while True:
@@ -340,50 +334,15 @@ def eliminate(a) -> Elimination:
     return Elimination((m, n), rows, cols, tuple(L), tuple(E), block, la.SmithDecomposition(residue))
 
 
-def _factors(rec: Elimination) -> la.Factors:
-    """The five factors of the reduction that `rec` records (see
-    `Elimination`), with D's unit block the identity."""
-    (m, n), r0, rows, cols, f = rec.shape, len(rec.E), rec.rows, rec.cols, rec.residue
-    if f is not None and not r0:
-        return f.sparse  # no unit pivot: nothing was swapped, A is the block
-    u = [{x: 1} if p >= r0 else {} for p, x in enumerate(rows)]
-    for x, col in zip(rows, _triangular_inverse(rec.L, rows, 0)):
-        for p, z in col.items():
-            u[p][x] = z
-    u_inv = list(rec.L) + [{x: 1} for x in rows[r0:]]
-    v_body = _triangular_inverse(rec.E, cols, 0)
-    v_tail = [{p: 1} for p in range(r0, n)]
-    v_inv = list(rec.E) + [{c: 1} for c in cols[r0:]]
-    d = list(la.sparse_identity(r0)._row_dicts) + [{} for _ in range(m - r0)]
-    if f is not None:
-        f = f.sparse
-        base = u[r0:]
-        u[r0:] = [la._times(row, base) for row in f.U._row_dicts]
-        u_inv[r0:] = [{rows[r0 + i]: e for i, e in col.items()} for col in f.u_inv._col_dicts]
-        vb = f.V._row_dicts
-        v_body = [_through(row, r0, vb) for row in v_body]
-        v_tail = [{r0 + k: e for k, e in row.items()} for row in vb]
-        v_inv[r0:] = [{cols[r0 + k]: e for k, e in row.items()} for row in f.v_inv._row_dicts]
-        d[r0:] = [{r0 + k: e for k, e in row.items()} for row in f.D._row_dicts]
-    v = [None] * n
-    for c, row in zip(cols, v_body + v_tail):
-        v[c] = row
-    return la.Factors(
-        U=la.SparseMatrix((m, m), tuple(u)), D=la.SparseMatrix((m, n), tuple(d)),
-        V=la.SparseMatrix((n, n), tuple(v)), u_inv=la.SparseMatrix((m, m), _cols=tuple(u_inv)),
-        v_inv=la.SparseMatrix((n, n), tuple(v_inv)),
-    )
-
-
 def _certify_elimination(rec: Elimination, a: la.SparseMatrix) -> None:
     """Exact check that `rec` records a reduction of `a`: `rows` and
-    `cols` are permutations, L is lower and E upper triangular in them
-    with the pivots ±1 and 1, P A == L W on every row with the residue
-    rows as W's last block, and the residue has its own certificate.
-    With E's unit pivots this fixes the rank and shows that the pivot
-    columns of A are independent."""
+    `cols` are permutations, L has a column for each line of E, L is
+    lower and E upper triangular in them with the pivots ±1 and 1,
+    P A == L W on every row with the residue rows as W's last block, and
+    the residue has its own certificate.  With E's unit pivots this fixes
+    the rank and shows that the pivot columns of A are independent."""
     (m, n), r0, rows, cols = rec.shape, len(rec.E), rec.rows, rec.cols
-    if a.shape != (m, n) or sorted(rows) != list(range(m)) or sorted(cols) != list(range(n)):
+    if (a.shape, len(rec.L), sorted(rows), sorted(cols)) != ((m, n), r0, [*range(m)], [*range(n)]):
         raise AssertionError("elimination record does not fit the matrix")
     pos_r, pos_c = _positions(rows), _positions(cols)
     # A - L W, a column of L at a time, formed in place

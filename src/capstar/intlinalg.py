@@ -13,9 +13,10 @@ same step, and a unit pivot, which boundary matrices nearly always
 have, leaves a record instead of updating factors: its multipliers (L)
 and its row as eliminated (E); the block left at the first pivot that
 is not a unit is the residue, reduced with factors of its own size.
-`smith_normal_form` assembles U, D, V, u_inv and v_inv from that record
-and certifies U @ (A @ V) == D, U @ u_inv == I and V @ v_inv == I
-exactly, on the nonzeros, on every call at every size: a unimodular
+`smith_normal_form` has the residue start at the first pivot, so the
+same loop tracks U, D, V, u_inv and v_inv of the whole matrix, and
+certifies U @ (A @ V) == D, U @ u_inv == I, V @ v_inv == I and that D
+is a Smith form exactly, on every call at every size: a unimodular
 factorisation with exactly those inverses.  `kernel_basis` reads the
 kernel off the record, as `homology` does.  The public functions take a
 SparseMatrix or nested sequences, and read a numpy array or scalar they
@@ -296,11 +297,10 @@ class Factors(NamedTuple):
 class SmithDecomposition(Record):
     """U @ A @ V == D with U, V unimodular and D diagonal, d1 | d2 | ...
 
-    `u_inv` and `v_inv` are the exact inverses, assembled with U and V
-    from the reduction's record (never computed by inversion after the
-    fact).  The factors are kept sparse in `sparse`; `U`, `D`, `V`,
-    `u_inv` and `v_inv` are their dense object arrays, built on each
-    request.
+    `u_inv` and `v_inv` are the exact inverses, tracked with U and V by
+    the reduction loop (never computed by inversion after the fact).
+    The factors are kept sparse in `sparse`; `U`, `D`, `V`, `u_inv` and
+    `v_inv` are their dense object arrays, built on each request.
     """
 
     _fields = ("sparse",)
@@ -346,14 +346,14 @@ def _vanishes(a: SparseMatrix, b: SparseMatrix) -> bool:
 
 
 def _certify(u, a, v, d, u_inv=None, v_inv=None) -> None:
-    """Exact check of U @ A @ V == D and, given the inverses, of
-    U @ u_inv == I and V @ v_inv == I: A V is formed first, a column at
-    a time from the columns of A that each column of V meets, then U
-    times it, a row at a time; each product on the nonzeros, so a
-    selection costs one term per entry.  With the inverses this is a
-    unimodular factorisation with exactly those inverses.  The operands
-    are sparse, as the reduction made them, or anything
-    `SparseMatrix.of` reads."""
+    """Exact check of U @ A @ V == D, of U @ u_inv == I and V @ v_inv == I
+    where the inverses are given, and that D is a Smith form: A V is
+    formed first, a column at a time from the columns of A that each
+    column of V meets, then U times it, a row at a time; each product on
+    the nonzeros, so a selection costs one term per entry.  With the
+    inverses this is a unimodular factorisation with exactly those
+    inverses.  The operands are sparse, as the reduction made them, or
+    anything `SparseMatrix.of` reads."""
     u, a, v, d = (m if isinstance(m, SparseMatrix) else SparseMatrix.of(m) for m in (u, a, v, d))
     if u @ (v.T @ a.T).T != d:
         raise AssertionError("smith reduction lost the factorization")
@@ -363,20 +363,28 @@ def _certify(u, a, v, d, u_inv=None, v_inv=None) -> None:
             if f_inv.shape != f.shape or not all(
                     _is_product(row, rows, {i: 1}) for i, row in enumerate(f._row_dicts)):
                 raise AssertionError("smith reduction lost the factorization")
+    # D is diagonal, positive, each entry dividing the next, zeros last
+    last = 1
+    for i, row in enumerate(d._row_dicts):
+        e = row.get(i, 0)
+        if len(row) != (e != 0) or e < 0 or (e % last if last else e):
+            raise AssertionError("smith reduction did not reach a Smith form")
+        last = e
 
 
 def smith_normal_form(a) -> SmithDecomposition:
     """Exact Smith normal form over the integers, of a SparseMatrix or
-    anything `SparseMatrix.of` reads: the five factors assembled from
-    the record of `elimination.eliminate`.  U @ (A @ V) == D,
-    U @ u_inv == I and V @ v_inv == I are certified exactly at every
-    size before returning."""
+    anything `SparseMatrix.of` reads: the factors that the reduction loop
+    tracks with `elimination.eliminate`'s `whole`.  U @ (A @ V) == D,
+    U @ u_inv == I, V @ v_inv == I and that D is a Smith form are
+    certified exactly at every size before returning."""
     from . import elimination  # it builds on this module
 
     a = SparseMatrix.of(a)
-    f = elimination._factors(elimination.eliminate(a))
+    snf = elimination.eliminate(a, whole=True).residue
+    f = snf.sparse
     _certify(f.U, a, f.V, f.D, f.u_inv, f.v_inv)
-    return SmithDecomposition(f)
+    return snf
 
 
 def kernel_basis(a) -> SparseMatrix:

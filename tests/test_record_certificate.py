@@ -108,3 +108,16 @@ def test_deleting_the_check_lets_the_corruption_through(monkeypatch, case):
     monkeypatch.setattr(elimination, check, lambda *args: None)
     k = _complex()
     assert [chains.homology(k, n).degree for n in range(3)] == [0, 1, 2]
+
+
+def test_a_record_with_an_extra_pivot_row_is_rejected():
+    # A = [[1, 0], [0, 0]] has rank 1; an E line without its column of L
+    # claimed rank 2, and pairing L with E silently dropped it
+    a = la.SparseMatrix.of([[1, 0], [0, 0]])
+    rec = elimination.eliminate(a)
+    elimination._certify_elimination(rec, a)
+    extra = elimination.Elimination(rec.shape, rec.rows, rec.cols, rec.L, rec.E + ({1: 1},),
+                                    rec.block, rec.residue)
+    assert extra.rank == 2
+    with pytest.raises(AssertionError, match="^elimination record does not fit the matrix$"):
+        elimination._certify_elimination(extra, a)

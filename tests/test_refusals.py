@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from capstar import intlinalg as la
-from capstar.bridge import SimplicialChain, SimplicialCochain, chain_complex_of, vector_to_chain
+from capstar.bridge import (
+    SimplicialChain,
+    SimplicialCochain,
+    chain_complex_of,
+    vector_to_chain,
+    vector_to_cochain,
+)
 from capstar.chains import HomologyGroup, chain_complex, chain_map, homology
 from capstar.errors import ValidationError
 from capstar.fixtures import circle, interval_pair
@@ -82,6 +88,16 @@ def test_coords_of_refuses_a_vector_of_the_wrong_length():
         h1.coords_of([1, 1])
     with pytest.raises(ValidationError, match="cycle has the wrong length"):
         h1.coords_of([1, -1, 1, 0])
+
+
+@pytest.mark.parametrize("lift", [vector_to_chain, vector_to_cochain], ids=["chain", "cochain"])
+def test_vector_to_chain_refuses_a_vector_of_the_wrong_length(lift):
+    # the circle has three edges: a 4th entry was dropped, a missing one read as 0
+    with pytest.raises(ValidationError, match="^vector has 4 entries for 3 basis elements$"):
+        lift(circle(), 1, [1, 2, 3, 4])
+    with pytest.raises(ValidationError, match="^vector has 1 entries for 3 basis elements$"):
+        lift(circle(), 1, [5])
+    assert lift(circle(), 1, [1, 2, 3]).coefficients == {(1, 2): 1, (1, 3): 2, (2, 3): 3}
 
 
 def test_coords_of_refuses_a_vector_that_is_not_a_cycle():
