@@ -30,25 +30,27 @@ of the degree it maps into) and S the residue columns of A's record:
      its pivot and zeros at the earlier pivots, over the residue block
      B, which has its own certificate.  So the pivot columns of A are
      independent, rank A = r0 + rank B, and a vector of ker A is fixed
-     by its part on S, which lies in ker B.
-  2. a k == 0 for every kernel column k (`_certify_kernel`).  On S the
-     columns are V_B's past B's rank, a basis of ker B; without a
-     residue they are the identity there, so K is the only basis of
-     ker A that is the identity on S.  Either way K is a Z-basis of
-     ker A, and since it lies in ker a, which ker A contains, of ker a.
-  3. a b == 0 (the d o d check).  So b lies in ker a, and its
-     coordinates in K are read off S: a row selection of b, through
-     v_inv_B with a residue.  That is the matrix C eliminated next.
-  4. y C is the residue row for every row y built from L
+     by its part on S, which lies in ker B: ker A has one Z-basis K,
+     V_B's columns past B's rank on S (the identity without a residue).
+  2. a b == 0, checked once, when the complex is built (`ChainComplexZ`).
+     So b lies in ker a, which ker A contains, and its coordinates in K
+     are read off S: a row selection of b, through v_inv_B with a
+     residue.  That is the matrix C eliminated next.
+  3. y C is the residue row for every row y built from L
      (`_certify_left_rows`): zero without a residue, so each free
      coordinate row kills the boundaries.  E has full row rank, so y
      is a row of L^-1 P, and the coordinate rows U[keep] are those of
      the unimodular U; with u_inv's selections of the residue rows they
      invert the generators.
+  4. a g == 0 for every generator g, free and torsion
+     (`_certify_kernel`).  The columns of u_inv outside `keep` have
+     invariant factor 1, so lie in im C: the generators and the
+     boundaries span ker A, and both lie in ker a, so ker A = ker a.
 
 So H_n = ker a / im b, which is coker C, is Z^betti plus Z/t_i for the
-invariant factors t_i > 1 of C, with generators K u_inv[:, keep] and
-coordinates U[keep] v_inv[r:].
+invariant factors t_i > 1 of C, with generators K u_inv[:, keep], read
+as u_inv[:, keep] on S (through V_B) and back-substituted through E,
+never forming K, and coordinates U[keep] v_inv[r:].
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ __all__ = [
 
 
 class ChainComplexZ(Record):
-    """Graded free Z-modules with differentials of degree +1 or -1."""
+    """Graded free Z-modules with differentials of degree +1 or -1, d o d = 0."""
 
     # ranks: degree -> rank (> 0 entries only); sparse: degree -> nonzero
     # SparseMatrix out of that degree.  Kept: the homology group at each
@@ -89,6 +91,13 @@ class ChainComplexZ(Record):
     # degree j's group takes it, the elimination record of d_j in the
     # kernel coordinates of the degree it maps into (("snf", j))
     _fields = ("diff_degree", "ranks", "sparse")
+
+    def __init__(self, diff_degree: int, ranks: dict, sparse: dict):
+        super().__init__(diff_degree, ranks, sparse)
+        for n in ranks:
+            # exact, a row of the product at a time, so memory stays one row
+            if not la._vanishes(self.sparse_d(n + diff_degree), self.sparse_d(n)):
+                raise ValidationError(f"d o d != 0 out of degree {n}")
 
     def rank(self, n: int) -> int:
         return self.ranks.get(n, 0)
@@ -145,12 +154,7 @@ def chain_complex(diff_degree: int, ranks: dict, differentials: dict) -> ChainCo
             )
         if m.any():
             diffs[n] = m
-    k = ChainComplexZ(diff_degree=diff_degree, ranks=ranks, sparse=diffs)
-    for n in ranks:
-        # exact, a row of the product at a time, so memory stays one row
-        if not la._vanishes(k.sparse_d(n + diff_degree), k.sparse_d(n)):
-            raise ValidationError(f"d o d != 0 out of degree {n}")
-    return k
+    return ChainComplexZ(diff_degree=diff_degree, ranks=ranks, sparse=diffs)
 
 
 class ChainMap(Record):
@@ -236,11 +240,10 @@ class HomologyGroup(Record):
 
     def __init__(self, degree: int, betti: int, torsion: tuple, cycle_basis: tuple = None,
                  _gens: la.SparseMatrix = None, _cycle_test: la.SparseMatrix = None,
-                 _coords: la.SparseMatrix = None, _kernel: la.SparseMatrix = None):
+                 _coords: la.SparseMatrix = None):
         # _gens, rows: the generators in chain coordinates, dim x rank of
         # the degree; _coords, rows: the canonical coordinates of a cycle,
-        # dim x rank of the degree; _kernel, columns: a basis of the
-        # cycles, V[:, r:] of the first Smith decomposition
+        # dim x rank of the degree
         if cycle_basis is not None:
             # each row read once, as Python ints: the caller's rows are not kept
             try:
@@ -250,7 +253,7 @@ class HomologyGroup(Record):
                     f"{cycle_basis!r:.80} is not a matrix given as rows") from None
             _gens = la.SparseMatrix.of(rows)
         vars(self).update(degree=degree, betti=betti, torsion=torsion, _gens=_gens,
-                          _cycle_test=_cycle_test, _coords=_coords, _kernel=_kernel)
+                          _cycle_test=_cycle_test, _coords=_coords)
         if _gens is None and self.dim:
             raise ValidationError(f"a group of rank {self.dim} needs a cycle basis")
 
@@ -367,9 +370,9 @@ def homology(k: ChainComplexZ, degree: int) -> HomologyGroup:
     j + e it maps into (e = `diff_degree`): its record F_j is that of
     v_inv[r:] d_j, with v_inv and r from F_{j+e}, or of d_j itself where
     the differential out of j + e is zero; either way it has the kernel
-    and rank of d_j.  Degree n reads its cycles from F_n (the kernel
-    columns, v_inv[r:]) and its generators and coordinates from F_{n-e}
-    (rows of U and columns of u_inv past the rank, and the invariant
+    and rank of d_j.  Degree n reads its cycles from F_n (E and
+    v_inv[r:]) and its generators and coordinates from F_{n-e} (rows
+    of U and columns of u_inv past the rank, and the invariant
     factors), so the basis depends on the complex alone.  The walk goes
     toward the degree each differential maps into, to a zero
     differential or to the F_j that the group above left on `k` as
@@ -389,13 +392,9 @@ def homology(k: ChainComplexZ, degree: int) -> HomologyGroup:
             rec_a = eliminate(a)
             elimination._certify_elimination(rec_a, a)
         else:
-            if not la._vanishes(a, b):
-                raise InternalCheckError("boundaries are not cycles; d o d != 0")
             b = rec_a.kernel_coordinates(b)
         rec_c = eliminate(b)
         elimination._certify_elimination(rec_c, b)
-        kernel = rec_a.kernel()  # columns: a basis of the cycles
-        elimination._certify_kernel(a, kernel)
         left_rows = rec_c.left_rows()
         elimination._certify_left_rows(rec_c, left_rows, b)
         r_a, r_c, n = rec_a.rank, rec_c.rank, k.rank(j)
@@ -403,17 +402,17 @@ def homology(k: ChainComplexZ, degree: int) -> HomologyGroup:
         free_idx = list(range(r_c, n - r_a))
         tors_idx = [i for i in range(r_c) if factors[i] > 1]
         keep = free_idx + tors_idx
-        cycles, coords = kernel._col_dicts, rec_a.kernel_coordinate_rows()
+        gens = rec_a.kernel(rec_c.u_inv_columns(keep))  # columns: K u_inv[:, keep]
+        elimination._certify_kernel(a, gens)
+        coords = rec_a.kernel_coordinate_rows()
         kept[j] = HomologyGroup(
             degree=j,
             betti=len(free_idx),
             torsion=tuple(factors[i] for i in tors_idx),
-            _gens=la.SparseMatrix((len(keep), n), tuple(
-                la._times(col, cycles) for col in rec_c.u_inv_columns(keep))),
+            _gens=la.SparseMatrix((len(keep), n), la._transposed(gens._row_dicts, len(keep))),
             _cycle_test=a,
             _coords=la.SparseMatrix((len(keep), n), tuple(
                 la._times(row, coords) for row in rec_c.u_rows(keep, left_rows))),
-            _kernel=kernel,
         )
         rec_a = rec_c
     if degree - eps in k.sparse:

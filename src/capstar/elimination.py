@@ -18,15 +18,15 @@ smaller than the five factors: on the benchmark's matrices the residue
 is absent or a single row.  `intlinalg.smith_normal_form` has the
 residue start at the first pivot (`whole`), so that the loop tracks the
 five factors of all of A; `chains.homology` reads from the record only
-what it uses: the kernel columns (`kernel`, by back substitution through
-E), the kernel coordinates of the incoming differential
-(`kernel_coordinates`, a row selection of it), the coordinate rows past
-the rank (`left_rows` and `u_rows`, from L) and the generators' columns
-of u_inv (`u_inv_columns`, selections of the residue rows).  Each
-reader is certified by its caller: `_certify_elimination` (A == L W,
-with the residue's own certificate), `_certify_kernel` and
-`_certify_left_rows`; `chains` says why these imply the groups.  Nothing
-here loads numpy.
+what it uses: the generators (`kernel`, their columns of u_inv put on
+the residue columns and back-substituted through E in one pass), the
+kernel coordinates of the incoming differential (`kernel_coordinates`,
+a row selection of it), the coordinate rows past the rank (`left_rows`
+and `u_rows`, from L) and the generators' columns of u_inv
+(`u_inv_columns`, selections of the residue rows).  Each reader is
+certified by its caller: `_certify_elimination` (A == L W, with the
+residue's own certificate), `_certify_kernel` and `_certify_left_rows`;
+`chains` says why these imply the groups.  Nothing here loads numpy.
 """
 
 from __future__ import annotations
@@ -43,26 +43,23 @@ def _positions(labels) -> list:
     return pos
 
 
-def _triangular_inverse(lines, labels) -> list:
-    """Line t of G^-1 for t < r0 = len(lines), on the positions from r0
-    on, keyed by position minus r0.  G is triangular with a unit
-    diagonal: its line t is `lines[t]`, keyed by label (position p holds
+def _triangular_inverse(lines, labels, tail) -> list:
+    """G^-1 X by lines, for G triangular with a unit diagonal: its line
+    t < r0 = len(lines) is `lines[t]`, keyed by label (position p holds
     `labels[p]`), with the unit at labels[t] and every other entry at a
-    later position, and its lines from r0 on are those of the identity.
-    With E's rows this is back substitution (rows of G^-1); with L's
-    columns, forward substitution read backwards (its columns).  Each
-    line combines the lines already solved that it meets, so the cost
+    later position, and its lines from r0 on are the identity's.  X is
+    zero before r0 and `tail` from there.  With E's rows this is back
+    substitution (rows of G^-1 X); with L's columns and X = [0; I],
+    forward substitution read backwards (columns of L^-1).  Each line
+    combines the lines already solved that it meets, so the cost
     follows the nonzeros."""
     r0, pos = len(lines), _positions(labels)
-    out = [None] * r0
+    out = [None] * r0 + list(tail)
     for t in range(r0 - 1, -1, -1):
-        line = lines[t]
-        acc = {}
+        line, acc = lines[t], {}
         for x, e in line.items():
             p = pos[x]
-            if p >= r0:
-                acc[p - r0] = acc.get(p - r0, 0) - e
-            elif p != t:
+            if p != t:
                 for k, z in out[p].items():
                     acc[k] = acc.get(k, 0) - e * z
         s = line[labels[t]]
@@ -107,23 +104,19 @@ class Elimination(Record):
         tail = self.residue.invariant_factors() if self.residue else ()
         return (1,) * len(self.E) + tail
 
-    def kernel(self) -> la.SparseMatrix:
-        """V[:, r:], by rows: a basis of the kernel of A.  Without a
-        residue it is the identity on the residue columns, and back
-        substitution through E gives its pivot rows."""
-        n, r0, cols = self.shape[1], len(self.E), self.cols
-        body = _triangular_inverse(self.E, cols)
-        if self.residue is None:
-            tail = [{k: 1} for k in range(n - r0)]
-        else:
+    def kernel(self, x: la.SparseMatrix) -> la.SparseMatrix:
+        """V[:, r:] @ x, by rows (a basis of the kernel of A for x the
+        identity): x on the residue columns, through V_B's rows past B's
+        rank where there is a residue, and E's back substitution above."""
+        n, cols, tail = self.shape[1], self.cols, x._row_dicts
+        if self.residue is not None:
             rb = self.residue.rank
-            tail = [{k - rb: e for k, e in row.items() if k >= rb}
+            tail = [la._times({k - rb: e for k, e in row.items() if k >= rb}, tail)
                     for row in self.residue.sparse.V._row_dicts]
-            body = [la._times(x, tail) for x in body]
         rows = [None] * n
-        for c, row in zip(cols, body + tail):
+        for c, row in zip(cols, _triangular_inverse(self.E, cols, tail)):
             rows[c] = row
-        return la.SparseMatrix((n, n - self.rank), tuple(rows))
+        return la.SparseMatrix((n, x.shape[1]), tuple(rows))
 
     def kernel_coordinate_rows(self) -> list:
         """The rows of v_inv[r:], keyed by column: coordinate selections
@@ -149,7 +142,8 @@ class Elimination(Record):
         without a residue)."""
         r0, rows = len(self.E), self.rows
         ys = [{x: 1} for x in rows[r0:]]
-        for x, col in zip(rows, _triangular_inverse(self.L, rows)):
+        identity = [{k: 1} for k in range(len(ys))]
+        for x, col in zip(rows[:r0], _triangular_inverse(self.L, rows, identity)):
             for k, z in col.items():
                 ys[k][x] = z
         return ys
@@ -162,15 +156,17 @@ class Elimination(Record):
         ub = self.residue.sparse.U._row_dicts
         return [la._times(ub[i - r0], left_rows) for i in keep]
 
-    def u_inv_columns(self, keep) -> list:
+    def u_inv_columns(self, keep) -> la.SparseMatrix:
         """The columns `keep` (positions from r0 on) of u_inv, keyed by
         row of A: coordinate selections of the residue rows, through
         u_inv_B where there is a residue."""
         r0, rows = len(self.E), self.rows
         if self.residue is None:
-            return [{rows[i]: 1} for i in keep]
-        cols = self.residue.sparse.u_inv._col_dicts
-        return [{rows[r0 + k]: e for k, e in cols[i - r0].items()} for i in keep]
+            cols = [{rows[i]: 1} for i in keep]
+        else:
+            b = self.residue.sparse.u_inv._col_dicts
+            cols = [{rows[r0 + k]: e for k, e in b[i - r0].items()} for i in keep]
+        return la.SparseMatrix((self.shape[0], len(cols)), _cols=tuple(cols))
 
 
 def eliminate(a, *, whole: bool = False) -> Elimination:
@@ -336,13 +332,16 @@ def eliminate(a, *, whole: bool = False) -> Elimination:
 
 def _certify_elimination(rec: Elimination, a: la.SparseMatrix) -> None:
     """Exact check that `rec` records a reduction of `a`: `rows` and
-    `cols` are permutations, L has a column for each line of E, L is
-    lower and E upper triangular in them with the pivots ±1 and 1,
-    P A == L W on every row with the residue rows as W's last block, and
-    the residue has its own certificate.  With E's unit pivots this fixes
-    the rank and shows that the pivot columns of A are independent."""
+    `cols` are permutations, L has a column for each line of E and the
+    block fills the positions from r0 on, L is lower and E upper
+    triangular in them with the pivots ±1 and 1, P A == L W on every row
+    with the residue rows as W's last block, and the residue has its own
+    certificate.  With E's unit pivots this fixes the rank and shows
+    that the pivot columns of A are independent."""
     (m, n), r0, rows, cols = rec.shape, len(rec.E), rec.rows, rec.cols
-    if (a.shape, len(rec.L), sorted(rows), sorted(cols)) != ((m, n), r0, [*range(m)], [*range(n)]):
+    block = rec.block.shape if rec.residue else (m - r0, n - r0)
+    if (a.shape, len(rec.L), block, sorted(rows), sorted(cols)) != (
+            (m, n), r0, (m - r0, n - r0), [*range(m)], [*range(n)]):
         raise AssertionError("elimination record does not fit the matrix")
     pos_r, pos_c = _positions(rows), _positions(cols)
     # A - L W, a column of L at a time, formed in place

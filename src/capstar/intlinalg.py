@@ -18,9 +18,9 @@ same loop tracks U, D, V, u_inv and v_inv of the whole matrix, and
 certifies U @ (A @ V) == D, U @ u_inv == I, V @ v_inv == I and that D
 is a Smith form exactly, on every call at every size: a unimodular
 factorisation with exactly those inverses.  `kernel_basis` reads the
-kernel off the record, as `homology` does.  The public functions take a
-SparseMatrix or nested sequences, and read a numpy array or scalar they
-are handed through `sys.modules`.  numpy is loaded only by the dense
+kernel off the record, as `homology` reads its generators.  The public
+functions take a SparseMatrix or nested sequences, and read a numpy
+array or scalar they are handed through `sys.modules`.  numpy is loaded only by the dense
 remainder: `SparseMatrix.toarray` and the `U/D/V/u_inv/v_inv`
 properties of a `SmithDecomposition`.
 """
@@ -389,13 +389,14 @@ def smith_normal_form(a) -> SmithDecomposition:
 
 def kernel_basis(a) -> SparseMatrix:
     """Columns form a basis of the integer kernel lattice of `a`, read
-    from the elimination record and certified as `homology` does."""
+    from the elimination record as `homology` reads its generators, and
+    certified as they are."""
     from . import elimination  # it builds on this module
 
     a = SparseMatrix.of(a)
     rec = elimination.eliminate(a)
     elimination._certify_elimination(rec, a)
-    kernel = rec.kernel()
+    kernel = rec.kernel(sparse_identity(a.shape[1] - rec.rank))
     elimination._certify_kernel(a, kernel)
     return kernel
 

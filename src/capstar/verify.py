@@ -86,14 +86,14 @@ def _random_subcomplex(rng, x):
 
 
 def _random_closed(rng, k, x, degree, y=None):
-    """Random integer combination of the kernel basis of k.d(degree) that
-    `homology` keeps, with `k` a complex of (co)chains on `x` modulo `y`,
-    as a (co)chain on `x`; None when that kernel is trivial."""
-    kb = homology(k, degree)._kernel
-    if kb.shape[1] == 0:
+    """Random integer combination of the generators and the boundaries,
+    which span the cycles, with `k` a complex of (co)chains on `x` modulo
+    `y`, as a (co)chain on `x`; None when there are none to combine."""
+    span = la._hstack(homology(k, degree)._gens.T, k.sparse_d(degree - k.diff_degree))
+    if span.shape[1] == 0:
         return None
-    coeffs = [rng.randint(-2, 2) for _ in range(kb.shape[1])]
-    return vector_to_chain(x, degree, kb.apply(coeffs), y)
+    coeffs = [rng.randint(-2, 2) for _ in range(span.shape[1])]
+    return vector_to_chain(x, degree, span.apply(coeffs), y)
 
 
 def _random_cycle(rng, x, degree):

@@ -4,8 +4,8 @@ compares the library against.  Neither caches anything.
 `homology` is the library's definition: d_j is decomposed in the kernel
 coordinates of the degree j + e it maps into, and each call redoes that
 chain of decompositions from the degree whose outgoing differential is
-zero.  Betti numbers, torsion, generators, coordinate rows and kernels
-must agree with the library exactly.
+zero.  Betti numbers, torsion, generators and coordinate rows must
+agree with the library exactly.
 
 `homology_two_decompositions` is the definition the library had when
 every degree ran two Smith decompositions of its own: the cycles from
@@ -45,7 +45,6 @@ def _group(degree, a, snf_a, snf_c) -> HomologyGroup:
         _gens=snf_c.sparse.u_inv.T[keep] @ kernel,
         _cycle_test=a,
         _coords=snf_c.sparse.U[keep] @ snf_a.sparse.v_inv[r_a:],
-        _kernel=kernel.T,
     )
 
 

@@ -1,21 +1,25 @@
 """`homology` certifies what it reads from each elimination record: a
-corrupted multiplier, pivot-row entry, kernel-column entry or coordinate-
-row entry makes it raise, and deleting the one check that catches it
-lets the corruption through.
+corrupted multiplier, pivot-row entry, generator entry or coordinate-row
+entry makes it raise, and deleting the one check that catches it lets
+the corruption through.
 
-The complex is the 2-simplex at sd^1.  Its records, in the order
-`homology(k, 2)` makes them: d_0 (zero), d_1 (7 x 12, six pivots, one
-coordinate row, six kernel columns), d_2 in the kernel coordinates of
-degree 1 (6 x 6, six pivots, no coordinate row, no kernel column) and
-the zero incoming differential of degree 2.  So the third record's L and
-E are read by the record check alone, d_1's kernel by the kernel check
-alone, and d_1's coordinate row by the coordinate-row check alone."""
+The complex is the 2-simplex at sd^1.  The records of its chain
+complex, in the order `homology` makes them in degrees 0, 1 and 2: d_0
+(zero), d_1 (7 x 12, six pivots, one coordinate row), d_2 in the kernel
+coordinates of degree 1 (6 x 6, six pivots, no coordinate row) and the
+zero incoming differential of degree 2.  So the third record's L and E
+are read by the record check alone, and d_1's coordinate row by the
+coordinate-row check alone.  Its one generator, in degree 0, has a zero
+differential out, so a generator entry is corrupted on the cochain
+complex instead: there the generator of degree 0 comes from delta_0 in
+the kernel coordinates of degree 1 (6 x 7, six pivots), and the
+generator check alone reads it."""
 
 import pytest
 
 from capstar import chains, elimination
 from capstar import intlinalg as la
-from capstar.bridge import chain_complex_of
+from capstar.bridge import chain_complex_of, cochain_complex
 from capstar.complexes import barycentric_subdivide
 from capstar.fixtures import simplex_pair
 
@@ -24,8 +28,8 @@ KERNEL = "a kernel column is not in the kernel"
 LEFT = "a coordinate row does not reproduce its residue row"
 
 
-def _complex():
-    return chain_complex_of(barycentric_subdivide(simplex_pair(2).ambient).complex)
+def _complex(build=chain_complex_of):
+    return build(barycentric_subdivide(simplex_pair(2).ambient).complex)
 
 
 def _bumped(line: dict, key) -> dict:
@@ -58,14 +62,15 @@ def _corrupt_third_record(monkeypatch, field):
 
 
 def _corrupt_read(monkeypatch, name):
-    """Wrap `Elimination.kernel` or `left_rows` so that, on a record with
-    pivots and a kernel column or coordinate row, 1 is added to the entry
-    of the first one at the first pivot column (kernel) or row
-    (coordinate rows)."""
+    """Wrap `Elimination.kernel`, which `homology` calls for the
+    generators alone, or `left_rows` so that, on a record with pivots and
+    a generator or coordinate row, 1 is added to the entry of the first
+    one at the first pivot column (generators) or row (coordinate
+    rows)."""
     read = getattr(elimination.Elimination, name)
 
-    def corrupted(self):
-        out = read(self)
+    def corrupted(self, *args):
+        out = read(self, *args)
         if not self.E:
             return out
         if name == "kernel" and out.shape[1]:
@@ -81,32 +86,39 @@ def _corrupt_read(monkeypatch, name):
 
 
 CASES = {
-    "multiplier": (lambda mp: _corrupt_third_record(mp, "L"), "_certify_elimination", RECORD),
-    "pivot-row entry": (lambda mp: _corrupt_third_record(mp, "E"), "_certify_elimination", RECORD),
-    "kernel-column entry": (lambda mp: _corrupt_read(mp, "kernel"), "_certify_kernel", KERNEL),
-    "coordinate-row entry": (lambda mp: _corrupt_read(mp, "left_rows"), "_certify_left_rows", LEFT),
+    "multiplier": (lambda mp: _corrupt_third_record(mp, "L"), "_certify_elimination", RECORD,
+                   chain_complex_of),
+    "pivot-row entry": (lambda mp: _corrupt_third_record(mp, "E"), "_certify_elimination",
+                        RECORD, chain_complex_of),
+    "generator entry": (lambda mp: _corrupt_read(mp, "kernel"), "_certify_kernel", KERNEL,
+                        cochain_complex),
+    "coordinate-row entry": (lambda mp: _corrupt_read(mp, "left_rows"), "_certify_left_rows",
+                             LEFT, chain_complex_of),
 }
 
 
 def test_the_uncorrupted_complex_passes_every_check():
-    k = _complex()
-    assert [chains.homology(k, n).group_str() for n in range(3)] == ["Z^1", "0", "0"]
+    for build in (chain_complex_of, cochain_complex):
+        k = _complex(build)
+        assert [chains.homology(k, n).group_str() for n in range(3)] == ["Z^1", "0", "0"]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_a_corruption_makes_homology_raise(monkeypatch, case):
-    corrupt, _, message = CASES[case]
+    corrupt, _, message, build = CASES[case]
     corrupt(monkeypatch)
+    k = _complex(build)
     with pytest.raises(AssertionError, match=f"^{message}$"):
-        chains.homology(_complex(), 2)
+        for n in range(3):
+            chains.homology(k, n)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_deleting_the_check_lets_the_corruption_through(monkeypatch, case):
-    corrupt, check, _ = CASES[case]
+    corrupt, check, _, build = CASES[case]
     corrupt(monkeypatch)
     monkeypatch.setattr(elimination, check, lambda *args: None)
-    k = _complex()
+    k = _complex(build)
     assert [chains.homology(k, n).degree for n in range(3)] == [0, 1, 2]
 
 
@@ -121,3 +133,19 @@ def test_a_record_with_an_extra_pivot_row_is_rejected():
     assert extra.rank == 2
     with pytest.raises(AssertionError, match="^elimination record does not fit the matrix$"):
         elimination._certify_elimination(extra, a)
+
+
+def test_a_record_whose_residue_block_is_cut_short_is_rejected():
+    # A = [[1, 0], [0, 2], [0, 0]] leaves the 2 x 1 block [[2], [0]] after
+    # its unit pivot; a 1 x 1 block [[2]], with its own Smith
+    # decomposition, reproduced the rows it has, and pairing the residue
+    # rows with the block's rows silently dropped the last one
+    a = la.SparseMatrix.of([[1, 0], [0, 2], [0, 0]])
+    rec = elimination.eliminate(a)
+    elimination._certify_elimination(rec, a)
+    assert rec.block.shape == (2, 1)
+    short = la.SparseMatrix.of([[2]])
+    cut = elimination.Elimination(rec.shape, rec.rows, rec.cols, rec.L, rec.E, short,
+                                  la.smith_normal_form(short))
+    with pytest.raises(AssertionError, match="^elimination record does not fit the matrix$"):
+        elimination._certify_elimination(cut, a)

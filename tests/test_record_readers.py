@@ -20,9 +20,12 @@ def assert_readers_match_factors(a):
     u_inv_cols = f.u_inv._col_dicts
     assert list(rec.L) == list(u_inv_cols[:r0])
     assert list(rec.E) == list(f.v_inv._row_dicts[:r0])
-    assert rec.kernel() == la.SparseMatrix((n, n - r), _cols=f.V._col_dicts[r:])
+    kernel = la.SparseMatrix((n, n - r), _cols=f.V._col_dicts[r:])
+    assert rec.kernel(la.sparse_identity(n - r)) == kernel
+    x = la.SparseMatrix((n - r, 2), tuple({0: k + 1, 1: -1} for k in range(n - r)))
+    assert rec.kernel(x) == kernel @ x
     assert rec.kernel_coordinate_rows() == list(f.v_inv._row_dicts[r:])
-    assert rec.u_inv_columns(range(r0, m)) == list(u_inv_cols[r0:])
+    assert rec.u_inv_columns(range(r0, m)) == la.SparseMatrix((m, m - r0), _cols=u_inv_cols[r0:])
     assert rec.u_rows(range(r0, m), rec.left_rows()) == list(f.U._row_dicts[r0:])
 
 

@@ -91,11 +91,11 @@ def _cases():
         ChainMap(k, k, {}, shift=0, sign=1),
     ], unequal=[ChainMap(k, k, {}, 1), ChainMap(k, k, {}, sign=-1)])
 
-    gens, test, coords, kernel = h1._gens, h1._cycle_test, h1._coords, h1._kernel
+    gens, test, coords = h1._gens, h1._cycle_test, h1._coords
     cases["HomologyGroup"] = _case("own", ("degree", "betti", "torsion"), [
         HomologyGroup(degree=1, betti=1, torsion=(), _gens=gens, _cycle_test=test,
-                      _coords=coords, _kernel=kernel),
-        HomologyGroup(1, 1, (), None, gens, test, coords, kernel),
+                      _coords=coords),
+        HomologyGroup(1, 1, (), None, gens, test, coords),
         HomologyGroup(degree=1, betti=1, torsion=(), cycle_basis=h1.cycle_basis),
     ], unequal=[HomologyGroup(degree=1, betti=1, torsion=(), cycle_basis=()),
                 HomologyGroup(degree=1, betti=1, torsion=(2,), _gens=gens)],
@@ -320,7 +320,7 @@ def test_constructors_still_check_and_normalise():
     assert HomologyGroup(degree=0, betti=0, torsion=())._gens is None
 
 
-STORING = ["ChainComplexZ", "ChainMap", "CheckResult", "ConeResult", "ExactnessReport",
+STORING = ["ChainMap", "CheckResult", "ConeResult", "ExactnessReport",
            "InducedMap", "InvarianceReport", "RelativeSupportedCapResult", "SmithDecomposition",
            "SubdivisionResult", "UctReport"]
 

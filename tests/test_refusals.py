@@ -13,7 +13,7 @@ from capstar.bridge import (
     vector_to_chain,
     vector_to_cochain,
 )
-from capstar.chains import HomologyGroup, chain_complex, chain_map, homology
+from capstar.chains import ChainComplexZ, HomologyGroup, chain_complex, chain_map, homology
 from capstar.errors import ValidationError
 from capstar.fixtures import circle, interval_pair
 from capstar.products import relative_supported_cap
@@ -34,6 +34,14 @@ def test_chain_complex_refuses_a_differential_of_the_wrong_shape():
     with pytest.raises(ValidationError,
                        match=r"differential at degree 1 has shape \(1, 2\), expected \(1, 1\)"):
         chain_complex(-1, {0: 1, 1: 1}, {1: [[1, 0]]})
+
+
+@pytest.mark.parametrize("build", [chain_complex, ChainComplexZ], ids=["chain_complex", "direct"])
+def test_a_chain_complex_refuses_d_squared_not_zero(build):
+    # Z -> Z -> Z with both maps the identity: d o d = 1 out of degree 2
+    d = la.SparseMatrix.of([[1]])
+    with pytest.raises(ValidationError, match="^d o d != 0 out of degree 2$"):
+        build(-1, {0: 1, 1: 1, 2: 1}, {1: d, 2: d})
 
 
 def test_chain_map_refuses_complexes_graded_apart():
