@@ -285,10 +285,7 @@ def vector_to_chain(x: SimplicialComplex, degree: int, v,
     of C(X)/C(Y), lifted to C(X) by zero on `y`: the transpose of the
     quotient projection."""
     basis = _basis(x, y, degree)
-    try:
-        v = la._vector(v)
-    except TypeError:  # a scalar: no entries to read
-        raise ValidationError(f"{v!r:.80} is not a vector") from None
+    v = la._vector(v)
     if len(v) != len(basis):
         raise ValidationError(f"vector has {len(v)} entries for {len(basis)} basis elements")
     return SimplicialChain(x, degree, dict(zip(basis, v)))

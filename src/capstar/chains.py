@@ -246,12 +246,7 @@ class HomologyGroup(Record):
         # dim x rank of the degree
         if cycle_basis is not None:
             # each row read once, as Python ints: the caller's rows are not kept
-            try:
-                rows = [la._vector(row) for row in cycle_basis]
-            except TypeError:  # a vector or a scalar: no rows to read
-                raise ValidationError(
-                    f"{cycle_basis!r:.80} is not a matrix given as rows") from None
-            _gens = la.SparseMatrix.of(rows)
+            _gens = la.SparseMatrix.of(cycle_basis)
         vars(self).update(degree=degree, betti=betti, torsion=torsion, _gens=_gens,
                           _cycle_test=_cycle_test, _coords=_coords)
         if _gens is None and self.dim:
@@ -264,8 +259,13 @@ class HomologyGroup(Record):
     def _int_basis(self) -> tuple:
         if self._gens is None:
             return ()
-        cols = range(self._gens.shape[1])
-        return tuple(tuple([row.get(j, 0) for j in cols]) for row in self._gens._row_dicts)
+        width, out = self._gens.shape[1], []
+        for row in self._gens._row_dicts:
+            dense = [0] * width
+            for j, e in row.items():
+                dense[j] = e
+            out.append(tuple(dense))
+        return tuple(out)
 
     def __eq__(self, other):
         if not isinstance(other, HomologyGroup):
@@ -290,14 +290,11 @@ class HomologyGroup(Record):
 
     def coords_of(self, cycle) -> tuple:
         """Canonical coordinates of a cycle's homology class; `cycle` is a
-        vector of integers (a `cycle_basis` tuple, a list, or a numpy array
-        read flat)."""
+        vector of integers (a `cycle_basis` tuple, a list, or a 1-d array
+        read through its `tolist()`)."""
         if self._coords is None:
             raise ValidationError("a group built from a cycle basis has no coordinate map")
-        try:
-            z = la._vector(cycle)
-        except TypeError:  # a scalar: no entries to read
-            raise ValidationError(f"{cycle!r:.80} is not a vector") from None
+        z = la._vector(cycle)
         if self._cycle_test.shape[1] != len(z):
             raise ValidationError("cycle has the wrong length")
         if any(self._cycle_test.apply(z)):

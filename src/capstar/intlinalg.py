@@ -19,15 +19,16 @@ certifies U @ (A @ V) == D, U @ u_inv == I, V @ v_inv == I and that D
 is a Smith form exactly, on every call at every size: a unimodular
 factorisation with exactly those inverses.  `kernel_basis` reads the
 kernel off the record, as `homology` reads its generators.  The public
-functions take a SparseMatrix or nested sequences, and read a numpy
-array or scalar they are handed through `sys.modules`.  numpy is loaded only by the dense
-remainder: `SparseMatrix.toarray` and the `U/D/V/u_inv/v_inv`
-properties of a `SmithDecomposition`.
+functions take a SparseMatrix or nested sequences.  Input is read by
+protocol, never by type: an array is anything with `tolist()`, read
+through it, and a scalar that is not an int gives its value by
+`item()`, as numpy's integer and bool scalars do.  numpy is loaded only
+by the dense remainder: `SparseMatrix.toarray` and the
+`U/D/V/u_inv/v_inv` properties of a `SmithDecomposition`.
 """
 
 from __future__ import annotations
 
-import sys
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -46,43 +47,30 @@ __all__ = [
 ]
 
 
-def _is_array(a) -> bool:
-    """Whether `a` is a numpy array; without numpy loaded, none is."""
-    np = sys.modules.get("numpy")
-    return np is not None and isinstance(a, np.ndarray)
-
-
-def _exact(a):
-    """The numpy array `a` as an object array of Python ints: any integer
-    or bool dtype, or an object array whose entries `_entry` reads; an
-    object array that holds only Python ints is `a` itself."""
-    if a.dtype == object:
-        if all(type(x) is int for x in a.flat):
-            return a
-        out = a.copy()
-        out.flat = [_entry(x) for x in a.flat]
-        return out
-    if a.dtype.kind == "b":
-        a = a.astype("int8")
-    if a.dtype.kind not in "iu":
-        raise ValidationError(f"entries must be integers, not {a.dtype}")
-    return a.astype(object)
-
-
 def _entry(x) -> int:
-    if not isinstance(x, int):
-        np = sys.modules.get("numpy")
-        if np is None or not isinstance(x, (np.integer, np.bool_)):
-            raise ValidationError(f"entry {x!r} is not an integer")
-    return int(x)
+    """An integer from outside the program, as a Python int: an int or a
+    bool as it is; a scalar that is neither, such as a numpy integer or
+    bool, by the int its `item()` gives.  An array, even of one entry, is
+    not an entry."""
+    if isinstance(x, int):
+        return int(x)
+    try:
+        iter(x)
+    except TypeError:  # a scalar
+        value = x.item() if hasattr(x, "item") else None
+        if isinstance(value, int):
+            return int(value)
+    raise ValidationError(f"entry {x!r} is not an integer")
 
 
 def _vector(v) -> list:
-    """A vector as a list of Python ints: a numpy array of any integer
-    dtype and shape, read flat, or a sequence, each entry checked once."""
-    if _is_array(v):
-        return _exact(v).ravel().tolist()
-    return [_entry(x) for x in v]
+    """A vector as a list of Python ints, each entry checked once: a
+    sequence, or an array read through its `tolist()`."""
+    try:
+        entries = iter(v.tolist() if hasattr(v, "tolist") else v)
+    except TypeError:  # a scalar: no entries to read
+        raise ValidationError(f"{v!r:.80} is not a vector") from None
+    return [x if type(x) is int else _entry(x) for x in entries]
 
 
 def _axpy(dst: dict, q: int, src: dict) -> None:
@@ -141,26 +129,22 @@ class SparseMatrix(Record):
 
     @classmethod
     def of(cls, a, shape=None) -> "SparseMatrix":
-        """`a` itself once it is checked, or the matrix of a 2-d numpy
-        array or of nested sequences (`shape` sizes an empty one) read
-        once; either way each entry is checked to be an integer, and a
-        SparseMatrix's lines to fit its shape."""
+        """`a` itself once it is checked, or the matrix of nested sequences,
+        or of an array read through its `tolist()`, read once; either way
+        each entry is checked to be an integer, and a SparseMatrix's lines
+        to fit its shape.  A matrix with no rows takes a 2-d array's own
+        shape, or else `shape`."""
         if isinstance(a, SparseMatrix):
             a.check()
             return a
-        if _is_array(a) and a.ndim == 2:
-            a = _exact(a)
-            rows = tuple({} for _ in range(a.shape[0]))
-            r, c = (a != 0).nonzero()
-            for i, j, e in zip(r.tolist(), c.tolist(), a[r, c].tolist()):
-                rows[i][j] = e
-            return cls(a.shape, rows, _checked=True)
         try:
-            rows = [[_entry(x) for x in r] for r in a]
+            rows = [[x if type(x) is int else _entry(x) for x in r]
+                    for r in (a.tolist() if hasattr(a, "tolist") else a)]
         except TypeError:  # a vector or a scalar: no rows to read
             raise ValidationError(f"{a!r:.80} is not a matrix given as rows") from None
         if not rows:
-            return cls(tuple(shape or (0, 0)), _checked=True)
+            size = getattr(a, "shape", ())
+            return cls(tuple(size if len(size) == 2 else shape or (0, 0)), _checked=True)
         if any(len(r) != len(rows[0]) for r in rows):
             raise ValidationError("ragged matrix rows")
         return cls((len(rows), len(rows[0])),

@@ -66,7 +66,7 @@ def test_as_matrix_refuses_non_integers(entry):
 
 
 def test_as_matrix_refuses_float_arrays():
-    with pytest.raises(ValidationError, match="must be integers"):
+    with pytest.raises(ValidationError, match=r"^entry 1\.0 is not an integer$"):
         la.SparseMatrix.of(np.array([[1.0, 2.0]]))
 
 
@@ -78,11 +78,9 @@ def test_as_matrix_accepts_ints_bools_and_numpy_integers():
 
 
 def test_as_matrix_passes_object_arrays_through():
-    # neither a checked matrix nor an object array of Python ints is copied
+    # a checked matrix is not copied
     m = la.SparseMatrix((2, 3))
     assert la.SparseMatrix.of(m) is m
-    a = np.zeros((2, 3), dtype=object)
-    assert la._exact(a) is a
 
 
 def test_chain_complex_refuses_a_fractional_differential():
@@ -93,7 +91,7 @@ def test_chain_complex_refuses_a_fractional_differential():
 def test_smith_normal_form_refuses_non_integers():
     with pytest.raises(ValidationError, match="not an integer"):
         la.smith_normal_form([[2, 0.5]])
-    with pytest.raises(ValidationError, match="must be integers"):
+    with pytest.raises(ValidationError, match=r"^entry 1\.0 is not an integer$"):
         la.smith_normal_form(np.array([[1.0]]))
 
 
@@ -208,6 +206,22 @@ def test_chains_refuse_non_integer_coefficients(entry):
 def test_vector_to_chain_refuses_a_float_array():
     with pytest.raises(ValidationError):
         vector_to_chain(circle(), 1, np.array([0.5, 1.9, 0.0]))
+
+
+def test_a_0d_integer_array_is_an_entry_and_an_array_of_one_entry_is_not():
+    c = SimplicialChain(circle(), 1, {(1, 2): np.array(2)})
+    assert c.coefficients == {(1, 2): 2} and type(c.coefficients[(1, 2)]) is int
+    for bad in (np.array([2]), np.array([[2]]), np.array(2.0)):
+        with pytest.raises(ValidationError, match="^entry .* is not an integer$"):
+            SimplicialChain(circle(), 1, {(1, 2): bad})
+
+
+def test_an_array_with_no_rows_keeps_its_width():
+    a = np.zeros((0, 3), dtype=np.int64)
+    assert la.SparseMatrix.of(a).shape == (0, 3)
+    assert la.kernel_basis(a).shape == (3, 3)
+    with pytest.raises(ValidationError, match=r"^differential at degree 1 has shape \(0, 3\)"):
+        chain_complex(-1, {1: 2}, {1: a})
 
 
 def test_chains_accept_ints_bools_and_numpy_integers():

@@ -144,9 +144,11 @@ def test_a_vector_or_scalar_is_refused_where_a_matrix_is_read(call, given):
     (lambda: homology(chain_complex_of(circle()), 1).coords_of(5), "5"),
     (lambda: homology(chain_complex_of(circle()), 1).coords_of(2.0), r"2\.0"),
     (lambda: vector_to_chain(circle(), 1, 5), "5"),
-], ids=["coords-scalar", "coords-float", "vector-to-chain-scalar"])
+    (lambda: vector_to_chain(circle(), 1, np.array(5)), r"array\(5\)"),
+], ids=["coords-scalar", "coords-float", "vector-to-chain-scalar", "vector-to-chain-0d-array"])
 def test_a_scalar_is_refused_where_a_vector_is_read(call, given):
-    # each raised a bare TypeError ("'int' object is not iterable")
+    # each raised a bare TypeError ("'int' object is not iterable"), but a
+    # 0-d array, which was read as a vector of one entry
     with pytest.raises(ValidationError, match=f"^{given} is not a vector$"):
         call()
 
