@@ -143,18 +143,25 @@ def chain_complex(diff_degree: int, ranks: dict, differentials: dict) -> ChainCo
             raise ValidationError(f"rank {r} at degree {n} is negative")
         if r:
             ranks[n] = r
-    diffs = {}
-    for n, m in differentials.items():
+    diffs = _graded(differentials, lambda n: (ranks.get(n + diff_degree, 0), ranks.get(n, 0)),
+                    "differential")
+    return ChainComplexZ(diff_degree=diff_degree, ranks=ranks, sparse=diffs)
+
+
+def _graded(matrices: dict, shape_at, what: str) -> dict:
+    """The nonzero matrices of a graded family, each read by
+    `SparseMatrix.of` at its degree n, which must have the shape
+    `shape_at(n)`; `what` names the family in the refusal."""
+    out = {}
+    for n, m in matrices.items():
         n = la._entry(n)
-        expected = (ranks.get(n + diff_degree, 0), ranks.get(n, 0))
+        expected = shape_at(n)
         m = la.SparseMatrix.of(m, shape=expected)
         if m.shape != expected:
-            raise ValidationError(
-                f"differential at degree {n} has shape {m.shape}, expected {expected}"
-            )
+            raise ValidationError(f"{what} at degree {n} has shape {m.shape}, expected {expected}")
         if m.any():
-            diffs[n] = m
-    return ChainComplexZ(diff_degree=diff_degree, ranks=ranks, sparse=diffs)
+            out[n] = m
+    return out
 
 
 class ChainMap(Record):
@@ -196,17 +203,8 @@ def chain_map(source, target, matrices, shift=0, sign=1) -> ChainMap:
     shift, sign = la._entry(shift), la._entry(sign)
     if sign not in (1, -1):
         raise ValidationError("sign must be +1 or -1")
-    mats = {}
-    for n, m in matrices.items():
-        n = la._entry(n)
-        expected = (target.rank(n + shift), source.rank(n))
-        m = la.SparseMatrix.of(m, shape=expected)
-        if m.shape != expected:
-            raise ValidationError(
-                f"chain map matrix at degree {n} has shape {m.shape}, expected {expected}"
-            )
-        if m.any():
-            mats[n] = m
+    mats = _graded(matrices, lambda n: (target.rank(n + shift), source.rank(n)),
+                   "chain map matrix")
     f = ChainMap(source=source, target=target, sparse=mats, shift=shift, sign=sign)
     eps = source.diff_degree
     for n in set(source.ranks) | {k - eps for k in source.ranks}:
@@ -339,20 +337,6 @@ class HomologyClass(Record):
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def __add__(self, other):
-        if other.group is not self.group and other.group != self.group:
-            raise ValidationError("classes in different groups")
-        return HomologyClass(
-            self.group,
-            self.group.reduce_coords(a + b for a, b in zip(self.coords, other.coords)),
-        )
-
-    def __neg__(self):
-        return HomologyClass(self.group, self.group.reduce_coords(-c for c in self.coords))
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def format(self, label: str = "") -> str:
         terms = [f"{c}*g{i}" for i, c in enumerate(self.coords) if c != 0]
         body = " + ".join(terms) if terms else "0"
@@ -425,6 +409,13 @@ def _sign(n: int) -> int:
 # -- duals, shifts, cones ---------------------------------------------
 
 
+def _dual_degree(eps: int, n: int) -> int:
+    """The degree of the integer dual that dualizes degree n of a complex
+    with diff_degree `eps` (-n under cochain grading, n under chain
+    grading), and back: the rule is its own inverse."""
+    return -n if eps == 1 else n
+
+
 def dual_hom_z(k: ChainComplexZ) -> ChainComplexZ:
     """Integer dual with differential (-1)^(p+1) * transpose.
 
@@ -437,10 +428,8 @@ def dual_hom_z(k: ChainComplexZ) -> ChainComplexZ:
 
 def _dual(k: ChainComplexZ) -> ChainComplexZ:
     eps = k.diff_degree
-    dual_degree_of = (lambda n: -n) if eps == 1 else (lambda n: n)
-    ranks = {dual_degree_of(n): r for n, r in k.ranks.items()}
-    diffs = {p: k.sparse_d(-(p + 1) if eps == 1 else p + 1).T.scaled(_sign(p + 1))
-             for p in ranks}
+    ranks = {_dual_degree(eps, n): r for n, r in k.ranks.items()}
+    diffs = {p: k.sparse_d(_dual_degree(eps, p + 1)).T.scaled(_sign(p + 1)) for p in ranks}
     return chain_complex(1, ranks, diffs)
 
 
@@ -451,8 +440,7 @@ def dual_map(f: ChainMap) -> ChainMap:
     eps = f.source.diff_degree
     src_d = dual_hom_z(f.target)
     tgt_d = dual_hom_z(f.source)
-    dual_degree_of = (lambda n: -n) if eps == 1 else (lambda n: n)
-    mats = {dual_degree_of(n): m.T for n, m in f.sparse.items()}
+    mats = {_dual_degree(eps, n): m.T for n, m in f.sparse.items()}
     return chain_map(src_d, tgt_d, mats, shift=0, sign=1)
 
 
@@ -597,17 +585,19 @@ def _induced(f: ChainMap, degree: int) -> InducedMap:
     return InducedMap(source_group=hs, target_group=ht, sparse=mat)
 
 
+def _around(degrees) -> list:
+    """Every degree within one of the given ones, in increasing order:
+    the degrees a check probes around where complexes live, since each
+    differential moves degree by one."""
+    return sorted({n + e for n in degrees for e in (-1, 0, 1)})
+
+
 def is_quasi_isomorphism(f: ChainMap) -> tuple[bool, list]:
     """Whether f induces isomorphisms in every degree; with a report of
     (degree, source type, target type, iso?) rows."""
-    degs = set(f.source.ranks) | {n - f.shift for n in f.target.ranks}
-    extra = set()
-    for n in degs:
-        extra.add(n + f.source.diff_degree)
-        extra.add(n - f.source.diff_degree)
     report = []
     ok = True
-    for n in sorted(degs | extra):
+    for n in _around(set(f.source.ranks) | {m - f.shift for m in f.target.ranks}):
         ind = induced_map_on_homology(f, n)
         if ind.source_group.is_trivial() and ind.target_group.is_trivial():
             continue
@@ -627,17 +617,12 @@ def uct_check(k: ChainComplexZ) -> UctReport:
     matching degree."""
     d = dual_hom_z(k)
     eps = k.diff_degree
-    degree_back = (lambda p: -p) if eps == 1 else (lambda p: p)
-    probe = set(d.ranks)
-    for p in list(probe):
-        probe.add(p + 1)
-        probe.add(p - 1)
     rows = []
     passed = True
-    for p in sorted(probe):
+    for p in _around(d.ranks):
         got = homology(d, p)
-        hom_side = homology(k, degree_back(p))
-        ext_side = homology(k, degree_back(p - 1) if eps == 1 else p - 1)
+        hom_side = homology(k, _dual_degree(eps, p))
+        ext_side = homology(k, _dual_degree(eps, p - 1))
         predicted_betti = hom_side.betti
         predicted_torsion = ext_side.torsion
         ok = got.betti == predicted_betti and got.torsion == predicted_torsion

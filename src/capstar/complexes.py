@@ -38,12 +38,13 @@ Simplex = tuple
 
 def default_token_order(tokens: Iterable) -> tuple:
     """Deterministic order on mixed tokens: ints numerically, then
-    strings lexicographically."""
-    ints = sorted(t for t in tokens if isinstance(t, bool) is False and isinstance(t, int))
-    strs = sorted(t for t in tokens if isinstance(t, str))
-    rest = [t for t in tokens if not isinstance(t, (int, str))]
+    strings lexicographically.  A bool is refused: True and False hash
+    and compare as 1 and 0, so as vertices they would stand for those."""
+    rest = [t for t in tokens if isinstance(t, bool) or not isinstance(t, (int, str))]
     if rest:
         raise ValidationError(f"unsupported vertex token type: {rest[0]!r}")
+    ints = sorted(t for t in tokens if isinstance(t, int))
+    strs = sorted(t for t in tokens if isinstance(t, str))
     return tuple(ints) + tuple(strs)
 
 
@@ -224,12 +225,16 @@ def from_maximal_simplices(maximal, order=None, name: str = "") -> SimplicialCom
     `order` fixes the global vertex order; when omitted it defaults to
     the deterministic token order (ints numerically, then strings).
     The closure runs on one int per face, its vertex ranks as digits in
-    base `len(order)`, so each level sorts as its keys do.
+    base `len(order)`, so each level sorts as its keys do.  A bool token,
+    in `order` or in a simplex, is refused, as `default_token_order`
+    refuses it.
     """
     maximal = [tuple(s) for s in maximal]
     if order is None:
         order = default_token_order(set(chain.from_iterable(maximal)))
     order = tuple(order)
+    for t in filter(bool.__instancecheck__, chain(order, chain.from_iterable(maximal))):
+        raise ValidationError(f"unsupported vertex token type: {t!r}")
     rank = dict(zip(order, range(len(order))))
     if len(rank) != len(order):
         raise ValidationError("duplicate vertex token in vertex order")

@@ -32,6 +32,7 @@ residue's own certificate), `_certify_kernel` and `_certify_left_rows`;
 from __future__ import annotations
 
 from . import intlinalg as la
+from .errors import InternalCheckError
 from .records import Record
 
 
@@ -342,14 +343,14 @@ def _certify_elimination(rec: Elimination, a: la.SparseMatrix) -> None:
     block = rec.block.shape if rec.residue else (m - r0, n - r0)
     if (a.shape, len(rec.L), block, sorted(rows), sorted(cols)) != (
             (m, n), r0, (m - r0, n - r0), [*range(m)], [*range(n)]):
-        raise AssertionError("elimination record does not fit the matrix")
+        raise InternalCheckError("elimination record does not fit the matrix")
     pos_r, pos_c = _positions(rows), _positions(cols)
     # A - L W, a column of L at a time, formed in place
     rest = [dict(row) for row in a._row_dicts]
     for t, (column, line) in enumerate(zip(rec.L, rec.E)):
         if column.get(rows[t]) not in (1, -1) or line.get(cols[t]) != 1 or min(
                 map(pos_r.__getitem__, column)) < t or min(map(pos_c.__getitem__, line)) < t:
-            raise AssertionError("elimination record is not triangular")
+            raise InternalCheckError("elimination record is not triangular")
         for x, c in column.items():
             row = rest[x]
             get = row.get
@@ -363,13 +364,13 @@ def _certify_elimination(rec: Elimination, a: la.SparseMatrix) -> None:
             for k, e in line.items():
                 row[cols[r0 + k]] = row.get(cols[r0 + k], 0) - e
     if any(any(row.values()) for row in rest):
-        raise AssertionError("elimination record does not reproduce the matrix")
+        raise InternalCheckError("elimination record does not reproduce the matrix")
 
 
 def _certify_kernel(a: la.SparseMatrix, kernel: la.SparseMatrix) -> None:
     """Exact check of a @ k == 0 for every column k of `kernel`."""
     if not la._vanishes(a, kernel):
-        raise AssertionError("a kernel column is not in the kernel")
+        raise InternalCheckError("a kernel column is not in the kernel")
 
 
 def _certify_left_rows(rec: Elimination, left_rows, a: la.SparseMatrix) -> None:
@@ -380,4 +381,4 @@ def _certify_left_rows(rec: Elimination, left_rows, a: la.SparseMatrix) -> None:
     for i, y in enumerate(left_rows):
         want = {cols[r0 + k]: e for k, e in block[i].items()} if block else {}
         if not la._is_product(y, rows, want):
-            raise AssertionError("a coordinate row does not reproduce its residue row")
+            raise InternalCheckError("a coordinate row does not reproduce its residue row")

@@ -32,7 +32,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import ValidationError
+from .errors import InternalCheckError, ValidationError
 from .records import Record
 
 __all__ = [
@@ -340,19 +340,19 @@ def _certify(u, a, v, d, u_inv=None, v_inv=None) -> None:
     anything `SparseMatrix.of` reads."""
     u, a, v, d = (m if isinstance(m, SparseMatrix) else SparseMatrix.of(m) for m in (u, a, v, d))
     if u @ (v.T @ a.T).T != d:
-        raise AssertionError("smith reduction lost the factorization")
+        raise InternalCheckError("smith reduction lost the factorization")
     for f, f_inv in ((u, u_inv), (v, v_inv)):
         if f_inv is not None:
             rows = f_inv._row_dicts
             if f_inv.shape != f.shape or not all(
                     _is_product(row, rows, {i: 1}) for i, row in enumerate(f._row_dicts)):
-                raise AssertionError("smith reduction lost the factorization")
+                raise InternalCheckError("smith reduction lost the factorization")
     # D is diagonal, positive, each entry dividing the next, zeros last
     last = 1
     for i, row in enumerate(d._row_dicts):
         e = row.get(i, 0)
         if len(row) != (e != 0) or e < 0 or (e % last if last else e):
-            raise AssertionError("smith reduction did not reach a Smith form")
+            raise InternalCheckError("smith reduction did not reach a Smith form")
         last = e
 
 

@@ -9,9 +9,15 @@ from capstar.bm import (
     pair_long_exact_sequence,
     subdivision_invariance_check,
 )
-from capstar.bridge import SimplicialChain, SimplicialCochain, chain_complex_of, vector_to_chain
-from capstar.chains import homology
-from capstar.complexes import from_maximal_simplices
+from capstar.bridge import (
+    SimplicialChain,
+    SimplicialCochain,
+    chain_complex_of,
+    subdivision_chain_map,
+    vector_to_chain,
+)
+from capstar.chains import homology, is_quasi_isomorphism
+from capstar.complexes import barycentric_subdivide, from_maximal_simplices, induced_subdivision
 from capstar.errors import ValidationError
 from capstar.fixtures import (
     circle,
@@ -98,6 +104,22 @@ def test_subdivision_invariance_larger_pairs_once(pairs):
     for name in ("disk3", "cylinder"):
         rep = subdivision_invariance_check(pairs[name], times=1)
         assert rep.passed, (name, rep.rows)
+
+
+def test_subdivision_invariance_reports_the_quasi_isomorphism_rows(pairs):
+    # the rows leave out the degrees where both groups are 0
+    assert subdivision_invariance_check(pairs["interval"]).rows == ((1, "Z^1", "Z^1", True),)
+    for name, model in pairs.items():
+        for times in (1, 2):
+            x, y, rel_map = model.ambient, model.boundary, None
+            for _ in range(times):
+                sd = barycentric_subdivide(x)
+                step = subdivision_chain_map(sd, y)
+                rel_map = step if rel_map is None else step.compose(rel_map)
+                x, y = sd.complex, induced_subdivision(sd, y)
+            passed, rows = is_quasi_isomorphism(rel_map)
+            rep = subdivision_invariance_check(model, times=times)
+            assert passed and (rep.passed, rep.rows) == (passed, tuple(rows)), (name, times)
 
 
 def test_subdivision_invariance_absolute():

@@ -115,6 +115,13 @@ def test_subdivision_of_vertex_and_edge():
     assert sd.barycenter_of[("a", "b")] == "b(a.b)"
 
 
+def test_subdivision_refuses_a_vertex_named_like_a_barycenter():
+    x = from_maximal_simplices([[1, 2], ["b(1.2)"]])
+    with pytest.raises(ValidationError,
+                       match=r"^barycenter token 'b\(1\.2\)' collides with an existing vertex$"):
+        barycentric_subdivide(x)
+
+
 def test_subdivision_preserves_euler(surfaces):
     for x in surfaces.values():
         sd = barycentric_subdivide(x)

@@ -376,3 +376,53 @@ def test_parsed_chains_are_checked_once(monkeypatch):
     with pytest.raises(ValidationError, match=r"^simplex \(1, 4\) not in complex$"):
         SimplicialChain(x, 1, {(1, 4): 1})
     assert len(calls) == 2
+
+
+def test_a_failed_certificate_exits_two(tmp_path, monkeypatch, capsys):
+    # bad input exits 1 and a failed mathematical check exits 2: a record
+    # whose first pivot is doubled fails its certificate inside `homology`
+    from capstar import chains, cli, elimination
+
+    eliminate = chains.eliminate
+
+    def corrupted(a):
+        rec = eliminate(a)
+        if not rec.L:
+            return rec
+        first = {x: 2 * c for x, c in rec.L[0].items()}
+        return elimination.Elimination(rec.shape, rec.rows, rec.cols, (first, *rec.L[1:]),
+                                       rec.E, rec.block, rec.residue)
+
+    monkeypatch.setattr(chains, "eliminate", corrupted)
+    xp = write_complex(tmp_path, torus(), "torus7.json")
+    assert cli.main(["homology", xp]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal check failed: elimination record is not triangular\n"
+
+
+def test_cli_cap_rel_says_when_the_class_is_not_transported(tmp_path, capsys):
+    # test_bm's failing example: H_0(Z) = Z^2 for the two vertices of Z,
+    # H_0(N) = Z for their connected star
+    from capstar.bridge import chain_complex_of, vector_to_chain
+    from capstar.chains import homology
+    from capstar.cli import main
+
+    x = torus()
+    alpha = vector_to_chain(x, 2, homology(chain_complex_of(x), 2).cycle_basis[0])
+    xp = write_complex(tmp_path, x, "torus7.json")
+    ap = write_json(tmp_path, {"degree": 2, "values": {
+        ",".join(map(str, s)): c for s, c in alpha.coefficients.items()}}, "a.json")
+    up = write_json(tmp_path, {"degree": 2, "values": {"0,1,3": 1}}, "u.json")
+    yp = write_json(tmp_path, {"name": "y", "simplices": [[6]]}, "y.json")
+    zp = write_json(tmp_path, {"name": "z", "simplices": [[0], [1]]}, "z.json")
+    args = ["cap", xp, "--cochain", up, "--chain", ap, "--support", zp]
+    assert main([*args, "--rel", yp]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[-1] == ("class: not transported (inclusion of pairs is not an "
+                                    "isomorphism; increase --presubdivide)")
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: retract condition failed: H_0(Z) = Z^2 -> H_0(N) = Z^1 ")

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from capstar.complexes import from_maximal_simplices
+from capstar.complexes import default_token_order, from_maximal_simplices
 from capstar.errors import ValidationError
 from capstar.fixtures import circle
 from capstar.io import parse_chain, parse_cochain, parse_complex
@@ -74,11 +74,24 @@ def test_complex_file_error_texts(data, text):
     ([[1, 2, 3], [9, 1], [1, 1, 2]], [1, 2, 3], "vertex 9 not in the declared order"),
     ([[1, 1, 2], []], None, "duplicate vertex 1 within one simplex"),
     ([[], [1, 1]], None, "empty vertex tuple"),
+    # True and False equal 1 and 0 as keys: refused, never read as those vertices
+    ([(1, 2), (True, 3)], None, "unsupported vertex token type: True"),
+    ([(True, 2)], None, "unsupported vertex token type: True"),
+    ([(1, 2)], (1, 2, True), "unsupported vertex token type: True"),
+    ([(1, 2), (True, 2)], (1, 2), "unsupported vertex token type: True"),
+    ([(0, 2), (False, 2)], (False, 0, 2), "unsupported vertex token type: False"),
 ], ids=["empty", "unknown vertex", "duplicate before unknown", "float token", "duplicate order",
-        "unknown before a longer duplicate", "duplicate before empty", "empty before duplicate"])
+        "unknown before a longer duplicate", "duplicate before empty", "empty before duplicate",
+        "bool token after its int", "bool token", "bool in the order",
+        "bool token with a bool-free order", "bool first in the order"])
 def test_from_maximal_simplices_error_texts(maximal, order, text):
     with pytest.raises(ValidationError, match=exactly(text)):
         from_maximal_simplices(maximal, order=order)
+
+
+def test_default_token_order_refuses_a_bool():
+    with pytest.raises(ValidationError, match=exactly("unsupported vertex token type: True")):
+        default_token_order({True, 2})
 
 
 VALUED_CASES = [

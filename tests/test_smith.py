@@ -77,6 +77,9 @@ def test_kernel_and_solve(case):
 
 def test_solve_unsolvable():
     assert la.solve_integer(smith_normal_form([[2]]), [[1]]) is None
+    # [1, 0] is not in the column span of [1, 1]: U b is nonzero past the rank
+    assert la.solve_integer(smith_normal_form([[1], [1]]), [[1], [0]]) is None
+    assert not la.lattice_contains([[1], [1]], [[1], [0]])
 
 
 def test_lattice_comparison():
