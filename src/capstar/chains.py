@@ -207,6 +207,7 @@ def chain_map(source, target, matrices, shift=0, sign=1) -> ChainMap:
                    "chain map matrix")
     f = ChainMap(source=source, target=target, sparse=mats, shift=shift, sign=sign)
     eps = source.diff_degree
+    # both sides whole: checking a row at a time with `_is_product` is slower
     for n in set(source.ranks) | {k - eps for k in source.ranks}:
         lhs = f.sparse_matrix(n + eps) @ source.sparse_d(n)
         rhs = (target.sparse_d(n + shift) @ f.sparse_matrix(n)).scaled(sign)

@@ -338,7 +338,8 @@ def _certify_elimination(rec: Elimination, a: la.SparseMatrix) -> None:
     triangular in them with the pivots ±1 and 1, P A == L W on every row
     with the residue rows as W's last block, and the residue has its own
     certificate.  With E's unit pivots this fixes the rank and shows
-    that the pivot columns of A are independent."""
+    that the pivot columns of A are independent.  L is kept by columns,
+    so L W is taken off A a column at a time, not by `_is_product`."""
     (m, n), r0, rows, cols = rec.shape, len(rec.E), rec.rows, rec.cols
     block = rec.block.shape if rec.residue else (m - r0, n - r0)
     if (a.shape, len(rec.L), block, sorted(rows), sorted(cols)) != (

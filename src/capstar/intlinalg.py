@@ -15,8 +15,9 @@ and its row as eliminated (E); the block left at the first pivot that
 is not a unit is the residue, reduced with factors of its own size.
 `smith_normal_form` has the residue start at the first pivot, so the
 same loop tracks U, D, V, u_inv and v_inv of the whole matrix, and
-certifies U @ (A @ V) == D, U @ u_inv == I, V @ v_inv == I and that D
-is a Smith form exactly, on every call at every size: a unimodular
+certifies U @ (A @ V) == D, with A @ V formed by rows and U's rows
+checked by `_is_product`, U @ u_inv == I, V @ v_inv == I and that D is
+a Smith form exactly, on every call at every size: a unimodular
 factorisation with exactly those inverses.  `kernel_basis` reads the
 kernel off the record, as `homology` reads its generators.  The public
 functions take a SparseMatrix or nested sequences.  Input is read by
@@ -316,7 +317,7 @@ def _is_product(row: dict, rows, want: dict) -> bool:
 
 
 def _vanishes(a: SparseMatrix, b: SparseMatrix) -> bool:
-    """Whether a @ b == 0, a row of the product at a time, in one loop."""
+    """Whether a @ b == 0, a row at a time in one loop: faster than `_is_product` per row."""
     rows = b._row_dicts
     for row in a._row_dicts:
         out = {}
@@ -331,22 +332,24 @@ def _vanishes(a: SparseMatrix, b: SparseMatrix) -> bool:
 
 def _certify(u, a, v, d, u_inv=None, v_inv=None) -> None:
     """Exact check of U @ A @ V == D, of U @ u_inv == I and V @ v_inv == I
-    where the inverses are given, and that D is a Smith form: A V is
-    formed first, a column at a time from the columns of A that each
-    column of V meets, then U times it, a row at a time; each product on
-    the nonzeros, so a selection costs one term per entry.  With the
-    inverses this is a unimodular factorisation with exactly those
-    inverses.  The operands are sparse, as the reduction made them, or
-    anything `SparseMatrix.of` reads."""
+    where the inverses are given, and that D is a Smith form: once the
+    shapes fit, A V is formed by rows, and `_is_product` checks each row
+    of U against its row of D, and of U and V against the identity's, on
+    the nonzeros.  With the inverses this is a unimodular factorisation
+    with exactly those inverses.  The operands are sparse, as the
+    reduction made them, or anything `SparseMatrix.of` reads."""
     u, a, v, d = (m if isinstance(m, SparseMatrix) else SparseMatrix.of(m) for m in (u, a, v, d))
-    if u @ (v.T @ a.T).T != d:
+    m, n = a.shape
+    inverses = [(f, f_inv) for f, f_inv in ((u, u_inv), (v, v_inv)) if f_inv is not None]
+    if (u.shape, v.shape, d.shape) != ((m, m), (n, n), (m, n)) or any(
+            f_inv.shape != f.shape for f, f_inv in inverses):
         raise InternalCheckError("smith reduction lost the factorization")
-    for f, f_inv in ((u, u_inv), (v, v_inv)):
-        if f_inv is not None:
-            rows = f_inv._row_dicts
-            if f_inv.shape != f.shape or not all(
-                    _is_product(row, rows, {i: 1}) for i, row in enumerate(f._row_dicts)):
-                raise InternalCheckError("smith reduction lost the factorization")
+    av = tuple(_times(row, v._row_dicts) for row in a._row_dicts)
+    products = [(u, av, d._row_dicts)] + [
+        (f, f_inv._row_dicts, [{i: 1} for i in range(f.shape[0])]) for f, f_inv in inverses]
+    if not all(_is_product(row, rows, want) for f, rows, wants in products
+               for row, want in zip(f._row_dicts, wants)):
+        raise InternalCheckError("smith reduction lost the factorization")
     # D is diagonal, positive, each entry dividing the next, zeros last
     last = 1
     for i, row in enumerate(d._row_dicts):

@@ -1,14 +1,16 @@
 """The Smith normal form certifies U A V = D, U u_inv = I, V v_inv = I
 and that D is a Smith form at every size."""
 
+import random
+
 import pytest
 
-from capstar import chains, elimination
+from capstar import chains, elimination, verify
 from capstar import intlinalg as la
 from capstar.bridge import chain_complex_of
 from capstar.chains import homology
 from capstar.complexes import barycentric_subdivide
-from capstar.fixtures import klein_bottle, projective_plane
+from capstar.fixtures import klein_bottle, moebius_band, projective_plane, torus
 
 
 def _large_matrix():
@@ -67,22 +69,122 @@ def _with_residue(rec, residue):
     return elimination.Elimination(rec.shape, rec.rows, rec.cols, rec.L, rec.E, rec.block, residue)
 
 
+def _with_corrupted_inverse(eliminate, name):
+    """`eliminate` with 1 added to entry (0, 0) of the residue's inverse
+    factor `name`, where it has one."""
+    def corrupted(a, **kwargs):
+        rec = eliminate(a, **kwargs)
+        f = rec.residue.sparse
+        if not getattr(f, name).shape[0]:
+            return rec
+        residue = la.SmithDecomposition(f._replace(**{name: _with_entry_added(getattr(f, name), 0, 0)}))
+        return _with_residue(rec, residue)
+
+    return corrupted
+
+
 @pytest.mark.parametrize("name", ["u_inv", "v_inv"])
 def test_a_corrupted_inverse_is_rejected(monkeypatch, name):
     # d_2 of the Klein bottle at sd^1; U A V == D still holds, so only
     # U u_inv == I or V v_inv == I can catch the corruption
     a = chain_complex_of(barycentric_subdivide(klein_bottle()).complex).sparse_d(2)
-    eliminate = elimination.eliminate
-
-    def corrupted(a, **kwargs):
-        rec = eliminate(a, **kwargs)
-        f = rec.residue.sparse
-        residue = la.SmithDecomposition(f._replace(**{name: _with_entry_added(getattr(f, name), 0, 0)}))
-        return _with_residue(rec, residue)
-
-    monkeypatch.setattr(elimination, "eliminate", corrupted)
+    monkeypatch.setattr(elimination, "eliminate", _with_corrupted_inverse(elimination.eliminate, name))
     with pytest.raises(AssertionError, match="^smith reduction lost the factorization$"):
         la.smith_normal_form(a)
+
+
+def test_verify_reports_a_tripped_certificate_as_a_fail_line(monkeypatch):
+    # verify's Smith check reads the certificate of each call: with the
+    # residue's u_inv off by one entry, smith_normal_form raises, and
+    # run_suite reports that one check as FAIL and every other as before
+    expected = {r.name: r.passed for r in verify.run_suite(moebius_band(), trials=3, seed=1)}
+    corrupted = _with_corrupted_inverse(elimination.eliminate, "u_inv")
+
+    def tripped(a):
+        with monkeypatch.context() as m:
+            m.setattr(elimination, "eliminate", corrupted)
+            return la.smith_normal_form(a)
+
+    monkeypatch.setattr(verify, "smith_normal_form", tripped)
+    results = verify.run_suite(moebius_band(), trials=3, seed=1)
+    assert [r.name for r in results] == list(expected)
+    assert expected["smith-normal-form-random"]
+    assert {r.name: r.passed for r in results} == {**expected, "smith-normal-form-random": False}
+
+
+def _one_short(f, which):
+    """The factor `which` of `f` with its last row (U, D) or column (V) left out."""
+    m = getattr(f, which)
+    return m.T[:-1].T if which == "V" else m[:-1]
+
+
+@pytest.mark.parametrize("which", ["U", "D", "V"])
+def test_a_factor_one_line_short_is_rejected(which):
+    # d_2 of the torus: its kernel makes D's last column zero, so a V
+    # one column short leaves every entry of U A V that is left equal to
+    # D's, and a U or D one row short leaves every pair of rows that zip
+    # reads equal; only the shapes tell
+    a = chain_complex_of(torus()).sparse_d(2)
+    f = la.smith_normal_form(a).sparse
+    assert not f.D.cols[-1]
+    u, v, d = (_one_short(f, w) if w == which else getattr(f, w) for w in "UVD")
+    with pytest.raises(AssertionError, match="^smith reduction lost the factorization$"):
+        la._certify(u, a, v, d)
+
+
+def _line(rng, width):
+    """A random sparse line of `width` entries, each nonzero with chance 0.4."""
+    return {j: rng.choice((-3, -2, -1, 1, 2, 3)) for j in range(width) if rng.random() < 0.4}
+
+
+def _nudged(line, width, rng):
+    """`line` with 1 added at a random one of its `width` places."""
+    j = rng.randrange(width)
+    out = {**line, j: line.get(j, 0) + 1}
+    return {k: e for k, e in out.items() if e}
+
+
+@pytest.mark.parametrize("k, width", [(0, 0), (0, 3), (3, 0), (2, 2)])
+def test_is_product_on_empty_lines_and_zero_sizes(k, width):
+    # the k x width zero matrix: every row times it is the empty line
+    zeros = tuple({} for _ in range(k))
+    assert la._is_product({}, zeros, {})
+    if k:
+        assert la._is_product({k - 1: 2}, zeros, {})
+    if width:
+        assert not la._is_product({}, zeros, {width - 1: 1})
+
+
+def test_is_product_and_the_certificate_on_random_lines():
+    # _is_product(row, rows, want) is _times(row, rows) == want; and on
+    # the same draws, a matrix A with its Smith factors, one of them
+    # perhaps nudged, _certify accepts exactly when U @ A @ V == D
+    for seed in range(300):
+        rng = random.Random(seed)
+        k, width = rng.randint(0, 5), rng.randint(0, 5)
+        rows = tuple(_line(rng, width) for _ in range(k))
+        row = _line(rng, k)
+        product = la._times(row, rows)
+        wants = [product, {}, _line(rng, width)] + ([_nudged(product, width, rng)] if width else [])
+        for want in wants:
+            assert la._is_product(row, rows, want) == (product == want), (seed, row, rows, want)
+        a = la.SparseMatrix((k, width), rows)
+        f = la.smith_normal_form(a).sparse._asdict()
+        which = rng.choice(["U", "V", "D", None])
+        if which and all(f[which].shape):
+            m = f[which]
+            i = rng.randrange(m.shape[0])
+            f[which] = la.SparseMatrix(m.shape, m._row_dicts[:i] + (
+                _nudged(m._row_dicts[i], m.shape[1], rng),) + m._row_dicts[i + 1:])
+        u, v, d = f["U"], f["V"], f["D"]
+        try:
+            la._certify(u, a, v, d)
+        except AssertionError as e:
+            assert str(e) == "smith reduction lost the factorization", seed
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == (u @ a @ v == d), (seed, which)
 
 
 @pytest.mark.parametrize("rows", [
