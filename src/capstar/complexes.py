@@ -8,7 +8,7 @@ is a pure function.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, filterfalse
+from itertools import chain, combinations, filterfalse, repeat
 from operator import add, lt
 from typing import Iterable
 
@@ -36,16 +36,25 @@ __all__ = [
 Simplex = tuple
 
 
+def _check_tokens(tokens, what: str):
+    """Raise for the first token that is not exactly an int or a nonempty str:
+    True, 2.0 and numpy's int64(2) equal 1, 2 and 2 as keys, so as vertices
+    they would stand for those.  Types are read one by one only on a fault."""
+    if not {int, str}.issuperset(map(type, tokens)) or "" in tokens:
+        for v in tokens:
+            if type(v) not in (int, str):
+                raise ValidationError(
+                    f"{what}: vertex tokens must be integers or strings, got {v!r}")
+            if v == "":
+                raise ValidationError(f"{what}: vertex tokens must be nonempty")
+
+
 def default_token_order(tokens: Iterable) -> tuple:
-    """Deterministic order on mixed tokens: ints numerically, then
-    strings lexicographically.  A bool is refused: True and False hash
-    and compare as 1 and 0, so as vertices they would stand for those."""
-    rest = [t for t in tokens if isinstance(t, bool) or not isinstance(t, (int, str))]
-    if rest:
-        raise ValidationError(f"unsupported vertex token type: {rest[0]!r}")
-    ints = sorted(t for t in tokens if isinstance(t, int))
-    strs = sorted(t for t in tokens if isinstance(t, str))
-    return tuple(ints) + tuple(strs)
+    """Ints numerically, then strings lexicographically: `from_maximal_simplices`'s order."""
+    tokens = list(tokens)  # read once, so that an iterator orders as a list does
+    _check_tokens(tokens, "simplices")
+    return (*sorted(t for t in tokens if type(t) is int),
+            *sorted(t for t in tokens if type(t) is str))
 
 
 class SimplicialComplex(Record):
@@ -142,15 +151,12 @@ class Subcomplex(Record):
     _fields = ("parent", "simplices")
 
     def __init__(self, parent: SimplicialComplex, simplices: frozenset):
-        for s in simplices:
-            if s not in parent:
-                raise ValidationError(f"simplex {s!r} not in parent complex")
-            for k in range(1, len(s)):
-                for f in combinations(s, k):
-                    if f not in simplices:
-                        raise ValidationError(
-                            f"subcomplex not face-closed: missing {f!r} under {s!r}"
-                        )
+        try:
+            _check_face_closed(parent, simplices, simplices)
+        except ValidationError:  # one offender on every run: strays, then the parent's order
+            _check_face_closed(parent, simplices, chain(
+                sorted((s for s in simplices if s not in parent), key=repr),
+                filter(simplices.__contains__, parent.all_simplices())))
         vars(self).update(parent=parent, simplices=simplices)
 
     def __contains__(self, simplex) -> bool:
@@ -173,6 +179,17 @@ class Subcomplex(Record):
         ))
 
 
+def _check_face_closed(parent, simplices, walk):
+    """Raise for the first simplex of `walk` not in `parent` or with a face not in `simplices`."""
+    for s in walk:
+        if s not in parent:
+            raise ValidationError(f"simplex {s!r} not in parent complex")
+        for k in range(1, len(s)):
+            for f in combinations(s, k):
+                if f not in simplices:
+                    raise ValidationError(f"subcomplex not face-closed: missing {f!r} under {s!r}")
+
+
 def _levels(simplices, rank) -> tuple:
     """The simplices grouped by dimension, each level sorted by the
     ranks of its vertices."""
@@ -183,25 +200,12 @@ def _levels(simplices, rank) -> tuple:
     return tuple(tuple(map(level.__getitem__, sorted(level))) for level in levels)
 
 
-def _bad_simplex(vertices, rank):
-    """Raise the error for an empty simplex or its first bad vertex."""
-    if not vertices:
-        raise ValidationError("empty vertex tuple")
-    seen = set()
-    for v in vertices:
-        if v in seen:
-            raise ValidationError(f"duplicate vertex {v!r} within one simplex")
-        seen.add(v)
-        if v not in rank:
-            raise ValidationError(f"vertex {v!r} not in the declared order")
-
-
 def _rank_columns(group, n, rank):
     """The n rank columns of simplices of n vertices, each row sorted, or
-    None if a simplex is empty or has an unknown or repeated vertex."""
+    None if a simplex has an unknown or repeated vertex."""
     try:
         ranks = list(map(rank.__getitem__, chain.from_iterable(group)))
-    except (KeyError, TypeError):
+    except KeyError:
         return None
     cols = [ranks[j::n] for j in range(n)]
     for _ in range(2):  # as given, then with each row sorted
@@ -222,29 +226,42 @@ def _decode(keys, k, base, token) -> tuple:
 def from_maximal_simplices(maximal, order=None, name: str = "") -> SimplicialComplex:
     """Face closure of the given vertex tuples.
 
-    `order` fixes the global vertex order; when omitted it defaults to
-    the deterministic token order (ints numerically, then strings).
+    Each entry is a nonempty list or tuple; each token, in a simplex or in
+    `order`, is exactly an int or a nonempty str.  `order` fixes the global
+    vertex order, by default `default_token_order`.  The first fault is
+    named: a bad entry or token in file order, then one in `order`, then
+    tokens missing from `order`, a repeated one, and a repeated vertex.
     The closure runs on one int per face, its vertex ranks as digits in
-    base `len(order)`, so each level sorts as its keys do.  A bool token,
-    in `order` or in a simplex, is refused, as `default_token_order`
-    refuses it.
+    base `len(order)`, so each level sorts as its keys do.
     """
-    maximal = [tuple(s) for s in maximal]
+    maximal = list(maximal)
+    if not (all(map(isinstance, maximal, repeat((list, tuple)))) and all(maximal)):
+        for s in maximal:  # the first bad entry or token, in file order
+            if not isinstance(s, (list, tuple)) or not s:
+                raise ValidationError(f"simplex entries must be nonempty lists, got {s!r}")
+            _check_tokens(s, "simplices")
+    tokens = list(chain.from_iterable(maximal))
+    _check_tokens(tokens, "simplices")
     if order is None:
-        order = default_token_order(set(chain.from_iterable(maximal)))
-    order = tuple(order)
-    for t in filter(bool.__instancecheck__, chain(order, chain.from_iterable(maximal))):
-        raise ValidationError(f"unsupported vertex token type: {t!r}")
+        order = default_token_order(set(tokens))
+    else:
+        order = tuple(order)
+        _check_tokens(order, "vertex_order")
     rank = dict(zip(order, range(len(order))))
-    if len(rank) != len(order):
-        raise ValidationError("duplicate vertex token in vertex order")
 
     lengths = set(map(len, maximal))
     by_len = {n: _rank_columns(maximal if len(lengths) == 1 else
                                [s for s in maximal if len(s) == n], n, rank) for n in lengths}
-    if None in by_len.values():
-        for s in maximal:  # the first bad simplex in file order
-            _bad_simplex(s, rank)
+    if None in by_len.values() or len(rank) != len(order):
+        missing = set(tokens).difference(rank)
+        if missing:
+            raise ValidationError(f"vertex_order is missing tokens: {sorted(map(str, missing))}")
+        if len(rank) != len(order):
+            raise ValidationError("duplicate vertex token in vertex order")
+        for s in maximal:  # the first repeated vertex, in file order
+            for i, v in enumerate(s):
+                if v in s[:i]:
+                    raise ValidationError(f"duplicate vertex {v!r} within one simplex")
     # the k-faces of all n-simplices at once, from k columns of their ranks
     base, levels = len(order), [set() for _ in range(max(lengths, default=0))]
     for n, cols in by_len.items():

@@ -410,14 +410,14 @@ def solve_integer(snf: SmithDecomposition, b) -> SparseMatrix | None:
 
 def lattice_contains(gens, vectors) -> bool:
     """True when every column of `vectors` lies in the lattice spanned
-    by the columns of `gens`."""
-    vectors = SparseMatrix.of(vectors)
+    by the columns of `gens`; both live in the same ambient Z^n."""
+    vectors, gens = SparseMatrix.of(vectors), SparseMatrix.of(gens)
+    if gens.shape[0] != vectors.shape[0]:
+        raise ValidationError("ambient rank mismatch")
     return not vectors.shape[1] or solve_integer(smith_normal_form(gens), vectors) is not None
 
 
 def lattices_equal(gens_a, gens_b) -> bool:
     """Column lattices agree as subgroups of the ambient Z^n."""
     gens_a, gens_b = SparseMatrix.of(gens_a), SparseMatrix.of(gens_b)
-    if gens_a.shape[0] != gens_b.shape[0]:
-        raise ValidationError("ambient rank mismatch")
     return lattice_contains(gens_a, gens_b) and lattice_contains(gens_b, gens_a)

@@ -9,7 +9,6 @@ to integer coefficients.
 from __future__ import annotations
 
 import json
-from itertools import chain, repeat
 
 from .bridge import SimplicialChain, SimplicialCochain
 from .complexes import SimplicialComplex, _levels, from_maximal_simplices
@@ -38,46 +37,16 @@ def _check_keys(data: dict, allowed: set, what: str):
 _COMPLEX_KEYS = {"name", "simplices", "vertex_order"}
 
 
-def _as_token(v, what: str):
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise ValidationError(f"{what}: vertex tokens must be integers or strings, got {v!r}")
-    if isinstance(v, str) and not v:
-        raise ValidationError(f"{what}: vertex tokens must be nonempty")
-    return v
-
-
-def _check_tokens(tokens: list, what: str):
-    """Raise for the first token that is not an int or a nonempty string;
-    `_as_token` looks at each token only when one is not a plain int or str."""
-    if not {int, str}.issuperset(map(type, tokens)) or "" in tokens:
-        for v in tokens:
-            _as_token(v, what)
-
-
 def parse_complex(data: dict) -> SimplicialComplex:
+    """A complex file's complex; `from_maximal_simplices` checks its entries and tokens."""
     _check_keys(data, _COMPLEX_KEYS, "complex")
     if "name" not in data or not isinstance(data["name"], str):
         raise ValidationError("complex file needs a string 'name'")
     if "simplices" not in data or not isinstance(data["simplices"], list):
         raise ValidationError("complex file needs a list 'simplices'")
-    simplices = data["simplices"]
-    lists = all(map(isinstance, simplices, repeat(list))) and all(simplices)
-    tokens = list(chain.from_iterable(simplices)) if lists else None
-    if tokens is None or not {int, str}.issuperset(map(type, tokens)) or "" in tokens:
-        for s in simplices:  # raise for the first bad entry or token, in file order
-            if not isinstance(s, list) or not s:
-                raise ValidationError(f"simplex entries must be nonempty lists, got {s!r}")
-            _check_tokens(s, "simplices")
-    order = None
-    if "vertex_order" in data:
-        order = data["vertex_order"]
-        if not isinstance(order, list):
-            raise ValidationError("vertex_order must be a list of tokens")
-        _check_tokens(order, "vertex_order")
-        missing = set(tokens).difference(order)
-        if missing:
-            raise ValidationError(f"vertex_order is missing tokens: {sorted(map(str, missing))}")
-    return from_maximal_simplices(simplices, order=order, name=data["name"])
+    if not isinstance(data.get("vertex_order", []), list):
+        raise ValidationError("vertex_order must be a list of tokens")
+    return from_maximal_simplices(data["simplices"], data.get("vertex_order"), data["name"])
 
 
 def serialize_complex(x: SimplicialComplex) -> str:
@@ -111,14 +80,12 @@ _VALUED_KEYS = {"degree", "values"}
 
 
 def _resolve_token(part: str, x: SimplicialComplex):
-    if x.has_vertex(part):
-        return part
+    """The int token that `part` spells other than by `str()`."""
     try:
-        as_int = int(part)
+        if x.has_vertex(int(part)):
+            return int(part)
     except ValueError:
-        as_int = None
-    if as_int is not None and x.has_vertex(as_int):
-        return as_int
+        pass
     raise ValidationError(f"unknown vertex token {part!r} in simplex key")
 
 
@@ -147,7 +114,8 @@ def _parse_valued(data: dict, x: SimplicialComplex, what: str):
     degree = data["degree"]
     if degree < 0:
         raise ValidationError(f"{what} file has a negative degree {degree}")
-    token, index, rank = _key_tokens(x).__getitem__, x._index, x._rank.__getitem__
+    keys, index, rank = _key_tokens(x), x._index, x._rank.__getitem__
+    token = keys.__getitem__
     out = {}
     for key, coeff in data["values"].items():
         if type(coeff) is not int:
@@ -158,7 +126,7 @@ def _parse_valued(data: dict, x: SimplicialComplex, what: str):
         try:
             simplex = tuple(map(token, parts))
         except KeyError:
-            simplex = tuple(_resolve_token(p, x) for p in parts)
+            simplex = tuple(keys[p] if p in keys else _resolve_token(p, x) for p in parts)
         if len(simplex) - 1 != degree:
             raise ValidationError(
                 f"{what}: key {key!r} names a {len(simplex) - 1}-simplex, expected degree {degree}"
@@ -184,12 +152,26 @@ def parse_chain(data: dict, x: SimplicialComplex) -> SimplicialChain:
     return SimplicialChain._trusted(x, *_parse_valued(data, x, "chain"))
 
 
+def _key_text(v, keys: dict) -> str:
+    """Token `v` as `keys` (`_key_tokens`) reads it back: a str token is its own
+    text, and an int token whose `str()` is a str token's gets zeros (`05`)."""
+    if type(v) is str:
+        if "," in v:
+            raise ValidationError(f"vertex token {v!r} contains ',' and cannot be written in a key")
+        return v
+    text = str(v)
+    while type(keys.get(text)) is str:
+        text = "-0" + text[1:] if v < 0 else "0" + text
+    return text
+
+
 def serialize_cochain(u) -> str:
     x = u.complex
+    keys = _key_tokens(x)
     items = sorted(u.coefficients.items(), key=lambda kv: x.sort_key(kv[0]))
     payload = {
         "degree": u.degree,
-        "values": {",".join(str(v) for v in s): c for s, c in items},
+        "values": {",".join(_key_text(v, keys) for v in s): c for s, c in items},
     }
     return json.dumps(payload, indent=2)
 

@@ -1,5 +1,9 @@
-"""Shared generators for randomized chain-algebra tests, and the edge
-where a test turns a matrix into dense values."""
+"""Shared generators for randomized chain-algebra tests, the edge where a
+test turns a matrix into dense values, and products of complexes with
+their homology by the Künneth formula."""
+
+from itertools import combinations
+from math import gcd, lcm
 
 from capstar import intlinalg as la
 from capstar.chains import chain_complex, chain_map
@@ -21,6 +25,60 @@ def pseudo_projective_plane(p: int):
         a, b, s, s_next = f"a{k % 3}", f"a{(k + 1) % 3}", f"s{k}", f"s{(k + 1) % ring}"
         triangles += [[a, b, s], [b, s, s_next], [s, s_next, "c"]]
     return from_maximal_simplices(triangles, name=f"P{p}")
+
+
+def staircase_product(x, y, name: str = ""):
+    """X × Y triangulated by staircases: its vertices are the pairs of
+    vertices, and each pair of maximal simplices σ × τ (p + 1 and q + 1
+    vertices) gives C(p + q, p) simplices of dimension p + q, one per
+    lattice path from (σ0, τ0) to (σp, τq) that steps up in one factor at a
+    time, both factors read in their own vertex order.  The pair of the
+    i-th vertex of X and the j-th of Y is the int token i * |Y| + j."""
+    width = len(y.vertex_order)
+    cells = []
+    for s in x.maximal_simplices():
+        for t in y.maximal_simplices():
+            p, q = len(s) - 1, len(t) - 1
+            for steps in combinations(range(p + q), p):  # the steps taken in X
+                i = j = 0
+                path = [(s[0], t[0])]
+                for k in range(p + q):
+                    i, j = (i + 1, j) if k in steps else (i, j + 1)
+                    path.append((s[i], t[j]))
+                cells.append([x.rank_of(a) * width + y.rank_of(b) for a, b in path])
+    return from_maximal_simplices(cells, name=name)
+
+
+def invariant_factors(orders) -> tuple:
+    """The direct sum of the cyclic groups Z/k, k in `orders`, as
+    Z/d1 ⊕ Z/d2 ⊕ ... with d1 | d2 | ... and every d > 1: Z/a ⊕ Z/b is
+    Z/gcd(a, b) ⊕ Z/lcm(a, b), applied to each pair in turn."""
+    d = sorted(orders)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return tuple(k for k in d if k > 1)
+
+
+def kunneth(hx, hy) -> list:
+    """The integral homology of X × Y from the factors' groups, each a list
+    over degrees 0, 1, ... of (betti, torsion): H_n(X × Y) is the sum of
+    H_i(X) ⊗ H_j(Y) over i + j = n and of Tor(H_i(X), H_j(Y)) over
+    i + j = n - 1 (Hatcher, Algebraic Topology, Theorem 3B.6).  Z ⊗ A is A,
+    Z/a ⊗ Z/b and Tor(Z/a, Z/b) are Z/gcd(a, b), and Tor with Z is 0."""
+    out = []
+    for n in range(len(hx) + len(hy) - 1):
+        betti, orders = 0, []
+        for i, (bx, tx) in enumerate(hx):
+            for j, (by, ty) in enumerate(hy):
+                cross = [gcd(a, b) for a in tx for b in ty]
+                if i + j == n:
+                    betti += bx * by
+                    orders += list(tx) * by + list(ty) * bx + cross
+                elif i + j == n - 1:
+                    orders += cross
+        out.append((betti, invariant_factors(orders)))
+    return out
 
 
 def random_matrix(rng, rows, cols, lo=-3, hi=3):

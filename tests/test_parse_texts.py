@@ -65,21 +65,28 @@ def test_complex_file_error_texts(data, text):
         parse_complex({"name": "bad", **data})
 
 
+# The API gives a complex file's texts in the file's order of precedence:
+# bad entries and tokens of the simplices, then of the order, then tokens
+# missing from the order, a repeated order token and a repeated vertex.
+# So the missing 9 is named in "duplicate before unknown", and the empty
+# entry in "duplicate before empty".
 @pytest.mark.parametrize("maximal, order, text", [
-    ([(1, 2), ()], None, "empty vertex tuple"),
-    ([(1, 2), (2, 9)], (1, 2), "vertex 9 not in the declared order"),
-    ([(1, 2), (2, 2, 9)], (1, 2), "duplicate vertex 2 within one simplex"),
-    ([(1, 2.5)], None, "unsupported vertex token type: 2.5"),
+    ([(1, 2), ()], None, "simplex entries must be nonempty lists, got ()"),
+    ([(1, 2), (2, 9)], (1, 2), "vertex_order is missing tokens: ['9']"),
+    ([(1, 2), (2, 2, 9)], (1, 2), "vertex_order is missing tokens: ['9']"),
+    ([(1, 2.5)], None, "simplices: vertex tokens must be integers or strings, got 2.5"),
     ([(1, 2)], (1, 2, 2), "duplicate vertex token in vertex order"),
-    ([[1, 2, 3], [9, 1], [1, 1, 2]], [1, 2, 3], "vertex 9 not in the declared order"),
-    ([[1, 1, 2], []], None, "duplicate vertex 1 within one simplex"),
-    ([[], [1, 1]], None, "empty vertex tuple"),
+    ([[1, 2, 3], [9, 1], [1, 1, 2]], [1, 2, 3], "vertex_order is missing tokens: ['9']"),
+    ([[1, 1, 2], []], None, "simplex entries must be nonempty lists, got []"),
+    ([[], [1, 1]], None, "simplex entries must be nonempty lists, got []"),
     # True and False equal 1 and 0 as keys: refused, never read as those vertices
-    ([(1, 2), (True, 3)], None, "unsupported vertex token type: True"),
-    ([(True, 2)], None, "unsupported vertex token type: True"),
-    ([(1, 2)], (1, 2, True), "unsupported vertex token type: True"),
-    ([(1, 2), (True, 2)], (1, 2), "unsupported vertex token type: True"),
-    ([(0, 2), (False, 2)], (False, 0, 2), "unsupported vertex token type: False"),
+    ([(1, 2), (True, 3)], None, "simplices: vertex tokens must be integers or strings, got True"),
+    ([(True, 2)], None, "simplices: vertex tokens must be integers or strings, got True"),
+    ([(1, 2)], (1, 2, True), "vertex_order: vertex tokens must be integers or strings, got True"),
+    ([(1, 2), (True, 2)], (1, 2),
+     "simplices: vertex tokens must be integers or strings, got True"),
+    ([(0, 2), (False, 2)], (False, 0, 2),
+     "simplices: vertex tokens must be integers or strings, got False"),
 ], ids=["empty", "unknown vertex", "duplicate before unknown", "float token", "duplicate order",
         "unknown before a longer duplicate", "duplicate before empty", "empty before duplicate",
         "bool token after its int", "bool token", "bool in the order",
@@ -90,7 +97,8 @@ def test_from_maximal_simplices_error_texts(maximal, order, text):
 
 
 def test_default_token_order_refuses_a_bool():
-    with pytest.raises(ValidationError, match=exactly("unsupported vertex token type: True")):
+    with pytest.raises(ValidationError, match=exactly(
+            "simplices: vertex tokens must be integers or strings, got True")):
         default_token_order({True, 2})
 
 

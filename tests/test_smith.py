@@ -1,8 +1,10 @@
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracle
 from capstar import intlinalg as la
+from capstar.errors import ValidationError
 from capstar.intlinalg import smith_normal_form
 
 
@@ -88,6 +90,16 @@ def test_lattice_comparison():
     assert not la.lattice_contains(gens, [[1], [0]])
     other = la.SparseMatrix.of([[2, 2], [3, 0]])
     assert la.lattices_equal(gens, other)
+
+
+@pytest.mark.parametrize("vectors", [la.SparseMatrix((3, 0)), la.SparseMatrix((3, 1))],
+                         ids=["no vectors", "one vector"])
+def test_lattice_contains_checks_the_ambient_rank(vectors):
+    # no vectors in Z^3 are not contained in a lattice of Z^2
+    with pytest.raises(ValidationError, match="^ambient rank mismatch$"):
+        la.lattice_contains([[1, 0], [0, 1]], vectors)
+    with pytest.raises(ValidationError, match="^ambient rank mismatch$"):
+        la.lattices_equal([[1, 0], [0, 1]], vectors)
 
 
 def test_five_hundred_random_matrices_up_to_8x8():
